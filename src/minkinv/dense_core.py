@@ -93,6 +93,27 @@ def rel_residual(M, ref) -> float:
     return fro(np.asarray(M) - np.asarray(ref)) / max(1.0, fro(ref))
 
 
+def pow2_exponent(A) -> int:
+    """The exponent e of the power of two 2**e just above max |a_ij| (0 for zero A).
+
+    Dividing by 2**e maps the largest entry into [1/2, 1) and changes no
+    mantissa, so a result computed from the normalized matrix and scaled back
+    is bit-for-bit covariant under scaling A by any power of two.
+    """
+    return int(np.frexp(np.abs(A).max())[1])
+
+
+def scale_pow2(M, k: int) -> np.ndarray:
+    """M * 2**k, exact for every entry that stays in the normal range.
+
+    Works for any integer k, also where 2**k itself is not a finite double.
+    """
+    out = np.empty_like(M)
+    out.real = np.ldexp(M.real, k)
+    out.imag = np.ldexp(M.imag, k)
+    return out
+
+
 def svd(A, full_matrices: bool = True):
     """Singular value decomposition, numpy convention.
 

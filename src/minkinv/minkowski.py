@@ -31,8 +31,10 @@ from .dense_core import (
     moore_penrose,
     numerical_rank,
     one_inverse_sample,
+    pow2_exponent,
     rank_of,
     rel_residual,
+    scale_pow2,
     sigma_max,
 )
 from .errors import (
@@ -47,6 +49,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
     SingularFactor,
+    ZeroMatrix,
 )
 
 __all__ = [
@@ -254,6 +257,93 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
 
 
 # ---------------------------------------------------------------------------
+# the factor-once gate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Factored:
+    """One compact SVD of the normalized matrix: 2^-exp A = B C.
+
+    B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
+    this value alive pins (m + n) r entries, not the SVD's workspace.
+    ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
+    B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
+    differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
+    singular values of A~A and AA~ respectively.
+    """
+
+    exp: int
+    B: np.ndarray
+    C: np.ndarray
+    rank_BsB: int
+    rank_CCs: int
+
+    @property
+    def r(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def exists(self) -> bool:
+        return self.rank_BsB == self.rank_CCs == self.r
+
+
+def _gram_rank(H, dim: int, s1: float, tol: Tolerance) -> int:
+    """Rank of a Hermitian Gram, cut off as the rank triple cuts off A~A and AA~.
+
+    The cutoff is rank_rtol * max(m, n) * max(sigma_1(H), sigma_1(A)^2):
+    anchored at the size the metric product has without cancellation, so the
+    O(eps) rounding left by an exactly cancelling light-cone Gram ranks 0.
+    It takes max(m, n), not the order of the product, because the r-by-r
+    Gram keeps more of that rounding than the full product does (a 6x2
+    light-cone draw left 3.3e-16 against an order-2 cutoff of 2.7e-16).
+    """
+    lam = np.abs(np.linalg.eigvalsh(H))
+    cutoff = tol.rank_rtol * dim * max(float(lam.max()), s1 * s1)
+    return int(np.sum(lam > cutoff))
+
+
+def _factor(A, tol: Tolerance) -> _Factored:
+    """Normalize A by a power of two, take one compact SVD, rank the two Grams."""
+    m, n = A.shape
+    exp = pow2_exponent(A)
+    U, s, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
+    r = int(np.sum(s > tol.rank_rtol * max(m, n) * s[0]))   # numerical_rank's cutoff
+    B = U[:, :r] * s[:r]
+    C = Vh[:r].copy()
+    if r == 0:
+        return _Factored(exp, B, C, 0, 0)
+    SC = s[:r, None] * C
+    dim = max(m, n)
+    return _Factored(exp, B, C,
+                     rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s[0], tol),
+                     rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s[0], tol))
+
+
+def _factor_gate(A, tol: Tolerance, force: bool = False) -> _Factored:
+    """The factorization of A, or NotExistent (unless ``force``) when a Gram is singular.
+
+    Raised here, after ``_factor`` returned, so the traceback a caller keeps
+    holds only the owned factors, not the SVD's full-size arrays.
+    """
+    f = _factor(A, tol)
+    if not (f.exists or force):
+        raise NotExistent("Minkowski inverse does not exist: "
+                          f"rank(A)={f.r}, rank(AA~)={f.rank_CCs}, rank(A~A)={f.rank_BsB}")
+    return f
+
+
+def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
+    """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted."""
+    Bs = mink_adjoint(f.B)
+    Cs = mink_adjoint(f.C)
+
+    def inv(M, rank):
+        return np.linalg.inv(M) if rank == f.r else moore_penrose(M, tol)
+
+    return Cs @ inv(f.C @ Cs, f.rank_CCs) @ inv(Bs @ f.B, f.rank_BsB) @ Bs
+
+
+# ---------------------------------------------------------------------------
 # inverse algorithms
 # ---------------------------------------------------------------------------
 
@@ -280,19 +370,23 @@ def _finish(name: str, A, X, gap=None) -> InverseComputation:
 def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
     """Minkowski inverse via a full-rank factorization A = B C.
 
-    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~.  Requires rank(A) >= 1 and an
-    existence diagnosis that passes (unless ``force``, which demonstrates the
-    breakdown by pseudo-inverting singular Gram factors).
+    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one compact SVD of
+    the normalized matrix 2^-e A (see :func:`pow2_exponent`), then scales the
+    result by 2^-e, so it is bit-for-bit covariant under powers of two.  The
+    same factorization is the existence gate: NotExistent unless both r-by-r
+    Grams B~B and CC~ are nonsingular, which is the rank-triple criterion of
+    :func:`diagnose_existence`.  ``force`` evaluates the formula anyway,
+    pseudo-inverting the singular Grams, to demonstrate the breakdown.
+    Raises ZeroMatrix when the numerical rank is 0.  The residuals are those
+    of the normalized pair, which equal the residuals of (A, result).
     """
     A = as_matrix(A)
-    _gate(A, tol, force)
-    f = full_rank_factorization(A, tol)
-    Bs = mink_adjoint(f.B)
-    Cs = mink_adjoint(f.C)
-    CCs_inv = _inv_or_forced_pinv(f.C @ Cs, tol, force, what="CC~")
-    BsB_inv = _inv_or_forced_pinv(Bs @ f.B, tol, force, what="B~B")
-    X = Cs @ CCs_inv @ BsB_inv @ Bs
-    return _finish("frf", A, X)
+    f = _factor_gate(A, tol, force)
+    if f.r == 0:
+        raise ZeroMatrix("cannot factor a numerically zero matrix")
+    X = _frf(f, tol)
+    return InverseComputation(algorithm="frf", result=scale_pow2(X, -f.exp),
+                              residuals=defining_residuals(scale_pow2(A, -f.exp), X))
 
 
 def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -504,15 +598,20 @@ def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
 def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The Minkowski inverse A^m, or NotExistent.
 
-    Canonical entry point used by the rest of the package: full-rank
-    factorization route, with the zero matrix mapped to the zero matrix
-    (every defining equation holds trivially for X = 0).
+    Canonical entry point used by the rest of the package.  It factors A
+    once: one compact SVD of the normalized matrix 2^-e A gives A = 2^e B C,
+    the rank-r Grams B~B and CC~ decide existence (the rank-triple criterion
+    of :func:`diagnose_existence`, without its other four criteria), and
+    A^m = 2^-e C~ (CC~)^-1 (B~B)^-1 B~.  Scaling by 2^e is exact, so
+    ``mink_inverse(2**j * A) == mink_inverse(A) / 2**j`` bit for bit.  The
+    zero matrix maps to the zero matrix (every defining equation holds
+    trivially for X = 0).
     """
     A = as_matrix(A)
-    diag = _gate(A, tol, force=False)
-    if diag.rank_A == 0:
+    f = _factor_gate(A, tol)
+    if f.r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    return mink_inverse_frf(A, tol).result
+    return scale_pow2(_frf(f, tol), -f.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +763,18 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
 
     Tests XAA~ = A~, X v = 0 for a basis of N(A~), and
     rank([X | A~]) = rank(A~).  All three hold iff X is the Minkowski
-    inverse.  Verdict-producing: never raises on a failing candidate.
+    inverse.  The tests run on the normalized pair (2^-e A, 2^e X) of
+    :func:`pow2_exponent`, which has the same answer, so the verdict does not
+    depend on the scale of A.  Verdict-producing: never raises on a failing
+    candidate.
     """
     A = as_matrix(A)
     X = as_matrix(X)
     if X.shape != (A.shape[1], A.shape[0]):
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
+    exp = pow2_exponent(A)
+    A = scale_pow2(A, -exp)
+    X = scale_pow2(X, exp)
     diag = diagnose_existence(A, tol)
     As = mink_adjoint(A)
 

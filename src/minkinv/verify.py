@@ -23,7 +23,9 @@ from .dense_core import (
     as_matrix,
     fro,
     mats_close,
+    pow2_exponent,
     rank_of,
+    scale_pow2,
 )
 from .errors import MinkinvError, NotExistent, RetryExhausted, ShapeMismatch
 from . import minkowski as mk
@@ -191,11 +193,22 @@ class CheckReport:
 
 
 def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Full audit of a candidate X against the defining equations of A^m."""
+    """Full audit of a candidate X against the defining equations of A^m.
+
+    The audit runs on the normalized pair (2^-e A, 2^e X), with 2^e the power
+    of two of :func:`~minkinv.dense_core.pow2_exponent`.  X is A^m exactly
+    when 2^e X is (2^-e A)^m, the relative residuals are the same, and the
+    rank floors of the range and null-space tests then see both blocks of
+    [X | A~] at their unscaled size, so the verdict does not depend on the
+    scale of A.
+    """
     A = as_matrix(A)
     X = as_matrix(X)
     if X.shape != (A.shape[1], A.shape[0]):
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
+    exp = pow2_exponent(A)
+    A = scale_pow2(A, -exp)
+    X = scale_pow2(X, exp)
     eq1, eq2, eq3m, eq4m = mk.defining_residuals(A, X)
     As = mk.mink_adjoint(A)
     AX = A @ X
@@ -275,8 +288,16 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     every algorithm refuses with NotExistent; under ``force=True`` the
     formulas are evaluated anyway and the verdict is true when every output
     that could be computed *fails* its check (the breakdown is observable).
+
+    A is normalized once, to 2^-e A with 2^e the power of two of
+    :func:`~minkinv.dense_core.pow2_exponent`: the diagnosis, every
+    algorithm, every audit and the pairwise gaps run on the normalized
+    matrix, and each outcome's ``result`` is scaled back by 2^-e.  Scaling by
+    a power of two is exact, so the report does not depend on the scale of A.
     """
     A = as_matrix(A)
+    exp = pow2_exponent(A)
+    A = scale_pow2(A, -exp)
     diag = mk.diagnose_existence(A, tol)
     outcomes = []
 
@@ -289,27 +310,28 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
                                 max_gap=0.0, verdict=True, forced=force)
 
     run_forced = force and not diag.exists
+    computed = []                    # normalized results of the "ok" outcomes
     for name, thunk in _deterministic_algorithms(A, tol, force=run_forced):
         try:
             X = thunk()
-            outcomes.append(AlgorithmOutcome(
-                name=name, status="ok", result=X, check=check_candidate(A, X, tol)))
+            outcomes.append(AlgorithmOutcome(name=name, status="ok", result=scale_pow2(X, -exp),
+                                             check=check_candidate(A, X, tol)))
+            computed.append(X)
         except NotExistent as exc:
             outcomes.append(AlgorithmOutcome(name=name, status="refused", detail=str(exc)))
         except MinkinvError as exc:
             outcomes.append(AlgorithmOutcome(name=name, status="failed", detail=str(exc)))
 
     if diag.exists:
-        computed = [o for o in outcomes if o.status == "ok"]
         gaps = []
         for i in range(len(computed)):
             for j in range(i + 1, len(computed)):
-                denom = max(1.0, fro(computed[i].result))
-                gaps.append(fro(computed[i].result - computed[j].result) / denom)
+                denom = max(1.0, fro(computed[i]))
+                gaps.append(fro(computed[i] - computed[j]) / denom)
         max_gap = max(gaps) if gaps else 0.0
         all_ok = (
             len(computed) == len(outcomes)
-            and all(o.check.verdict for o in computed)
+            and all(o.check.verdict for o in outcomes)
             and max_gap <= tol.eq_bound(1.0)
         )
         return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,

@@ -88,25 +88,48 @@ def test_criterion_04_hs_decomposition_regression():
     _report(4, "decomposition blocks have full rank 3; singular values match to 4 digits")
 
 
-def test_criterion_05_criteria_equivalence_sweep():
-    rng = np.random.default_rng(50_000)
+def _mixed_instances(base, count=500):
+    """Criterion 05's sweep: existent, isotropic and arbitrary draws in turn."""
+    rng = np.random.default_rng(base)
     sizes = _sizes(rng)
-    checked = 0
-    for i in range(500):
+    for i in range(count):
         m, n, r = next(sizes)
         if i % 3 == 0:
-            A = existent(m, n, r, seed=50_000 + i)
+            A = existent(m, n, r, seed=base + i)
         elif i % 3 == 1:
-            A = isotropic(max(m, 2), n, seed=50_000 + i)
+            A = isotropic(max(m, 2), n, seed=base + i)
         else:
             A = mi.generate(mi.GenSpec(rows=m, cols=n, rank=min(1, min(m, n)),
-                                       kind=mi.GenKind.ARBITRARY, seed=50_000 + i))
+                                       kind=mi.GenKind.ARBITRARY, seed=base + i))
+        yield i, m, n, A
+
+
+def test_criterion_05_criteria_equivalence_sweep():
+    checked = 0
+    for i, m, n, A in _mixed_instances(50_000):
         d = mi.diagnose_existence(A)
         assert d.criteria_agree, (
             f"criteria disagree on instance {i} ({m}x{n}, kind {i % 3}): {d.criteria}")
         checked += 1
     assert checked == 500
     _report(5, "all five existence criteria agree on 500 mixed instances")
+
+
+def test_criterion_05_factor_gate_matches_diagnosis():
+    # mink_inverse decides existence on the r-by-r Grams of one factorization
+    checked = 0
+    for base in (50_000, 51_000, 52_000):
+        for i, m, n, A in _mixed_instances(base):
+            try:
+                mi.mink_inverse(A)
+                gate = True
+            except mi.NotExistent:
+                gate = False
+            assert gate == mi.diagnose_existence(A).exists, (
+                f"gate and diagnosis disagree on instance {base + i} ({m}x{n}, kind {i % 3})")
+            checked += 1
+    assert checked == 1500
+    _report(5, "the factor-once gate of mink_inverse matches the diagnosis on 1500 instances")
 
 
 def test_criterion_06_cross_algorithm_agreement():
@@ -262,3 +285,24 @@ def test_criterion_12_scale_adjoint_covariance():
         rhs = mi.mink_adjoint(Am)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1, np.linalg.norm(rhs))
     _report(12, "scaling and adjoint covariance hold to 1e-9 on 100 instances")
+
+
+def test_criterion_12_power_of_two_scaling_is_exact():
+    A = existent(7, 5, 3, seed=120_500)
+    Am = mi.mink_inverse(A)
+    for j in range(-400, 401):
+        assert np.array_equal(mi.mink_inverse(2.0 ** j * A), Am / 2.0 ** j), f"j={j}"
+    _report(12, "mink_inverse(2^j A) == mink_inverse(A) / 2^j bit for bit, j in [-400, 400]")
+
+
+def test_criterion_12_auditors_across_the_double_range():
+    for k in range(-150, 151):
+        c = 10.0 ** k * np.exp(0.37j * k)
+        A = c * A55
+        X = mi.mink_inverse(A)
+        assert np.linalg.norm(X - AM55 / c) <= 1e-9 * np.linalg.norm(AM55 / c), f"k={k}"
+        assert mi.check_candidate(A, X).verdict, f"check_candidate rejects at k={k}"
+        assert mi.moore_style_check(A, X).is_inverse, f"moore_style_check rejects at k={k}"
+        assert mi.cross_check(A).verdict, f"cross_check fails at k={k}"
+    _report(12, "check_candidate, moore_style_check and cross_check accept at c = 10^k e^(0.37ik), "
+                "k in [-150, 150]")

@@ -21,6 +21,22 @@ def test_tolerance_validation():
         mi.Tolerance(rank_rtol=-1e-16)
 
 
+def test_pow2_exponent_brackets_the_largest_entry():
+    for big in (0.75, 1.0, 3.0 + 4.0j, 1e-300, 1e300):
+        e = mi.dense_core.pow2_exponent(np.array([[big / 3, -big]]))
+        assert 2.0 ** (e - 1) <= abs(big) < 2.0 ** e
+    assert mi.dense_core.pow2_exponent(np.zeros((2, 3))) == 0
+
+
+def test_scale_pow2_exact_beyond_finite_powers(rng):
+    # 2**1060 is not a finite double; the round trip is still exact
+    M = cgauss(rng, 3, 4) * 1e-300
+    up = mi.dense_core.scale_pow2(M, 1060)
+    assert np.all(np.isfinite(up))
+    assert np.array_equal(mi.dense_core.scale_pow2(up, -1060), M)
+    assert np.array_equal(mi.dense_core.scale_pow2(M, 7), M * 128.0)
+
+
 def test_svd_identity():
     U, s, Vh = mi.svd(np.eye(3))
     assert_allclose(s, np.ones(3))

@@ -1,5 +1,7 @@
 """Tests for the adjoint, diagnostics, and the inverse algorithms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -482,6 +484,30 @@ def test_index_facts_on_existent():
     As = mi.mink_adjoint(A)
     assert mi.index_of(A @ As, scale=s2) <= 1
     assert mi.index_of(As @ A, scale=s2) <= 1
+
+
+def _arrays_held(value):
+    """The ndarrays a frame local holds directly or as dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [a for a in (getattr(value, f.name) for f in dataclasses.fields(value))
+                if isinstance(a, np.ndarray)]
+    return []
+
+
+def test_refusal_traceback_pins_no_large_arrays():
+    # a caller that keeps the refusal keeps every frame of its traceback alive
+    A = isotropic(64, 64, seed=3)
+    with pytest.raises(mi.NotExistent) as info:
+        mi.mink_inverse(A)
+    pinned = 0
+    tb = info.value.__traceback__
+    while tb is not None:
+        for value in tb.tb_frame.f_locals.values():
+            pinned += sum(a.nbytes for a in _arrays_held(value) if a is not A)
+        tb = tb.tb_next
+    assert pinned < A.nbytes / 4
 
 
 def test_zero_matrix_inverse():

@@ -154,3 +154,28 @@ def test_cross_check_generated():
 def test_cross_check_zero_matrix():
     rep = mi.cross_check(np.zeros((3, 3)))
     assert rep.exists and rep.verdict
+
+
+# ---------------------------------------------------------------------------
+# factorization counts (machine-independent, so they gate regressions)
+# ---------------------------------------------------------------------------
+
+def _lapack_counts(monkeypatch, call, A):
+    counts = dict.fromkeys(("svd", "inv", "solve", "eigvalsh"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    call(A)
+    monkeypatch.undo()
+    return counts
+
+
+def test_lapack_counts_on_count_baseline(monkeypatch):
+    # the benchmark's count-baseline input: 50x50, rank 30, seed 1
+    A = existent(50, 50, 30, seed=1)
+    assert _lapack_counts(monkeypatch, mi.mink_inverse, A) == {
+        "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2}
+    assert _lapack_counts(monkeypatch, mi.cross_check, A) == {
+        "svd": 180, "inv": 10, "solve": 0, "eigvalsh": 2}
