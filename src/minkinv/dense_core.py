@@ -1,8 +1,10 @@
 """Dense complex linear algebra: rank machinery, factorizations, basic inverses.
 
 All matrices are 2-D ``complex128`` numpy arrays.  Every rank decision in the
-package goes through :func:`numerical_rank` so that predicates built on rank
-comparisons can never disagree because of differing cutoff conventions.
+package takes the cutoff of :func:`numerical_rank` (a factorization that
+already holds the spectrum applies it through ``_rank_from_spectrum``) so
+that predicates built on rank comparisons can never disagree because of
+differing cutoff conventions.
 
 Two cutoff refinements matter for matrices that are *derived* from other
 matrices (products, residual projectors):
@@ -158,10 +160,19 @@ def numerical_rank(A, tol: Tolerance = DEFAULT_TOL, scale: float | None = None,
         tests performed at equality tolerance.
     """
     A = as_matrix(A)
-    s = np.linalg.svd(A, compute_uv=False)
+    return _rank_from_spectrum(np.linalg.svd(A, compute_uv=False), A.shape, tol, scale, floor)
+
+
+def _rank_from_spectrum(s, shape, tol: Tolerance, scale: float | None = None,
+                        floor: float = 0.0) -> RankReport:
+    """The rank report of a matrix of ``shape`` whose singular values are ``s``.
+
+    The one cutoff convention of :func:`numerical_rank`, for callers that
+    already hold the spectrum from a factorization they need anyway.
+    """
     smax = float(s[0]) if s.size else 0.0
     anchor = max(smax, scale if scale is not None else 0.0)
-    cutoff = tol.rank_rtol * max(A.shape) * anchor
+    cutoff = tol.rank_rtol * max(shape) * anchor
     cutoff = max(cutoff, floor)
     rank = int(np.sum(s > cutoff)) if cutoff > 0 else int(np.sum(s > 0))
     return RankReport(rank=rank, singular_values=s, cutoff=cutoff)
@@ -183,10 +194,9 @@ def moore_penrose(A, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     """
     A = as_matrix(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    rep = numerical_rank(A, tol, scale=scale)
+    r = _rank_from_spectrum(s, A.shape, tol, scale).rank
     inv = np.zeros_like(s)
-    if rep.rank > 0:
-        inv[:rep.rank] = 1.0 / s[:rep.rank]
+    inv[:r] = 1.0 / s[:r]
     return (Vh.conj().T * inv) @ U.conj().T
 
 
@@ -253,10 +263,10 @@ def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL,
     :func:`numerical_rank`.  Raises ZeroMatrix when the numerical rank is 0.
     """
     A = as_matrix(A)
-    r = rank_of(A, tol, scale=scale)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    r = _rank_from_spectrum(s, A.shape, tol, scale).rank
     if r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     return FullRankFactorization(B=U[:, :r] * s[:r], C=Vh[:r, :], r=r)
 
 
@@ -269,16 +279,18 @@ def group_inverse(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     """
     M = as_matrix(M)
     _require_square(M)
-    r = rank_of(M, tol, scale=scale)
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    r = _rank_from_spectrum(s, M.shape, tol, scale).rank
     scale2 = None if scale is None else scale * scale
     r2 = rank_of(M @ M, tol, scale=scale2)
     if r2 != r:
         raise IndexNotOne(f"rank(M^2)={r2} != rank(M)={r}; index exceeds one")
     if r == 0:
         return np.zeros_like(M)
-    f = full_rank_factorization(M, tol, scale=scale)
-    GF = f.C @ f.B
-    return f.B @ np.linalg.inv(GF @ GF) @ f.C
+    F = U[:, :r] * s[:r]         # M = F G, the full-rank factorization of the same SVD
+    G = Vh[:r, :]
+    GF = G @ F
+    return F @ np.linalg.inv(GF @ GF) @ G
 
 
 @dataclass(frozen=True)
@@ -315,10 +327,10 @@ def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
     if A.shape[0] != A.shape[1]:
         from .errors import NotSquare
         raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
-    r = rank_of(A, tol)
+    W, s, Vh = np.linalg.svd(A)
+    r = _rank_from_spectrum(s, A.shape, tol).rank
     if r == 0:
         raise ZeroMatrix("decomposition needs rank >= 1")
-    W, s, Vh = np.linalg.svd(A)
     KL = (Vh @ W)[:r, :]
     return HSDecomposition(U=W, sigma=s[:r].copy(), K=KL[:, :r], L=KL[:, r:], r=r)
 

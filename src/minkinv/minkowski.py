@@ -10,6 +10,16 @@ Existence is conditional: it fails exactly when R(A) or R(A~) leans into the
 light cone, i.e. when rank(AA~) or rank(A~A) drops below rank(A).  Several
 independent algorithms for A^m are provided; on any existent input they agree
 up to rounding, which is what the verify module cross-checks.
+
+Every algorithm gates on one factorization: a compact SVD of the normalized
+matrix 2^-e A, with 2^e the power of two of :func:`pow2_exponent`, gives
+A = 2^e B C, and NotExistent is raised unless both r-by-r metric Grams B~B
+and CC~ are nonsingular.  That is the rank-triple criterion of
+:func:`diagnose_existence`, whose five criteria run only where their
+evidence is asked for.  The algorithm then evaluates its formula on 2^-e A
+and scales the result back by 2^-e, which is exact, so it holds at every
+scale of the double range; its residuals are those of the normalized pair,
+which equal the residuals of (A, result).
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _rank_from_spectrum,
     as_matrix,
     fro,
     full_rank_factorization,
@@ -231,17 +242,6 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     )
 
 
-def _gate(A, tol: Tolerance, force: bool) -> ExistenceDiagnosis:
-    """Common existence gate for the inverse algorithms."""
-    diag = diagnose_existence(A, tol)
-    if not diag.exists and not force:
-        raise NotExistent(
-            "Minkowski inverse does not exist: "
-            f"rank(A)={diag.rank_A}, rank(AA~)={diag.rank_AAs}, rank(A~A)={diag.rank_AsA}"
-        )
-    return diag
-
-
 def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
                         err=SingularFactor, what="factor"):
     """Invert M, or pseudo-invert it under force so breakdowns stay observable."""
@@ -264,8 +264,9 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
 class _Factored:
     """One compact SVD of the normalized matrix: 2^-exp A = B C.
 
-    B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
-    this value alive pins (m + n) r entries, not the SVD's workspace.
+    ``s1`` is sigma_max(2^-exp A).  B = U_r Sigma_r and C = V_r* are owned
+    copies, so a refusal that keeps this value alive pins (m + n) r entries,
+    not the SVD's workspace.
     ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
     B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
     differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
@@ -273,6 +274,7 @@ class _Factored:
     """
 
     exp: int
+    s1: float
     B: np.ndarray
     C: np.ndarray
     rank_BsB: int
@@ -307,29 +309,40 @@ def _factor(A, tol: Tolerance) -> _Factored:
     m, n = A.shape
     exp = pow2_exponent(A)
     U, s, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
-    r = int(np.sum(s > tol.rank_rtol * max(m, n) * s[0]))   # numerical_rank's cutoff
+    r = _rank_from_spectrum(s, A.shape, tol).rank
+    s1 = float(s[0])
     B = U[:, :r] * s[:r]
     C = Vh[:r].copy()
     if r == 0:
-        return _Factored(exp, B, C, 0, 0)
+        return _Factored(exp, s1, B, C, 0, 0)
     SC = s[:r, None] * C
     dim = max(m, n)
-    return _Factored(exp, B, C,
-                     rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s[0], tol),
-                     rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s[0], tol))
+    return _Factored(exp, s1, B, C,
+                     rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
+                     rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol))
 
 
-def _factor_gate(A, tol: Tolerance, force: bool = False) -> _Factored:
-    """The factorization of A, or NotExistent (unless ``force``) when a Gram is singular.
+def _require_existence(f: _Factored, force: bool) -> _Factored:
+    """``f``, or NotExistent (unless ``force``) when one of its Grams is singular.
 
     Raised here, after ``_factor`` returned, so the traceback a caller keeps
     holds only the owned factors, not the SVD's full-size arrays.
     """
-    f = _factor(A, tol)
     if not (f.exists or force):
         raise NotExistent("Minkowski inverse does not exist: "
                           f"rank(A)={f.r}, rank(AA~)={f.rank_CCs}, rank(A~A)={f.rank_BsB}")
     return f
+
+
+def _factor_gate(A, tol: Tolerance, force: bool = False) -> _Factored:
+    """The existence gate of every algorithm: the factorization of A, or NotExistent."""
+    return _require_existence(_factor(A, tol), force)
+
+
+def _normalized_gate(A, tol: Tolerance, force: bool = False) -> tuple[_Factored, np.ndarray]:
+    """:func:`_factor_gate` plus the normalized matrix 2^-e A that it factored."""
+    f = _factor_gate(A, tol, force)
+    return f, scale_pow2(A, -f.exp)
 
 
 def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
@@ -341,6 +354,13 @@ def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
         return np.linalg.inv(M) if rank == f.r else moore_penrose(M, tol)
 
     return Cs @ inv(f.C @ Cs, f.rank_CCs) @ inv(Bs @ f.B, f.rank_BsB) @ Bs
+
+
+def _inverse_of(f: _Factored, tol: Tolerance) -> np.ndarray:
+    """A^m from the factorization of A (the zero matrix for rank 0)."""
+    if f.r == 0:
+        return np.zeros((f.C.shape[1], f.B.shape[0]), dtype=np.complex128)
+    return scale_pow2(_frf(f, tol), -f.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +382,13 @@ class InverseComputation:
     gap: float | None = None
 
 
-def _finish(name: str, A, X, gap=None) -> InverseComputation:
-    return InverseComputation(algorithm=name, result=X,
+def _finish(name: str, f: _Factored, A, X, gap=None) -> InverseComputation:
+    """Scale X, computed on the normalized A = 2^-e A_in, back to A_in^m = 2^-e X.
+
+    The residuals are those of the normalized pair (A, X), which equal the
+    residuals of (A_in, result).
+    """
+    return InverseComputation(algorithm=name, result=scale_pow2(X, -f.exp),
                               residuals=defining_residuals(A, X), gap=gap)
 
 
@@ -384,9 +409,7 @@ def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> In
     f = _factor_gate(A, tol, force)
     if f.r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
-    X = _frf(f, tol)
-    return InverseComputation(algorithm="frf", result=scale_pow2(X, -f.exp),
-                              residuals=defining_residuals(scale_pow2(A, -f.exp), X))
+    return _finish("frf", f, scale_pow2(A, -f.exp), _frf(f, tol))
 
 
 def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -400,11 +423,12 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     Nonsingularity of G1 and Delta is exactly the existence condition, so a
     singular G1 or Delta raises NotExistent.  The result is cross-checked
     against the equivalent expanded block form; the agreement gap is recorded.
+    Gated and run on 2^-e A like every algorithm (see the module docstring).
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"this route needs a square matrix, got {A.shape}")
-    _gate(A, tol, force)
+    f, A = _normalized_gate(A, tol, force)
     n = A.shape[0]
     hs = hs_decomposition(A, tol)
     r = hs.r
@@ -424,7 +448,7 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     if not force and rank_of(Delta, tol, scale=1.0) < r:
         raise NotExistent("Delta is singular, i.e. rank(AA~) < rank(A)")
     core_inv = _inv_or_forced_pinv(G1 @ Sigma @ Delta, tol, force,
-                                   scale=sigma_max(Sigma),
+                                   scale=hs.sigma[0],
                                    err=NotExistent, what="G1 Sigma Delta")
     blk = np.zeros((n, n), dtype=np.complex128)
     blk[:r, :r] = hs.K.conj().T @ core_inv
@@ -436,18 +460,18 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     # expanded form over the same block split
     t_top = G1 @ hs.K.conj().T + G2 @ hs.L.conj().T
     t_bot = G3 @ hs.K.conj().T + G4 @ hs.L.conj().T
-    sd_inv = _inv_or_forced_pinv(Sigma @ Delta, tol, force, scale=sigma_max(Sigma),
+    sd_inv = _inv_or_forced_pinv(Sigma @ Delta, tol, force, scale=hs.sigma[0],
                                  err=NotExistent, what="Sigma Delta")
-    exp = np.zeros((n, n), dtype=np.complex128)
-    exp[:r, :r] = t_top @ sd_inv
-    exp[:r, r:] = t_top @ core_inv @ G2
-    exp[r:, :r] = t_bot @ sd_inv
-    exp[r:, r:] = t_bot @ core_inv @ G2
-    X2 = U @ exp @ U.conj().T
+    expanded = np.zeros((n, n), dtype=np.complex128)
+    expanded[:r, :r] = t_top @ sd_inv
+    expanded[:r, r:] = t_top @ core_inv @ G2
+    expanded[r:, :r] = t_bot @ sd_inv
+    expanded[r:, r:] = t_bot @ core_inv @ G2
+    X2 = U @ expanded @ U.conj().T
     gap = rel_residual(X2, X)
     if not force and not mats_close(X2, X, tol, scale=fro(X)):
         raise MinkinvError(f"internal inconsistency: expanded form differs by {gap:.3e}")
-    return _finish("hs", A, X, gap=gap)
+    return _finish("hs", f, A, X, gap=gap)
 
 
 def _power(M, k):
@@ -464,19 +488,20 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
     and W in exact arithmetic; k = l = 0 is the classic A~ (A~AA~)^(1) A~.
     In floating point the W terms cancel only up to eps times the condition
     of the inverted power, so keep ``W`` comparable in magnitude to that
-    product's pseudoinverse scale when k + l > 0.
+    product's pseudoinverse scale when k + l > 0.  Gated and run on 2^-e A
+    like every algorithm (see the module docstring); ``W`` parameterizes the
+    {1}-inverse of that normalized product.
     """
     if k < 0 or l < 0:
         raise ValueError("exponents must be nonnegative")
     A = as_matrix(A)
-    _gate(A, tol, force)
+    f, A = _normalized_gate(A, tol, force)
     As = mink_adjoint(A)
     AsA = As @ A
-    sA = sigma_max(A)
     mid = _power(AsA, k + l + 1) @ As
-    inner = one_inverse_sample(mid, W, tol, scale=sA ** (2 * (k + l + 1) + 1))
+    inner = one_inverse_sample(mid, W, tol, scale=f.s1 ** (2 * (k + l + 1) + 1))
     X = _power(AsA, k) @ As @ inner @ _power(AsA, l) @ As
-    return _finish(f"zlobec(k={k},l={l})", A, X)
+    return _finish(f"zlobec(k={k},l={l})", f, A, X)
 
 
 def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
@@ -486,20 +511,20 @@ def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
     Evaluates
     (A~A)^k A~ [ (AA~)^(k+1) ]^(1) A [ (A~A)^(l+1) ]^(1) (A~A)^l A~ with the
     two inner {1}-inverses sampled independently via W1 and W2.  At
-    k = l = 0 this is A~ (AA~)^(1) A (A~A)^(1) A~.
+    k = l = 0 this is A~ (AA~)^(1) A (A~A)^(1) A~.  Gated and run on 2^-e A
+    like every algorithm (see the module docstring).
     """
     if k < 0 or l < 0:
         raise ValueError("exponents must be nonnegative")
     A = as_matrix(A)
-    _gate(A, tol, force)
+    f, A = _normalized_gate(A, tol, force)
     As = mink_adjoint(A)
     AsA = As @ A
     AAs = A @ As
-    sA = sigma_max(A)
-    left = one_inverse_sample(_power(AAs, k + 1), W1, tol, scale=sA ** (2 * (k + 1)))
-    right = one_inverse_sample(_power(AsA, l + 1), W2, tol, scale=sA ** (2 * (l + 1)))
+    left = one_inverse_sample(_power(AAs, k + 1), W1, tol, scale=f.s1 ** (2 * (k + 1)))
+    right = one_inverse_sample(_power(AsA, l + 1), W2, tol, scale=f.s1 ** (2 * (l + 1)))
     X = _power(AsA, k) @ As @ left @ A @ right @ _power(AsA, l) @ As
-    return _finish(f"zlobec2(k={k},l={l})", A, X)
+    return _finish(f"zlobec2(k={k},l={l})", f, A, X)
 
 
 def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -507,29 +532,29 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
 
     Computes both (A~A)# A~ and A~ (AA~)#; existence makes both products
     index-one and the two expressions equal.  Returns the first with the
-    agreement gap recorded.
+    agreement gap recorded.  Gated and run on 2^-e A like every algorithm
+    (see the module docstring).
     """
     A = as_matrix(A)
-    _gate(A, tol, force)
+    f, A = _normalized_gate(A, tol, force)
     As = mink_adjoint(A)
-    s2 = sigma_max(A) ** 2
+    s2 = f.s1 ** 2
 
     def grp(M):
         if not force:
             return group_inverse(M, tol, scale=s2)
-        f_rank = rank_of(M, tol, scale=s2)
-        if f_rank == 0:
+        if rank_of(M, tol, scale=s2) == 0:
             return np.zeros_like(M)
-        f = full_rank_factorization(M, tol, scale=s2)
-        GF = f.C @ f.B
-        return f.B @ moore_penrose(GF @ GF, tol) @ f.C
+        frm = full_rank_factorization(M, tol, scale=s2)
+        GF = frm.C @ frm.B
+        return frm.B @ moore_penrose(GF @ GF, tol) @ frm.C
 
     X1 = grp(As @ A) @ As
     X2 = As @ grp(A @ As)
     gap = rel_residual(X2, X1)
     if not force and not mats_close(X2, X1, tol, scale=fro(X1)):
         raise MinkinvError(f"internal inconsistency: dual group forms differ by {gap:.3e}")
-    return _finish("group", A, X1, gap=gap)
+    return _finish("group", f, A, X1, gap=gap)
 
 
 def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
@@ -539,16 +564,17 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     Builds a {1}-inverse A1 = one_inverse_sample(A, W) and returns
     (A (A~A + I - A1 A)^-1)~, cross-checked against the dual form
     ((AA~ + I - A A1)^-1 A)~.  Nonsingularity of the shifted matrix is
-    equivalent to existence; a singular resolvent after a passing diagnosis
-    raises Singular as an internal inconsistency.
+    equivalent to existence; a singular resolvent after a passing gate
+    raises Singular as an internal inconsistency.  Gated and run on 2^-e A
+    like every algorithm (see the module docstring), which keeps the shift I
+    at the scale of A~A.
     """
     A = as_matrix(A)
-    _gate(A, tol, force)
+    f, A = _normalized_gate(A, tol, force)
     m, n = A.shape
     As = mink_adjoint(A)
-    sA = sigma_max(A)
     A1 = one_inverse_sample(A, W, tol)
-    anchor = max(1.0, sA * sA)
+    anchor = max(1.0, f.s1 ** 2)
     left = _inv_or_forced_pinv(As @ A + np.eye(n, dtype=np.complex128) - A1 @ A,
                                tol, force, scale=anchor, err=Singular, what="resolvent")
     right = _inv_or_forced_pinv(A @ As + np.eye(m, dtype=np.complex128) - A @ A1,
@@ -558,7 +584,7 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     gap = rel_residual(X2, X)
     if not force and not mats_close(X2, X, tol, scale=fro(X)):
         raise MinkinvError(f"internal inconsistency: dual resolvent forms differ by {gap:.3e}")
-    return _finish("resolvent", A, X, gap=gap)
+    return _finish("resolvent", f, A, X, gap=gap)
 
 
 def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -571,28 +597,30 @@ def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
         (A1 A2)~ [ (A1; A3)~ A (A1 A2)~ ]^-1 (A1; A3)~
 
     using the first r rows and first r columns of A.  For nonsingular A
-    (r = m = n) this collapses to A~ (A~AA~)^-1 A~ = A^-1.
+    (r = m = n) this collapses to A~ (A~AA~)^-1 A~ = A^-1.  Gated and run on
+    2^-e A like every algorithm (see the module docstring); the rank of the
+    gate's factorization must equal ``r``.
     """
     A = as_matrix(A)
     m, n = A.shape
     if not 1 <= r <= min(m, n):
         raise RankMismatch(f"r must be within 1..{min(m, n)}, got {r}")
-    rank_A = rank_of(A, tol)
-    if rank_A != r:
-        raise RankMismatch(f"rank(A)={rank_A} does not match the requested r={r}")
+    f = _factor(A, tol)
+    if f.r != r:
+        raise RankMismatch(f"rank(A)={f.r} does not match the requested r={r}")
+    A = scale_pow2(A, -f.exp)
     rep1 = numerical_rank(A[:r, :r], tol)
     if rep1.rank < r:
         s = rep1.singular_values
         cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
         raise BlockSingular(f"leading {r}x{r} block is numerically singular (cond~{cond:.2e})")
-    _gate(A, tol, force)
+    _require_existence(f, force)
     P = mink_adjoint(A[:r, :])   # n x r
     S = mink_adjoint(A[:, :r])   # r x m
-    anchor = sigma_max(A) ** 3
-    mid_inv = _inv_or_forced_pinv(S @ A @ P, tol, force, scale=anchor,
+    mid_inv = _inv_or_forced_pinv(S @ A @ P, tol, force, scale=f.s1 ** 3,
                                   err=Singular, what="bordered core")
     X = P @ mid_inv @ S
-    return _finish(f"block(r={r})", A, X)
+    return _finish(f"block(r={r})", f, A, X)
 
 
 def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -608,10 +636,7 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     trivially for X = 0).
     """
     A = as_matrix(A)
-    f = _factor_gate(A, tol)
-    if f.r == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    return scale_pow2(_frf(f, tol), -f.exp)
+    return _inverse_of(_factor_gate(A, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +701,17 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Validates the witnesses by their defining residuals (InvalidWitness on
     failure) and requires existence; the product is A^m no matter which
-    family members were supplied.
+    family members were supplied.  Gated like every algorithm (see the
+    module docstring); the witnesses are validated and multiplied as the
+    normalized pair (2^-e A, 2^e X13, 2^e X14), and the product is scaled
+    back by 2^-e.
     """
     A = as_matrix(A)
     X13 = as_matrix(X13)
     X14 = as_matrix(X14)
-    _gate(A, tol, force=False)
+    f, A = _normalized_gate(A, tol)
+    X13 = scale_pow2(X13, f.exp)
+    X14 = scale_pow2(X14, f.exp)
     e13 = defining_residuals(A, X13)
     e14 = defining_residuals(A, X14)
     bound = tol.eq_bound(1.0)
@@ -689,7 +719,7 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise InvalidWitness(f"X13 violates eqs (1)/(3m): residuals {e13[0]:.2e}, {e13[2]:.2e}")
     if e14[0] > bound or e14[3] > bound:
         raise InvalidWitness(f"X14 violates eqs (1)/(4m): residuals {e14[0]:.2e}, {e14[3]:.2e}")
-    return X14 @ A @ X13
+    return scale_pow2(X14 @ A @ X13, -f.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +735,7 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     returning.
     """
     A = as_matrix(A)
-    _gate(A, tol, force=False)
+    _factor_gate(A, tol)
     M = A @ mink_adjoint(A) @ A
     Mp = moore_penrose(M, tol, scale=sigma_max(A) ** 3)
     X = A @ Mp
@@ -725,10 +755,9 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     an internal inconsistency otherwise.
     """
     A = as_matrix(A)
-    _gate(A, tol, force=False)
+    Am = _inverse_of(_factor_gate(A, tol), tol)
     m = A.shape[0]
     As = mink_adjoint(A)
-    Am = mink_inverse(A, tol)
     AAm = A @ Am
     eye = np.eye(m, dtype=np.complex128)
     Q = A @ As + eye - AAm
@@ -765,46 +794,56 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     rank([X | A~]) = rank(A~).  All three hold iff X is the Minkowski
     inverse.  The tests run on the normalized pair (2^-e A, 2^e X) of
     :func:`pow2_exponent`, which has the same answer, so the verdict does not
-    depend on the scale of A.  Verdict-producing: never raises on a failing
-    candidate.
+    depend on the scale of A.  ``exists`` comes from the factor-once gate's
+    factorization of 2^-e A (see the module docstring), whose rank also
+    splits off the basis of N(A~).  Verdict-producing: never raises on a
+    failing candidate; one with ||2^e X|| beyond the double range fails
+    every test with infinite residuals.
     """
     A = as_matrix(A)
     X = as_matrix(X)
     if X.shape != (A.shape[1], A.shape[0]):
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
-    exp = pow2_exponent(A)
-    A = scale_pow2(A, -exp)
-    X = scale_pow2(X, exp)
-    diag = diagnose_existence(A, tol)
+    f = _factor(A, tol)
+    A = scale_pow2(A, -f.exp)
+    with np.errstate(over="ignore"):
+        X = scale_pow2(X, f.exp)
+        nX = fro(X)
+    if not np.isfinite(nX):
+        # ||2^e X|| overflows: far larger than the inverse of any normalized A
+        return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
+                                annihilates_adjoint_nullspace=False,
+                                range_within_adjoint_range=False,
+                                residual_identity=float("inf"), residual_nullspace=float("inf"),
+                                exists=f.exists)
     As = mink_adjoint(A)
 
     res_id = fro(X @ A @ As - As) / max(1.0, fro(As))
-    ok_id = mats_close(X @ A @ As, As, tol, scale=max(fro(As), fro(X) * fro(A)))
+    ok_id = mats_close(X @ A @ As, As, tol, scale=max(fro(As), nX * fro(A)))
 
-    # basis of N(A~) from the SVD of A~
+    # basis of N(A~) from the SVD of A~, which has the rank of A
     Vh = np.linalg.svd(As)[2]
-    r = rank_of(As, tol)
-    null_basis = Vh[r:, :].conj().T
+    null_basis = Vh[f.r:, :].conj().T
     if null_basis.shape[1] == 0:
         res_null = 0.0
         ok_null = True
     else:
         img = X @ null_basis
-        res_null = fro(img) / max(1.0, fro(X))
-        ok_null = fro(img) <= tol.eq_bound(fro(X))
+        res_null = fro(img) / max(1.0, nX)
+        ok_null = fro(img) <= tol.eq_bound(nX)
 
     stack = np.hstack([X, As])
     floor = tol.eq_bound(fro(stack))
     ok_range = rank_of(stack, tol, floor=floor) == rank_of(As, tol, floor=floor)
 
     return MooreStyleReport(
-        is_inverse=bool(diag.exists and ok_id and ok_null and ok_range),
+        is_inverse=bool(f.exists and ok_id and ok_null and ok_range),
         acts_identity_on_adjoint_range=bool(ok_id),
         annihilates_adjoint_nullspace=bool(ok_null),
         range_within_adjoint_range=bool(ok_range),
         residual_identity=float(res_id),
         residual_nullspace=float(res_null),
-        exists=bool(diag.exists),
+        exists=bool(f.exists),
     )
 
 
@@ -822,11 +861,10 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     from the same Y and Z so a single signature drives all three witnesses.
     """
     A = as_matrix(A)
-    _gate(A, tol, force=False)
+    Am = _inverse_of(_factor_gate(A, tol), tol)
     m, n = A.shape
     As = mink_adjoint(A)
     P = moore_penrose(As, tol)           # m x n
-    Am = mink_inverse(A, tol)
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
     Y = np.zeros((m, m), dtype=np.complex128) if Y is None else as_matrix(Y)

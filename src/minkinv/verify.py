@@ -200,7 +200,8 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     when 2^e X is (2^-e A)^m, the relative residuals are the same, and the
     rank floors of the range and null-space tests then see both blocks of
     [X | A~] at their unscaled size, so the verdict does not depend on the
-    scale of A.
+    scale of A.  A candidate with ||2^e X|| beyond the double range fails
+    with infinite residuals.
     """
     A = as_matrix(A)
     X = as_matrix(X)
@@ -208,14 +209,21 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
     exp = pow2_exponent(A)
     A = scale_pow2(A, -exp)
-    X = scale_pow2(X, exp)
+    with np.errstate(over="ignore"):
+        X = scale_pow2(X, exp)
+        nX = fro(X)
+    if not np.isfinite(nX):
+        # ||2^e X|| overflows: far larger than the inverse of any normalized A
+        inf = float("inf")
+        return CheckReport(eq1=inf, eq2=inf, eq3m=inf, eq4m=inf,
+                           range_ok=False, null_ok=False, verdict=False)
     eq1, eq2, eq3m, eq4m = mk.defining_residuals(A, X)
     As = mk.mink_adjoint(A)
     AX = A @ X
     XA = X @ A
     eqs_ok = (
         mats_close(A @ X @ A, A, tol, scale=fro(A))
-        and mats_close(X @ A @ X, X, tol, scale=fro(X))
+        and mats_close(X @ A @ X, X, tol, scale=nX)
         and mats_close(mk.mink_adjoint(AX), AX, tol, scale=max(1.0, fro(AX)))
         and mats_close(mk.mink_adjoint(XA), XA, tol, scale=max(1.0, fro(XA)))
     )
@@ -294,6 +302,11 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     algorithm, every audit and the pairwise gaps run on the normalized
     matrix, and each outcome's ``result`` is scaled back by 2^-e.  Scaling by
     a power of two is exact, so the report does not depend on the scale of A.
+
+    The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
+    once, for the report's ``diagnosis`` and the choice between the existent,
+    refusing and forced verdicts; each algorithm decides its own refusal
+    from the one-SVD gate of its own factorization.
     """
     A = as_matrix(A)
     exp = pow2_exponent(A)

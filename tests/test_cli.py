@@ -182,6 +182,13 @@ def test_check_rejects_counterexample(capsys):
     assert "range R(X)=R(A~): FAIL" in out
 
 
+def test_check_rejects_candidate_that_overflows_when_normalized(tmp_path):
+    a, x = tmp_path / "a.json", tmp_path / "x.json"
+    mi.write_matrix(a, 1e10 * fixtures.existent_5x5())
+    mi.write_matrix(x, 1e300 * np.ones((5, 5)))
+    assert main(["check", str(a), str(x)]) == 1
+
+
 def test_check_identity(tmp_path):
     p = tmp_path / "i.json"
     mi.write_matrix(p, np.eye(3))

@@ -471,6 +471,27 @@ def test_scaling_covariance():
         assert np.linalg.norm(X - Am / c) / np.linalg.norm(Am / c) < 1e-9
 
 
+@pytest.mark.parametrize("k", (-100, -8, 8, 100))
+def test_direct_algorithms_scale_covariance(k):
+    # every algorithm runs on the matrix its gate normalized, so direct calls
+    # far from unit scale neither overflow nor misjudge a rank
+    c = 10.0 ** k * np.exp(0.37j * k)
+    A = c * A55
+    want = AM55 / c
+    results = {
+        "frf": mi.mink_inverse_frf(A).result,
+        "hs": mi.mink_inverse_hs(A).result,
+        "zlobec": mi.mink_inverse_zlobec(A).result,
+        "zlobec2": mi.mink_inverse_zlobec2(A).result,
+        "group": mi.mink_inverse_group(A).result,
+        "resolvent": mi.mink_inverse_resolvent(A).result,
+        "block": mi.mink_inverse_block(A, 3).result,
+        "compose": mi.compose_13m_14m(A, mi.one_three_m(A), mi.one_four_m(A)),
+    }
+    for name, X in results.items():
+        assert np.linalg.norm(X - want) <= 1e-8 * np.linalg.norm(want), f"{name} at k={k}"
+
+
 def test_adjoint_commutation():
     A = existent(6, 5, 3, seed=14)
     lhs = mi.mink_inverse(mi.mink_adjoint(A))

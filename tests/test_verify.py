@@ -109,6 +109,22 @@ def test_check_candidate_soundness_under_noise(rng):
     assert not mi.check_candidate(A, Am + E).verdict
 
 
+@pytest.mark.parametrize("A, X", [
+    (1e10 * A55, 1e300 * np.ones((5, 5))),   # 2^e X overflows
+    (A55, 2.0 ** 1020 * np.ones((5, 5))),    # 2^e X is finite, its norm is not
+])
+def test_auditors_reject_a_candidate_beyond_the_double_range(A, X):
+    # both audits must say no, with infinite residuals, and not raise
+    rep = mi.check_candidate(A, X)
+    assert not rep.verdict and not rep.range_ok and not rep.null_ok
+    assert rep.eq1 == rep.eq2 == rep.eq3m == rep.eq4m == float("inf")
+    moore = mi.moore_style_check(A, X)
+    assert not moore.is_inverse and moore.exists
+    assert not (moore.acts_identity_on_adjoint_range or moore.annihilates_adjoint_nullspace
+                or moore.range_within_adjoint_range)
+    assert moore.residual_identity == moore.residual_nullspace == float("inf")
+
+
 def test_check_candidate_shape_error():
     with pytest.raises(mi.ShapeMismatch):
         mi.check_candidate(A55, np.eye(4))
@@ -178,4 +194,22 @@ def test_lapack_counts_on_count_baseline(monkeypatch):
     assert _lapack_counts(monkeypatch, mi.mink_inverse, A) == {
         "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2}
     assert _lapack_counts(monkeypatch, mi.cross_check, A) == {
-        "svd": 180, "inv": 10, "solve": 0, "eigvalsh": 2}
+        "svd": 76, "inv": 10, "solve": 0, "eigvalsh": 14}
+    X = mi.mink_inverse(A)
+    assert _lapack_counts(monkeypatch, lambda A: mi.moore_style_check(A, X), A) == {
+        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 2}
+
+
+def test_cross_check_diagnoses_once(monkeypatch):
+    calls = []
+    real = mi.minkowski.diagnose_existence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mi.minkowski, "diagnose_existence", counted)
+    assert mi.cross_check(existent(6, 6, 4, seed=2)).verdict
+    assert len(calls) == 1
+    assert mi.cross_check(isotropic(5, 4, seed=3)).verdict
+    assert len(calls) == 2
