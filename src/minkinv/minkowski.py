@@ -137,16 +137,26 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     X = as_matrix(X)
     if X.shape != (A.shape[1], A.shape[0]):
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
+    return _relative_residuals(*_residual_norms(A, X))
+
+
+def _residual_norms(A, X):
+    """The four defining-equation differences and their reference norms, each product once.
+
+    Returns ((||AXA - A||, ||XAX - X||, ||(AX)~ - AX||, ||(XA)~ - XA||),
+    (||A||, ||X||, ||AX||, ||XA||)) in Frobenius norm.
+    """
     AX = A @ X
     XA = X @ A
-    nA = fro(A) or 1.0
-    nX = fro(X) or 1.0
-    return (
-        fro(A @ X @ A - A) / nA,
-        fro(X @ A @ X - X) / nX,
-        fro(mink_adjoint(AX) - AX) / max(1.0, fro(AX)),
-        fro(mink_adjoint(XA) - XA) / max(1.0, fro(XA)),
-    )
+    diffs = (fro(AX @ A - A), fro(XA @ X - X),
+             fro(mink_adjoint(AX) - AX), fro(mink_adjoint(XA) - XA))
+    return diffs, (fro(A), fro(X), fro(AX), fro(XA))
+
+
+def _relative_residuals(diffs, norms) -> tuple[float, float, float, float]:
+    """(eq1, eq2, eq3m, eq4m) of :func:`defining_residuals` from :func:`_residual_norms`."""
+    (d1, d2, d3, d4), (nA, nX, nAX, nXA) = diffs, norms
+    return d1 / (nA or 1.0), d2 / (nX or 1.0), d3 / max(1.0, nAX), d4 / max(1.0, nXA)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +274,10 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
 class _Factored:
     """One compact SVD of the normalized matrix: 2^-exp A = B C.
 
-    ``s1`` is sigma_max(2^-exp A).  B = U_r Sigma_r and C = V_r* are owned
-    copies, so a refusal that keeps this value alive pins (m + n) r entries,
-    not the SVD's workspace.
+    ``s1`` is sigma_max(2^-exp A) and ``s`` the leading r singular values, so
+    U_r = B / s.  B = U_r Sigma_r and C = V_r* are owned copies, so a refusal
+    that keeps this value alive pins (m + n + 1) r entries, not the SVD's
+    workspace.
     ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
     B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
     differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
@@ -275,6 +286,7 @@ class _Factored:
 
     exp: int
     s1: float
+    s: np.ndarray
     B: np.ndarray
     C: np.ndarray
     rank_BsB: int
@@ -311,13 +323,14 @@ def _factor(A, tol: Tolerance) -> _Factored:
     U, s, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
     r = _rank_from_spectrum(s, A.shape, tol).rank
     s1 = float(s[0])
-    B = U[:, :r] * s[:r]
+    s = s[:r].copy()
+    B = U[:, :r] * s
     C = Vh[:r].copy()
     if r == 0:
-        return _Factored(exp, s1, B, C, 0, 0)
-    SC = s[:r, None] * C
+        return _Factored(exp, s1, s, B, C, 0, 0)
+    SC = s[:, None] * C
     dim = max(m, n)
-    return _Factored(exp, s1, B, C,
+    return _Factored(exp, s1, s, B, C,
                      rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
                      rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol))
 
@@ -795,10 +808,12 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     inverse.  The tests run on the normalized pair (2^-e A, 2^e X) of
     :func:`pow2_exponent`, which has the same answer, so the verdict does not
     depend on the scale of A.  ``exists`` comes from the factor-once gate's
-    factorization of 2^-e A (see the module docstring), whose rank also
-    splits off the basis of N(A~).  Verdict-producing: never raises on a
-    failing candidate; one with ||2^e X|| beyond the double range fails
-    every test with infinite residuals.
+    factorization of 2^-e A (see the module docstring), whose factor U_r
+    also gives N(A~): it is the orthogonal complement of G R(A) = R(G U_r),
+    so X kills N(A~) when X = X Q Q* with Q = G U_r, within the equality
+    bound at ||X||.  Verdict-producing: never raises on a failing candidate;
+    one with ||2^e X|| beyond the double range fails every test with
+    infinite residuals.
     """
     A = as_matrix(A)
     X = as_matrix(X)
@@ -818,19 +833,20 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
                                 exists=f.exists)
     As = mink_adjoint(A)
 
-    res_id = fro(X @ A @ As - As) / max(1.0, fro(As))
-    ok_id = mats_close(X @ A @ As, As, tol, scale=max(fro(As), nX * fro(A)))
+    d_id = fro(X @ A @ As - As)
+    res_id = d_id / max(1.0, fro(As))
+    ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
 
-    # basis of N(A~) from the SVD of A~, which has the rank of A
-    Vh = np.linalg.svd(As)[2]
-    null_basis = Vh[f.r:, :].conj().T
-    if null_basis.shape[1] == 0:
+    # N(A~) = G N(A*) is the orthogonal complement of G R(A), whose orthonormal
+    # basis Q = G U_r comes from the gate's factors; X N = 0 iff X = X Q Q*
+    if f.r == A.shape[0]:
         res_null = 0.0
         ok_null = True
     else:
-        img = X @ null_basis
-        res_null = fro(img) / max(1.0, nX)
-        ok_null = fro(img) <= tol.eq_bound(nX)
+        Q = apply_metric_left(f.B / f.s)
+        d_null = fro(X - (X @ Q) @ Q.conj().T)
+        res_null = d_null / max(1.0, nX)
+        ok_null = d_null <= tol.eq_bound(nX)
 
     stack = np.hstack([X, As])
     floor = tol.eq_bound(fro(stack))

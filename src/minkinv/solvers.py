@@ -38,12 +38,12 @@ from .errors import (
     ZeroMatrix,
 )
 from .minkowski import (
+    _factor,
+    _inverse_of,
     apply_metric_left,
     apply_metric_right,
-    diagnose_existence,
     hs_decomposition,
     mink_adjoint,
-    mink_inverse,
 )
 
 __all__ = [
@@ -228,15 +228,17 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     X = I - A^m A and Y = I - A A^m are the ~-self-adjoint idempotents
     annihilated by A with ranks n - r and m - r, and Z = A^m is the unique
     matrix making rank([[A, I-Y], [I-X, Z]]) = rank(A).  All stated
-    conditions are verified before returning.
+    conditions are verified before returning.  Existence and A^m come from
+    the one factorization of the Minkowski-inverse gate, as in
+    :func:`~minkinv.minkowski.mink_inverse`.
     """
     A = as_matrix(A)
     m, n = A.shape
-    diag = diagnose_existence(A, tol)
-    if not diag.exists:
+    f = _factor(A, tol)
+    if not f.exists:
         raise NotExistent("the characterization requires an existent Minkowski inverse")
-    r = diag.rank_A
-    Am = mink_inverse(A, tol)
+    r = f.r
+    Am = _inverse_of(f, tol)
     X = np.eye(n, dtype=np.complex128) - Am @ A
     Y = np.eye(m, dtype=np.complex128) - A @ Am
 
@@ -273,13 +275,13 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     X1free (nonsingular r-by-r, default I) sweeps the valid choices of J
     while keeping N(T*) = N([K L]); Y1 (n-by-r) and Y2 (n-by-(n-r)) sweep the
     stated free parameters.  For every choice, ``rank_equation_solve`` on
-    (A, B, C) returns A^m.
+    (A, B, C) returns A^m.  Existence is decided by the one-SVD gate of
+    :func:`~minkinv.minkowski.mink_inverse`.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
-    diag = diagnose_existence(A, tol)
-    if not diag.exists:
+    if not _factor(A, tol).exists:
         raise NotExistent("the construction requires an existent Minkowski inverse")
     n = A.shape[0]
     hs = hs_decomposition(A, tol)

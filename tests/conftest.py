@@ -25,6 +25,19 @@ def isotropic(m, n, seed):
     return generate(GenSpec(rows=m, cols=n, rank=1, kind=GenKind.ISOTROPIC, seed=seed))
 
 
+def lapack_counts(monkeypatch, call, A):
+    """Calls of numpy's svd, inv, solve and eigvalsh made by ``call(A)``."""
+    counts = dict.fromkeys(("svd", "inv", "solve", "eigvalsh"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    call(A)
+    monkeypatch.undo()
+    return counts
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

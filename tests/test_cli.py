@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import minkinv as mi
-from minkinv import fixtures
+from minkinv import fixtures, matio
 from minkinv.cli import main
 from conftest import cgauss
 
@@ -50,6 +50,60 @@ def test_payload_rejections(payload):
         mi.matrix_from_payload(payload)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXDIR) if n.endswith(".json")))
+def test_write_matrix_reproduces_fixture_bytes(tmp_path, name):
+    out = tmp_path / name
+    mi.write_matrix(out, mi.read_matrix(fixture_path(name)))
+    with open(fixture_path(name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_roundtrip_bit_identical_extreme_values(tmp_path, rng):
+    A = cgauss(rng, 64, 64)
+    A[0, 0] = complex(-0.0, -0.0)
+    A[1, 2] = complex(5e-324, -5e-324)
+    A[3, 4] = complex(1.7976931348623157e308, -1.7976931348623157e308)
+    A[5, :] = np.arange(64) - 32.0           # integer-valued entries
+    path = tmp_path / "a.json"
+    mi.write_matrix(path, A)
+    B = mi.read_matrix(path)
+    assert np.array_equal(A.view(np.uint64), B.view(np.uint64))
+    assert path.read_text().endswith("]]}\n")
+    # the bulk conversion matches the per-entry reference loop bit for bit
+    looped = matio._entries_one_by_one(mi.matrix_to_payload(A)["data"])
+    assert np.array_equal(looped.view(np.uint64), A.reshape(-1).view(np.uint64))
+
+
+def test_payload_bad_entry_reported_after_bulk_check_fails():
+    payload = mi.matrix_to_payload(np.ones((256, 512)))
+    payload["data"][70000] = [1.0, "2"]
+    with pytest.raises(mi.FormatError, match=r"^entry 70000 is not a \[re, im\] pair of numbers$"):
+        mi.matrix_from_payload(payload)
+
+
+def test_payload_accepts_numpy_floats():
+    payload = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 2], (np.float64(-0.0), 3.0)]}
+    M = mi.matrix_from_payload(payload)
+    assert np.array_equal(M, np.array([[1.5 + 2j, 3j]]))
+    assert np.signbit(M[0, 1].real)
+
+
+BAD_FILES = {
+    "int_beyond_double": b'{"rows":1,"cols":1,"data":[[1' + b"0" * 400 + b',0]]}',
+    "not_utf8": b'{"rows":1,"cols":1,"data":[[1,0]]}\xff\xfe',
+    "bool_shape": b'{"rows":true,"cols":true,"data":[[1,0]]}',
+    "nested_too_deep": b'{"rows":1,"cols":1,"data":' + b"[" * 100000 + b"]" * 100000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_bad_matrix_file_is_format_error(tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_FILES[name])
+    with pytest.raises(mi.FormatError):
+        mi.read_matrix(path)
+
+
 def test_fixture_files_match_module():
     assert np.array_equal(mi.read_matrix(fixture_path("existent_5x5.json")),
                           fixtures.existent_5x5())
@@ -85,6 +139,14 @@ def test_adjoint_malformed(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["adjoint", str(bad), str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_adjoint_bad_matrix_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_FILES[name])
+    assert main(["adjoint", str(path), str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err.startswith("minkinv: ")
 
 
 def test_exists_exit_codes(capsys):

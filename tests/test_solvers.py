@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import minkinv as mi
 from minkinv import fixtures
-from conftest import cgauss, existent
+from conftest import cgauss, existent, isotropic, lapack_counts
 
 A55 = fixtures.existent_5x5()
 AM55 = fixtures.existent_5x5_minkinv()
@@ -184,6 +184,18 @@ def test_characterization_perturbation_raises_rank(rng):
 def test_characterization_requires_existence():
     with pytest.raises(mi.NotExistent):
         mi.mink_rank_characterization(fixtures.nonexistent_5x4())
+
+
+def test_solvers_gate_on_one_factorization(monkeypatch):
+    # one SVD and two Gram eigvalsh gate, two r-by-r inverses give A^m, and
+    # three rank tests verify the idempotents and the bordered matrix
+    assert lapack_counts(monkeypatch, mi.mink_rank_characterization, A55) == {
+        "svd": 4, "inv": 2, "solve": 0, "eigvalsh": 2}
+
+
+def test_bc_parameterization_requires_existence():
+    with pytest.raises(mi.NotExistent, match="the construction requires"):
+        mi.bc_parameterization(isotropic(4, 4, seed=5))
 
 
 def test_bc_parameterization_identity():
