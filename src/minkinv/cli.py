@@ -205,8 +205,7 @@ def _cmd_check(args) -> int:
     tol = _tol_from(args)
     A = read_matrix(args.input_a)
     X = read_matrix(args.input_x)
-    report = verify.check_candidate(A, X, tol)
-    moore = mk.moore_style_check(A, X, tol)
+    report, moore = verify._audit_both(A, X, tol)
     print(f"residuals: eq1={report.eq1:.3e} eq2={report.eq2:.3e} "
           f"eq3m={report.eq3m:.3e} eq4m={report.eq4m:.3e}")
     print(f"range R(X)=R(A~): {'ok' if report.range_ok else 'FAIL'}   "

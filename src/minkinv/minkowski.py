@@ -19,7 +19,9 @@ and CC~ are nonsingular.  That is the rank-triple criterion of
 evidence is asked for.  The algorithm then evaluates its formula on 2^-e A
 and scales the result back by 2^-e, which is exact, so it holds at every
 scale of the double range; its residuals are those of the normalized pair,
-which equal the residuals of (A, result).
+which equal the residuals of (A, result).  Each formula lives in a private
+core that takes the factorization and 2^-e A, so a caller that runs several
+algorithms on one matrix (``verify.cross_check``) factors it once.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
     Singular,
-    SingularFactor,
     ZeroMatrix,
 )
 
@@ -133,11 +134,37 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     eq3m = ||(AX)~ - AX|| / max(1, ||AX||) and eq4m analogously,
     all in Frobenius norm.
     """
+    return _relative_residuals(*_residual_norms(*_candidate_pair(A, X)))
+
+
+def _candidate_pair(A, X):
+    """A and X as matrices; ShapeMismatch unless X is n-by-m for an m-by-n A."""
     A = as_matrix(A)
     X = as_matrix(X)
     if X.shape != (A.shape[1], A.shape[0]):
         raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
-    return _relative_residuals(*_residual_norms(A, X))
+    return A, X
+
+
+def _scaled_candidate(X, exp: int):
+    """(2^exp X, ||2^exp X||); the norm is infinite when 2^exp X leaves the double range."""
+    with np.errstate(over="ignore"):
+        X = scale_pow2(X, exp)
+        return X, fro(X)
+
+
+def _adjoint_ranks(X, As, tol: Tolerance, sv=None):
+    """(floor, rank([X | A~]), rank(A~)), both ranks cut off at floor = eq_bound(||[X | A~]||).
+
+    ``sv`` is the singular spectrum of A, which is also that of A~; without
+    it A~ takes an SVD of its own.
+    """
+    row = np.hstack([X, As])
+    floor = tol.eq_bound(fro(row))
+    if sv is None:
+        sv = np.linalg.svd(As, compute_uv=False)
+    return (floor, rank_of(row, tol, floor=floor),
+            _rank_from_spectrum(sv, As.shape, tol, floor=floor).rank)
 
 
 def _residual_norms(A, X):
@@ -206,25 +233,31 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     (e) A~A + I - A+ A nonsingular.
 
     ``exists`` is criterion (a).  All ranks share one cutoff convention, with
-    product cutoffs anchored at the appropriate power of sigma_max(A).
+    product cutoffs anchored at the appropriate power of sigma_max(A).  Each
+    rank is taken once: rank(A) and sigma_max(A) come from one spectrum, and
+    the indices from rank(M) and rank(M^2), with :func:`index_of` walking
+    further powers only when the index exceeds one.
     """
     A = as_matrix(A)
     m, n = A.shape
     As = mink_adjoint(A)
     AAs = A @ As
     AsA = As @ A
-    sA = sigma_max(A)
+    rep_A = numerical_rank(A, tol)
+    rank_A = rep_A.rank
+    sA = float(rep_A.singular_values[0])
     s2 = sA * sA
 
-    rank_A = rank_of(A, tol)
     rank_AAs = rank_of(AAs, tol, scale=s2)
     rank_AsA = rank_of(AsA, tol, scale=s2)
     rank_AsAAs = rank_of(As @ A @ As, tol, scale=s2 * sA)
-    ind_AAs = index_of(AAs, tol, scale=s2)
-    ind_AsA = index_of(AsA, tol, scale=s2)
+    rank2_AsA = rank_of(AsA @ AsA, tol, scale=s2 * s2)
+    rank2_AAs = rank_of(AAs @ AAs, tol, scale=s2 * s2)
+    ind_AAs = _index(AAs, rank_AAs, rank2_AAs, tol, s2)
+    ind_AsA = _index(AsA, rank_AsA, rank2_AsA, tol, s2)
 
-    ind_le1_AsA = rank_of(AsA @ AsA, tol, scale=s2 * s2) == rank_AsA
-    ind_le1_AAs = rank_of(AAs @ AAs, tol, scale=s2 * s2) == rank_AAs
+    ind_le1_AsA = rank2_AsA == rank_AsA
+    ind_le1_AAs = rank2_AAs == rank_AAs
     range_A_in_AAs = rank_of(np.hstack([AAs, A]), tol, scale=max(sA, s2)) == rank_AAs
 
     resolvent = AsA + np.eye(n, dtype=np.complex128) - moore_penrose(A, tol) @ A
@@ -252,8 +285,16 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     )
 
 
-def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
-                        err=SingularFactor, what="factor"):
+def _index(M, rank1: int, rank2: int, tol: Tolerance, scale: float) -> int:
+    """``index_of(M, tol, scale)`` given rank(M) and rank(M^2) at the same cutoffs."""
+    if rank1 == M.shape[0]:
+        return 0
+    if rank2 == rank1:
+        return 1
+    return index_of(M, tol, scale=scale)
+
+
+def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale, err, what):
     """Invert M, or pseudo-invert it under force so breakdowns stay observable."""
     rep = numerical_rank(M, tol, scale=scale)
     if rep.rank < M.shape[0]:
@@ -274,9 +315,12 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale=None,
 class _Factored:
     """One compact SVD of the normalized matrix: 2^-exp A = B C.
 
-    ``s1`` is sigma_max(2^-exp A) and ``s`` the leading r singular values, so
-    U_r = B / s.  B = U_r Sigma_r and C = V_r* are owned copies, so a refusal
-    that keeps this value alive pins (m + n + 1) r entries, not the SVD's
+    ``sv`` is the full singular spectrum of 2^-exp A, which is also the
+    spectrum of its adjoint G A* G, so a rank test of either reads it
+    instead of taking another SVD; ``s1`` is its largest value and ``s`` its
+    leading r values, so U_r = B / s.
+    B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
+    this value alive pins (m + n) r + min(m, n) entries, not the SVD's
     workspace.
     ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
     B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
@@ -285,8 +329,7 @@ class _Factored:
     """
 
     exp: int
-    s1: float
-    s: np.ndarray
+    sv: np.ndarray
     B: np.ndarray
     C: np.ndarray
     rank_BsB: int
@@ -295,6 +338,14 @@ class _Factored:
     @property
     def r(self) -> int:
         return self.B.shape[1]
+
+    @property
+    def s1(self) -> float:
+        return float(self.sv[0])
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.sv[:self.r]
 
     @property
     def exists(self) -> bool:
@@ -320,17 +371,16 @@ def _factor(A, tol: Tolerance) -> _Factored:
     """Normalize A by a power of two, take one compact SVD, rank the two Grams."""
     m, n = A.shape
     exp = pow2_exponent(A)
-    U, s, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
-    r = _rank_from_spectrum(s, A.shape, tol).rank
-    s1 = float(s[0])
-    s = s[:r].copy()
-    B = U[:, :r] * s
+    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
+    r = _rank_from_spectrum(sv, A.shape, tol).rank
+    s1 = float(sv[0])
+    B = U[:, :r] * sv[:r]
     C = Vh[:r].copy()
     if r == 0:
-        return _Factored(exp, s1, s, B, C, 0, 0)
-    SC = s[:, None] * C
+        return _Factored(exp, sv, B, C, 0, 0)
+    SC = sv[:r, None] * C
     dim = max(m, n)
-    return _Factored(exp, s1, s, B, C,
+    return _Factored(exp, sv, B, C,
                      rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
                      rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol))
 
@@ -442,6 +492,12 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"this route needs a square matrix, got {A.shape}")
     f, A = _normalized_gate(A, tol, force)
+    X, gap = _hs(A, tol, force)
+    return _finish("hs", f, A, X, gap=gap)
+
+
+def _hs(A, tol: Tolerance, force: bool):
+    """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
     hs = hs_decomposition(A, tol)
     r = hs.r
@@ -484,7 +540,7 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     gap = rel_residual(X2, X)
     if not force and not mats_close(X2, X, tol, scale=fro(X)):
         raise MinkinvError(f"internal inconsistency: expanded form differs by {gap:.3e}")
-    return _finish("hs", f, A, X, gap=gap)
+    return X, gap
 
 
 def _power(M, k):
@@ -509,12 +565,16 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
         raise ValueError("exponents must be nonnegative")
     A = as_matrix(A)
     f, A = _normalized_gate(A, tol, force)
+    return _finish(f"zlobec(k={k},l={l})", f, A, _zlobec(f, A, k, l, W, tol))
+
+
+def _zlobec(f: _Factored, A, k: int, l: int, W, tol: Tolerance) -> np.ndarray:
+    """X of :func:`mink_inverse_zlobec` on the normalized A factored by ``f``."""
     As = mink_adjoint(A)
     AsA = As @ A
     mid = _power(AsA, k + l + 1) @ As
     inner = one_inverse_sample(mid, W, tol, scale=f.s1 ** (2 * (k + l + 1) + 1))
-    X = _power(AsA, k) @ As @ inner @ _power(AsA, l) @ As
-    return _finish(f"zlobec(k={k},l={l})", f, A, X)
+    return _power(AsA, k) @ As @ inner @ _power(AsA, l) @ As
 
 
 def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
@@ -531,13 +591,17 @@ def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
         raise ValueError("exponents must be nonnegative")
     A = as_matrix(A)
     f, A = _normalized_gate(A, tol, force)
+    return _finish(f"zlobec2(k={k},l={l})", f, A, _zlobec2(f, A, k, l, W1, W2, tol))
+
+
+def _zlobec2(f: _Factored, A, k: int, l: int, W1, W2, tol: Tolerance) -> np.ndarray:
+    """X of :func:`mink_inverse_zlobec2` on the normalized A factored by ``f``."""
     As = mink_adjoint(A)
     AsA = As @ A
     AAs = A @ As
     left = one_inverse_sample(_power(AAs, k + 1), W1, tol, scale=f.s1 ** (2 * (k + 1)))
     right = one_inverse_sample(_power(AsA, l + 1), W2, tol, scale=f.s1 ** (2 * (l + 1)))
-    X = _power(AsA, k) @ As @ left @ A @ right @ _power(AsA, l) @ As
-    return _finish(f"zlobec2(k={k},l={l})", f, A, X)
+    return _power(AsA, k) @ As @ left @ A @ right @ _power(AsA, l) @ As
 
 
 def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -550,6 +614,12 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
     """
     A = as_matrix(A)
     f, A = _normalized_gate(A, tol, force)
+    X, gap = _group(f, A, tol, force)
+    return _finish("group", f, A, X, gap=gap)
+
+
+def _group(f: _Factored, A, tol: Tolerance, force: bool):
+    """(X, gap) of :func:`mink_inverse_group` on the normalized A factored by ``f``."""
     As = mink_adjoint(A)
     s2 = f.s1 ** 2
 
@@ -567,7 +637,7 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
     gap = rel_residual(X2, X1)
     if not force and not mats_close(X2, X1, tol, scale=fro(X1)):
         raise MinkinvError(f"internal inconsistency: dual group forms differ by {gap:.3e}")
-    return _finish("group", f, A, X1, gap=gap)
+    return X1, gap
 
 
 def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
@@ -584,6 +654,12 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     """
     A = as_matrix(A)
     f, A = _normalized_gate(A, tol, force)
+    X, gap = _resolvent(f, A, W, tol, force)
+    return _finish("resolvent", f, A, X, gap=gap)
+
+
+def _resolvent(f: _Factored, A, W, tol: Tolerance, force: bool):
+    """(X, gap) of :func:`mink_inverse_resolvent` on the normalized A factored by ``f``."""
     m, n = A.shape
     As = mink_adjoint(A)
     A1 = one_inverse_sample(A, W, tol)
@@ -597,7 +673,7 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     gap = rel_residual(X2, X)
     if not force and not mats_close(X2, X, tol, scale=fro(X)):
         raise MinkinvError(f"internal inconsistency: dual resolvent forms differ by {gap:.3e}")
-    return _finish("resolvent", f, A, X, gap=gap)
+    return X, gap
 
 
 def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -628,12 +704,16 @@ def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
         cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
         raise BlockSingular(f"leading {r}x{r} block is numerically singular (cond~{cond:.2e})")
     _require_existence(f, force)
+    return _finish(f"block(r={r})", f, A, _block(f, A, r, tol, force))
+
+
+def _block(f: _Factored, A, r: int, tol: Tolerance, force: bool) -> np.ndarray:
+    """X of :func:`mink_inverse_block` on the normalized A factored by ``f``."""
     P = mink_adjoint(A[:r, :])   # n x r
     S = mink_adjoint(A[:, :r])   # r x m
     mid_inv = _inv_or_forced_pinv(S @ A @ P, tol, force, scale=f.s1 ** 3,
                                   err=Singular, what="bordered core")
-    X = P @ mid_inv @ S
-    return _finish(f"block(r={r})", f, A, X)
+    return P @ mid_inv @ S
 
 
 def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -664,16 +744,15 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     and the full family is swept by X = base + (I - base A) Y.  Every member
     satisfies A~AX = A~, and AX is the same oblique projector onto R(A)
     along N(A~) for all members.
+
+    Existence and scale come from the factorization of the algorithms' gate
+    (see the module docstring): rank(A) is its rank r and rank(A~A) the rank
+    of its Gram B~B, the base is evaluated on the factors B, C of 2^-e A,
+    and scaled back by 2^-e.
     """
     A = as_matrix(A)
-    rank_A = rank_of(A, tol)
-    rank_AsA = rank_of(mink_adjoint(A) @ A, tol, scale=sigma_max(A) ** 2)
-    if rank_A == 0 or rank_AsA != rank_A:
-        raise NotExistent13m(f"rank(A~A)={rank_AsA} != rank(A)={rank_A} (or rank 0)")
-    f = full_rank_factorization(A, tol)
-    Bs = mink_adjoint(f.B)
-    BsB_inv = _inv_or_forced_pinv(Bs @ f.B, tol, force=False, what="B~B")
-    base = moore_penrose(f.C, tol) @ BsB_inv @ Bs
+    f = _factor(A, tol)
+    base = scale_pow2(_base_13m(f, tol), -f.exp)
     if Y is None:
         return base
     Y = as_matrix(Y)
@@ -683,23 +762,31 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return base + (np.eye(n, dtype=np.complex128) - base @ A) @ Y
 
 
+def _base_13m(f: _Factored, tol: Tolerance) -> np.ndarray:
+    """The base member C+ (B~B)^-1 B~ of (2^-e A){1,3m}, or NotExistent13m.
+
+    A nonsingular Gram at the gate's cutoff is also nonsingular at the
+    looser cutoff of :func:`numerical_rank`, so B~B is inverted directly.
+    """
+    if f.r == 0 or f.rank_BsB != f.r:
+        raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r} (or rank 0)")
+    Bs = mink_adjoint(f.B)
+    return moore_penrose(f.C, tol) @ np.linalg.inv(Bs @ f.B) @ Bs
+
+
 def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A member of A{1,4m}, i.e. X with AXA = A and (XA)~ = XA.
 
     Dual of :func:`one_three_m`: exists iff rank(AA~) = rank(A) >= 1
     (NotExistent14m otherwise), base member C~ (CC~)^-1 B+, family swept by
     X = base + Z (I - A base).  Every member satisfies XAA~ = A~, and XA is
-    the projector onto R(A~) along N(A) for all members.
+    the projector onto R(A~) along N(A) for all members.  Existence and
+    scale come from the gate's factorization, as in :func:`one_three_m`,
+    with rank(AA~) the rank of its Gram CC~.
     """
     A = as_matrix(A)
-    rank_A = rank_of(A, tol)
-    rank_AAs = rank_of(A @ mink_adjoint(A), tol, scale=sigma_max(A) ** 2)
-    if rank_A == 0 or rank_AAs != rank_A:
-        raise NotExistent14m(f"rank(AA~)={rank_AAs} != rank(A)={rank_A} (or rank 0)")
-    f = full_rank_factorization(A, tol)
-    Cs = mink_adjoint(f.C)
-    CCs_inv = _inv_or_forced_pinv(f.C @ Cs, tol, force=False, what="CC~")
-    base = Cs @ CCs_inv @ moore_penrose(f.B, tol)
+    f = _factor(A, tol)
+    base = scale_pow2(_base_14m(f, tol), -f.exp)
     if Z is None:
         return base
     Z = as_matrix(Z)
@@ -707,6 +794,18 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if Z.shape != (n, m):
         raise ShapeMismatch(f"Z must be {n}x{m}, got {Z.shape}")
     return base + Z @ (np.eye(m, dtype=np.complex128) - A @ base)
+
+
+def _base_14m(f: _Factored, tol: Tolerance) -> np.ndarray:
+    """The base member C~ (CC~)^-1 B+ of (2^-e A){1,4m}, or NotExistent14m.
+
+    The gate's Gram is Sigma CC~ Sigma up to sign flips, so, as in
+    :func:`_base_13m`, CC~ is nonsingular when it is and is inverted directly.
+    """
+    if f.r == 0 or f.rank_CCs != f.r:
+        raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r} (or rank 0)")
+    Cs = mink_adjoint(f.C)
+    return Cs @ np.linalg.inv(f.C @ Cs) @ moore_penrose(f.B, tol)
 
 
 def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -723,8 +822,12 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     X13 = as_matrix(X13)
     X14 = as_matrix(X14)
     f, A = _normalized_gate(A, tol)
-    X13 = scale_pow2(X13, f.exp)
-    X14 = scale_pow2(X14, f.exp)
+    X = _compose(A, scale_pow2(X13, f.exp), scale_pow2(X14, f.exp), tol)
+    return scale_pow2(X, -f.exp)
+
+
+def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
+    """X14 A X13 of the normalized A and witnesses, after validating the witnesses."""
     e13 = defining_residuals(A, X13)
     e14 = defining_residuals(A, X14)
     bound = tol.eq_bound(1.0)
@@ -732,7 +835,7 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise InvalidWitness(f"X13 violates eqs (1)/(3m): residuals {e13[0]:.2e}, {e13[2]:.2e}")
     if e14[0] > bound or e14[3] > bound:
         raise InvalidWitness(f"X14 violates eqs (1)/(4m): residuals {e14[0]:.2e}, {e14[3]:.2e}")
-    return scale_pow2(X14 @ A @ X13, -f.exp)
+    return X14 @ A @ X13
 
 
 # ---------------------------------------------------------------------------
@@ -811,19 +914,23 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     factorization of 2^-e A (see the module docstring), whose factor U_r
     also gives N(A~): it is the orthogonal complement of G R(A) = R(G U_r),
     so X kills N(A~) when X = X Q Q* with Q = G U_r, within the equality
-    bound at ||X||.  Verdict-producing: never raises on a failing candidate;
-    one with ||2^e X|| beyond the double range fails every test with
-    infinite residuals.
+    bound at ||X||.  rank(A~) is read from the same factorization's
+    spectrum.  Verdict-producing: never raises on a failing candidate; one
+    with ||2^e X|| beyond the double range fails every test with infinite
+    residuals.
     """
-    A = as_matrix(A)
-    X = as_matrix(X)
-    if X.shape != (A.shape[1], A.shape[0]):
-        raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
+    A, X = _candidate_pair(A, X)
     f = _factor(A, tol)
-    A = scale_pow2(A, -f.exp)
-    with np.errstate(over="ignore"):
-        X = scale_pow2(X, f.exp)
-        nX = fro(X)
+    X, nX = _scaled_candidate(X, f.exp)
+    return _moore_style(f, scale_pow2(A, -f.exp), X, nX, tol)
+
+
+def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance, ranks=None) -> MooreStyleReport:
+    """:func:`moore_style_check` of the normalized pair (A, X), with f the factorization of A.
+
+    ``nX`` is ||X||; ``ranks`` is :func:`_adjoint_ranks` of the pair when
+    the caller has taken it already.
+    """
     if not np.isfinite(nX):
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
@@ -848,9 +955,8 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
         res_null = d_null / max(1.0, nX)
         ok_null = d_null <= tol.eq_bound(nX)
 
-    stack = np.hstack([X, As])
-    floor = tol.eq_bound(fro(stack))
-    ok_range = rank_of(stack, tol, floor=floor) == rank_of(As, tol, floor=floor)
+    _, rank_row, rank_As = _adjoint_ranks(X, As, tol, f.sv) if ranks is None else ranks
+    ok_range = rank_row == rank_As
 
     return MooreStyleReport(
         is_inverse=bool(f.exists and ok_id and ok_null and ok_range),

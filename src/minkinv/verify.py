@@ -13,7 +13,7 @@ the generator's contract (seeded, hence still deterministic).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .dense_core import (
     rank_of,
     scale_pow2,
 )
-from .errors import MinkinvError, NotExistent, RetryExhausted, ShapeMismatch
+from .errors import MinkinvError, NotExistent, RetryExhausted
 from . import minkowski as mk
 
 __all__ = ["GenKind", "GenSpec", "generate", "CheckReport", "check_candidate",
@@ -202,15 +202,19 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     scale of A.  A candidate with ||2^e X|| beyond the double range fails
     with infinite residuals.
     """
-    A = as_matrix(A)
-    X = as_matrix(X)
-    if X.shape != (A.shape[1], A.shape[0]):
-        raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
+    A, X = mk._candidate_pair(A, X)
     exp = pow2_exponent(A)
-    A = scale_pow2(A, -exp)
-    with np.errstate(over="ignore"):
-        X = scale_pow2(X, exp)
-        nX = fro(X)
+    X, nX = mk._scaled_candidate(X, exp)
+    return _audit(scale_pow2(A, -exp), X, nX, tol)
+
+
+def _audit(A, X, nX: float, tol: Tolerance, sv=None, ranks=None) -> CheckReport:
+    """:func:`check_candidate` of the normalized pair (A, X), with nX = ||X||.
+
+    ``sv`` is the singular spectrum of A when a factorization already holds
+    it, and ``ranks`` is ``minkowski._adjoint_ranks`` of the pair when the
+    caller has taken it already.
+    """
     if not np.isfinite(nX):
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         inf = float("inf")
@@ -220,19 +224,32 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
     eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
     As = mk.mink_adjoint(A)
-    row = np.hstack([X, As])
+    floor_row, rank_row, rAs = mk._adjoint_ranks(X, As, tol, sv) if ranks is None else ranks
     col = np.vstack([X, As])
-    floor_row = tol.eq_bound(fro(row))
     floor_col = tol.eq_bound(fro(col))
     rX = rank_of(X, tol, floor=floor_row)
-    rAs = rank_of(As, tol, floor=floor_row)
-    range_ok = rank_of(row, tol, floor=floor_row) == rAs == rX
+    range_ok = rank_row == rAs == rX
     null_ok = rank_of(col, tol, floor=floor_col) == rAs == rX
     return CheckReport(
         eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
         range_ok=bool(range_ok), null_ok=bool(null_ok),
         verdict=bool(eqs_ok and range_ok and null_ok),
     )
+
+
+def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.MooreStyleReport"]:
+    """``(check_candidate(A, X), moore_style_check(A, X))`` from one factorization.
+
+    Both auditors run on the same normalized pair and cut rank([X | A~]) and
+    rank(A~) off at the same floor, so one factorization of A and one SVD of
+    [X | A~] serve both.
+    """
+    A, X = mk._candidate_pair(A, X)
+    f = mk._factor(A, tol)
+    A = scale_pow2(A, -f.exp)
+    X, nX = mk._scaled_candidate(X, f.exp)
+    ranks = mk._adjoint_ranks(X, mk.mink_adjoint(A), tol, f.sv) if np.isfinite(nX) else None
+    return _audit(A, X, nX, tol, ranks=ranks), mk._moore_style(f, A, X, nX, tol, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +279,33 @@ class CrossCheckReport:
     forced: bool = False
 
 
-def _deterministic_algorithms(A, tol, force):
-    """Name/thunk pairs for every algorithm applicable to A, at defaults."""
+def _deterministic_algorithms(f, A, tol, force):
+    """Name/thunk pairs for every algorithm applicable to the normalized A, at defaults.
+
+    Each thunk runs the algorithm's private core on the one factorization
+    ``f`` of A, behind the gate its public entry point applies, and returns
+    the normalized result.  compose refuses through its {1,3m}/{1,4m} bases,
+    as its public form does; both bases existing is existence itself.
+    """
     m, n = A.shape
+
+    def gated(core):
+        def run():
+            mk._require_existence(f, force)
+            return core()
+        return run
+
     algos = [
-        ("frf", lambda: mk.mink_inverse_frf(A, tol, force=force).result),
-        ("zlobec", lambda: mk.mink_inverse_zlobec(A, 0, 0, None, tol, force=force).result),
-        ("zlobec2", lambda: mk.mink_inverse_zlobec2(A, 0, 0, None, None, tol, force=force).result),
-        ("group", lambda: mk.mink_inverse_group(A, tol, force=force).result),
-        ("resolvent", lambda: mk.mink_inverse_resolvent(A, None, tol, force=force).result),
+        ("frf", gated(lambda: mk._frf(f, tol))),
+        ("zlobec", gated(lambda: mk._zlobec(f, A, 0, 0, None, tol))),
+        ("zlobec2", gated(lambda: mk._zlobec2(f, A, 0, 0, None, None, tol))),
+        ("group", gated(lambda: mk._group(f, A, tol, force)[0])),
+        ("resolvent", gated(lambda: mk._resolvent(f, A, None, tol, force)[0])),
         ("compose13m14m",
-         lambda: mk.compose_13m_14m(A, mk.one_three_m(A, None, tol),
-                                    mk.one_four_m(A, None, tol), tol)),
+         lambda: mk._compose(A, mk._base_13m(f, tol), mk._base_14m(f, tol), tol)),
     ]
     if m == n:
-        algos.insert(1, ("hs", lambda: mk.mink_inverse_hs(A, tol, force=force).result))
+        algos.insert(1, ("hs", gated(lambda: mk._hs(A, tol, force)[0])))
     return algos
 
 
@@ -290,38 +319,45 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     formulas are evaluated anyway and the verdict is true when every output
     that could be computed *fails* its check (the breakdown is observable).
 
-    A is normalized once, to 2^-e A with 2^e the power of two of
-    :func:`~minkinv.dense_core.pow2_exponent`: the diagnosis, every
-    algorithm, every audit and the pairwise gaps run on the normalized
-    matrix, and each outcome's ``result`` is scaled back by 2^-e.  Scaling by
-    a power of two is exact, so the report does not depend on the scale of A.
+    A is normalized and factored once: one compact SVD of 2^-e A, with 2^e
+    the power of two of :func:`~minkinv.dense_core.pow2_exponent`, is the
+    algorithms' gate.  That one factorization is passed to every algorithm,
+    which refuses on its Grams and computes on 2^-e A, to the {1,3m}/{1,4m}
+    bases of compose, and to every audit, which reads rank(A~) from its
+    spectrum.  The pairwise gaps are taken on the normalized results, and
+    each outcome's ``result`` is scaled back by 2^-e.  Scaling by a power of
+    two is exact, so the report does not depend on the scale of A, and each
+    outcome's ``result`` is, bit for bit, what the algorithm's public entry
+    point returns on A.
 
     The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
     once, for the report's ``diagnosis`` and the choice between the existent,
-    refusing and forced verdicts; each algorithm decides its own refusal
-    from the one-SVD gate of its own factorization.
+    refusing and forced verdicts.
     """
     A = as_matrix(A)
-    exp = pow2_exponent(A)
-    A = scale_pow2(A, -exp)
+    f = mk._factor(A, tol)
+    A = scale_pow2(A, -f.exp)
     diag = mk.diagnose_existence(A, tol)
     outcomes = []
 
-    if diag.exists and diag.rank_A == 0:
+    def audit(X):
+        return _audit(A, X, fro(X), tol, sv=f.sv)
+
+    if f.r == 0:
         X = np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
         outcomes.append(AlgorithmOutcome(
-            name="zero", status="ok", result=X, check=check_candidate(A, X, tol),
+            name="zero", status="ok", result=X, check=audit(X),
             detail="rank 0: the inverse is the zero matrix"))
         return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,
                                 max_gap=0.0, verdict=True, forced=force)
 
     run_forced = force and not diag.exists
     computed = []                    # normalized results of the "ok" outcomes
-    for name, thunk in _deterministic_algorithms(A, tol, force=run_forced):
+    for name, thunk in _deterministic_algorithms(f, A, tol, force=run_forced):
         try:
             X = thunk()
-            outcomes.append(AlgorithmOutcome(name=name, status="ok", result=scale_pow2(X, -exp),
-                                             check=check_candidate(A, X, tol)))
+            outcomes.append(AlgorithmOutcome(name=name, status="ok",
+                                             result=scale_pow2(X, -f.exp), check=audit(X)))
             computed.append(X)
         except NotExistent as exc:
             outcomes.append(AlgorithmOutcome(name=name, status="refused", detail=str(exc)))

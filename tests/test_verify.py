@@ -5,6 +5,7 @@ import pytest
 
 import minkinv as mi
 from minkinv import fixtures, verify
+from minkinv.cli import main
 from conftest import cgauss, existent, block_existent, isotropic, lapack_counts
 
 A55 = fixtures.existent_5x5()
@@ -176,16 +177,93 @@ def test_cross_check_zero_matrix():
 # factorization counts (machine-independent, so they gate regressions)
 # ---------------------------------------------------------------------------
 
-def test_lapack_counts_on_count_baseline(monkeypatch):
+def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     # the benchmark's count-baseline input: 50x50, rank 30, seed 1
     A = existent(50, 50, 30, seed=1)
     assert lapack_counts(monkeypatch, mi.mink_inverse, A) == {
         "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2}
     assert lapack_counts(monkeypatch, mi.cross_check, A) == {
-        "svd": 76, "inv": 10, "solve": 0, "eigvalsh": 14}
+        "svd": 48, "inv": 10, "solve": 0, "eigvalsh": 2}
+    assert lapack_counts(monkeypatch, mi.diagnose_existence, A) == {
+        "svd": 9, "inv": 0, "solve": 0, "eigvalsh": 0}
     X = mi.mink_inverse(A)
+    assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, X), A) == {
+        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 0}
     assert lapack_counts(monkeypatch, lambda A: mi.moore_style_check(A, X), A) == {
-        "svd": 3, "inv": 0, "solve": 0, "eigvalsh": 2}
+        "svd": 2, "inv": 0, "solve": 0, "eigvalsh": 2}
+    # `minkinv check` runs both auditors on one factorization and one rank of [X | A~]
+    a, x = str(tmp_path / "a.json"), str(tmp_path / "x.json")
+    mi.write_matrix(a, A)
+    mi.write_matrix(x, X)
+    assert lapack_counts(monkeypatch, lambda A: main(["check", a, x]), A) == {
+        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 2}
+
+
+def test_cross_check_factors_once(monkeypatch):
+    calls = []
+    real = mi.minkowski._factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mi.minkowski, "_factor", counted)
+    for A, force in [(existent(50, 50, 30, seed=1), False), (existent(7, 5, 3, seed=5), False),
+                     (isotropic(5, 4, seed=3), False), (isotropic(6, 6, seed=4), True)]:
+        calls.clear()
+        assert mi.cross_check(A, force=force).verdict
+        assert len(calls) == 1
+
+
+def _public_result(name, A, force):
+    """What the public entry point of a cross_check algorithm returns on A."""
+    if name == "compose13m14m":
+        return mi.compose_13m_14m(A, mi.one_three_m(A), mi.one_four_m(A))
+    call = {"frf": mi.mink_inverse_frf, "hs": mi.mink_inverse_hs,
+            "zlobec": mi.mink_inverse_zlobec, "zlobec2": mi.mink_inverse_zlobec2,
+            "group": mi.mink_inverse_group, "resolvent": mi.mink_inverse_resolvent}[name]
+    return call(A, force=force).result
+
+
+@pytest.mark.parametrize("A, force", [
+    (existent(6, 6, 4, seed=2), False),
+    (existent(7, 5, 3, seed=5), False),
+    (existent(4, 9, 2, seed=6), False),
+    (existent(8, 8, 5, seed=7, scale=1e-100), False),
+    (existent(8, 8, 5, seed=7, scale=1e-8), False),
+    (existent(8, 8, 5, seed=7, scale=1e8), False),
+    (existent(8, 8, 5, seed=7, scale=1e100), False),
+    (isotropic(5, 4, seed=3), False),
+    (isotropic(6, 6, seed=4), True),
+])
+def test_cross_check_outcomes_match_public_calls(A, force):
+    rep = mi.cross_check(A, force=force)
+    assert rep.verdict
+    for o in rep.outcomes:
+        if o.status == "ok":
+            assert o.result.tobytes() == _public_result(o.name, A, force).tobytes()
+            assert o.check == mi.check_candidate(A, o.result)
+        else:
+            with pytest.raises(mi.MinkinvError) as exc:
+                _public_result(o.name, A, force)
+            assert str(exc.value) == o.detail
+
+
+_A69 = existent(6, 9, 4, seed=8, scale=1e-4)
+_ISO = isotropic(5, 4, seed=3)
+
+
+@pytest.mark.parametrize("A, X", [
+    (A55, AM55),
+    (A55, mi.moore_penrose(A55)),
+    (A55, AM55 + 1e-9),
+    (_A69, mi.mink_inverse(_A69)),
+    (_A69, mi.mink_inverse(_A69) * (1 + 1e-3)),
+    (_ISO, mi.moore_penrose(_ISO)),
+    (1e10 * A55, 1e300 * np.ones((5, 5))),
+])
+def test_cli_check_audits_equal_the_two_auditors(A, X):
+    assert verify._audit_both(A, X) == (mi.check_candidate(A, X), mi.moore_style_check(A, X))
 
 
 def test_cross_check_diagnoses_once(monkeypatch):
