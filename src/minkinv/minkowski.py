@@ -146,27 +146,6 @@ def _candidate_pair(A, X):
     return A, X
 
 
-def _scaled_candidate(X, exp: int):
-    """(2^exp X, ||2^exp X||); the norm is infinite when 2^exp X leaves the double range."""
-    with np.errstate(over="ignore"):
-        X = scale_pow2(X, exp)
-        return X, fro(X)
-
-
-def _adjoint_ranks(X, As, tol: Tolerance, sv=None):
-    """(floor, rank([X | A~]), rank(A~)), both ranks cut off at floor = eq_bound(||[X | A~]||).
-
-    ``sv`` is the singular spectrum of A, which is also that of A~; without
-    it A~ takes an SVD of its own.
-    """
-    row = np.hstack([X, As])
-    floor = tol.eq_bound(fro(row))
-    if sv is None:
-        sv = np.linalg.svd(As, compute_uv=False)
-    return (floor, rank_of(row, tol, floor=floor),
-            _rank_from_spectrum(sv, As.shape, tol, floor=floor).rank)
-
-
 def _residual_norms(A, X):
     """The four defining-equation differences and their reference norms, each product once.
 
@@ -315,13 +294,13 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale, err, what):
 class _Factored:
     """One compact SVD of the normalized matrix: 2^-exp A = B C.
 
-    ``sv`` is the full singular spectrum of 2^-exp A, which is also the
-    spectrum of its adjoint G A* G, so a rank test of either reads it
-    instead of taking another SVD; ``s1`` is its largest value and ``s`` its
-    leading r values, so U_r = B / s.
+    ``sv`` is the full singular spectrum of 2^-exp A; ``s1`` is its largest
+    value and ``s`` its leading r values, so U_r = B / s.
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
     this value alive pins (m + n) r + min(m, n) entries, not the SVD's
-    workspace.
+    workspace.  G U_r and G V_r = G C* are orthonormal bases of N(A~)^perp
+    and R(A~), on which the audits test candidates (see
+    :func:`_space_tests`).
     ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
     B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
     differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
@@ -406,6 +385,43 @@ def _normalized_gate(A, tol: Tolerance, force: bool = False) -> tuple[_Factored,
     """:func:`_factor_gate` plus the normalized matrix 2^-e A that it factored."""
     f = _factor_gate(A, tol, force)
     return f, scale_pow2(A, -f.exp)
+
+
+def _audit_pair(A, X, tol: Tolerance):
+    """(f, 2^-e A, 2^e X, ||2^e X||) for a candidate X, with f the factorization of A.
+
+    The norm is infinite when 2^e X leaves the double range.
+    """
+    A, X = _candidate_pair(A, X)
+    f = _factor(A, tol)
+    with np.errstate(over="ignore"):
+        X = scale_pow2(X, f.exp)
+        return f, scale_pow2(A, -f.exp), X, fro(X)
+
+
+def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
+    """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
+
+    With 2^-e A = U_r Sigma V_r* factored by ``f``, R(A~) = G R(V_r) has the
+    orthonormal basis Qr = G V_r = G C*, and N(A~) = G N(A*) is the
+    orthogonal complement of G R(U_r), whose orthonormal basis is
+    Qn = G U_r.  So X maps into R(A~) iff X = Qr Qr* X, and X kills N(A~)
+    iff X = X Qn Qn*.  Each test passes when ||X - Qr Qr* X||, or
+    ||X - X Qn Qn*||, is within the equality bound at ||X||; a residual
+    whose basis spans the whole space is 0.  The residuals are returned
+    relative to max(1, ||X||).
+    """
+    m, n = f.B.shape[0], f.C.shape[1]
+    d_range = d_null = 0.0
+    if f.r < n:
+        Qr = apply_metric_left(f.C.conj().T)
+        d_range = fro(X - Qr @ (Qr.conj().T @ X))
+    if f.r < m:
+        Qn = apply_metric_left(f.B / f.s)
+        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
+    bound = tol.eq_bound(nX)
+    scale = max(1.0, nX)
+    return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
 
 
 def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
@@ -867,21 +883,27 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
 
     Constructs Q = AA~ + I - AA^m, Y = I - AA^m and X = AA^m Q^-1 - Y, so
     that X AA~ - Y X = I, AA~ X = X AA~, AA~ Y = 0, Y^2 = Y, and A~ X = A^m.
-    Q is provably nonsingular when the inverse exists; Singular is raised as
-    an internal inconsistency otherwise.
+    Q mixes |A|^2 with 1, so it is formed as Q' on the gate's normalized
+    2^-e A: Q is AA~ on R(A) and I on N(A~), so AA^m Q^-1 = 2^-2e AA^m Q'^-1.
+    Q' is provably nonsingular when the inverse exists; Singular is raised
+    as an internal inconsistency otherwise.  Far from unit scale, X rounds
+    away its |A|^-2 part or its O(1) part -Y.
     """
     A = as_matrix(A)
-    Am = _inverse_of(_factor_gate(A, tol), tol)
+    f, A = _normalized_gate(A, tol)
+    Z, Y = _sylvester(f, A, tol)
+    return scale_pow2(Z, -2 * f.exp) - Y, Y
+
+
+def _sylvester(f: _Factored, A, tol: Tolerance):
+    """(P Q'^-1, I - P) of :func:`sylvester_witnesses` on the normalized A factored by ``f``."""
     m = A.shape[0]
-    As = mink_adjoint(A)
-    AAm = A @ Am
     eye = np.eye(m, dtype=np.complex128)
-    Q = A @ As + eye - AAm
-    if rank_of(Q, tol, scale=max(1.0, sigma_max(A) ** 2)) < m:
+    P = A @ _frf(f, tol) if f.r else np.zeros_like(eye)
+    Q = A @ mink_adjoint(A) + eye - P
+    if rank_of(Q, tol, scale=max(1.0, f.s1 ** 2)) < m:
         raise Singular("shifted Gram Q is numerically singular despite a passing diagnosis")
-    Y = eye - AAm
-    X = AAm @ np.linalg.inv(Q) - Y
-    return X, Y
+    return P @ np.linalg.inv(Q), eye - P
 
 
 @dataclass(frozen=True)
@@ -906,31 +928,23 @@ class MooreStyleReport:
 def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     """Decide X = A^m by range/null-space identities, without computing A^m.
 
-    Tests XAA~ = A~, X v = 0 for a basis of N(A~), and
-    rank([X | A~]) = rank(A~).  All three hold iff X is the Minkowski
-    inverse.  The tests run on the normalized pair (2^-e A, 2^e X) of
-    :func:`pow2_exponent`, which has the same answer, so the verdict does not
-    depend on the scale of A.  ``exists`` comes from the factor-once gate's
-    factorization of 2^-e A (see the module docstring), whose factor U_r
-    also gives N(A~): it is the orthogonal complement of G R(A) = R(G U_r),
-    so X kills N(A~) when X = X Q Q* with Q = G U_r, within the equality
-    bound at ||X||.  rank(A~) is read from the same factorization's
-    spectrum.  Verdict-producing: never raises on a failing candidate; one
-    with ||2^e X|| beyond the double range fails every test with infinite
+    Tests XAA~ = A~, X v = 0 for every v in N(A~), and R(X) within R(A~).
+    All three hold iff X is the Minkowski inverse.  The tests run on the
+    normalized pair (2^-e A, 2^e X) of :func:`pow2_exponent`, which has the
+    same answer, so the verdict does not depend on the scale of A.
+    ``exists`` comes from the factor-once gate's factorization of 2^-e A
+    (see the module docstring), whose orthonormal bases G U_r and G V_r
+    also decide the two space tests as projection residuals (see
+    :func:`_space_tests`); it is the only SVD the check takes.
+    Verdict-producing: never raises on a failing candidate; one with
+    ||2^e X|| beyond the double range fails every test with infinite
     residuals.
     """
-    A, X = _candidate_pair(A, X)
-    f = _factor(A, tol)
-    X, nX = _scaled_candidate(X, f.exp)
-    return _moore_style(f, scale_pow2(A, -f.exp), X, nX, tol)
+    return _moore_style(*_audit_pair(A, X, tol), tol)
 
 
-def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance, ranks=None) -> MooreStyleReport:
-    """:func:`moore_style_check` of the normalized pair (A, X), with f the factorization of A.
-
-    ``nX`` is ||X||; ``ranks`` is :func:`_adjoint_ranks` of the pair when
-    the caller has taken it already.
-    """
+def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance) -> MooreStyleReport:
+    """:func:`moore_style_check` of the normalized pair (A, X); f factors A, nX = ||X||."""
     if not np.isfinite(nX):
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
@@ -944,19 +958,7 @@ def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance, ranks=None) -> M
     res_id = d_id / max(1.0, fro(As))
     ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
 
-    # N(A~) = G N(A*) is the orthogonal complement of G R(A), whose orthonormal
-    # basis Q = G U_r comes from the gate's factors; X N = 0 iff X = X Q Q*
-    if f.r == A.shape[0]:
-        res_null = 0.0
-        ok_null = True
-    else:
-        Q = apply_metric_left(f.B / f.s)
-        d_null = fro(X - (X @ Q) @ Q.conj().T)
-        res_null = d_null / max(1.0, nX)
-        ok_null = d_null <= tol.eq_bound(nX)
-
-    _, rank_row, rank_As = _adjoint_ranks(X, As, tol, f.sv) if ranks is None else ranks
-    ok_range = rank_row == rank_As
+    ok_range, ok_null, _, res_null = _space_tests(f, X, nX, tol)
 
     return MooreStyleReport(
         is_inverse=bool(f.exists and ok_id and ok_null and ok_range),

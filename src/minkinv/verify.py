@@ -22,7 +22,6 @@ from .dense_core import (
     Tolerance,
     as_matrix,
     fro,
-    pow2_exponent,
     rank_of,
     scale_pow2,
 )
@@ -174,9 +173,11 @@ def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 class CheckReport:
     """Residuals and space identities of a Minkowski-inverse candidate.
 
-    eq1..eq4m are the relative residuals of the defining equations;
+    eq1..eq4m are the relative residuals of the defining equations.
     ``range_ok`` decides R(X) = R(A~) and ``null_ok`` decides N(X) = N(A~)
-    via rank tests.  ``verdict`` is the conjunction.
+    by projection on one factorization of A; ``residual_range`` and
+    ``residual_null`` are the projection residuals relative to max(1, ||X||)
+    (see ``minkowski._space_tests``).  ``verdict`` is the conjunction.
     """
 
     eq1: float
@@ -186,6 +187,8 @@ class CheckReport:
     range_ok: bool
     null_ok: bool
     verdict: bool
+    residual_range: float
+    residual_null: float
 
     def residuals(self) -> dict:
         return {"eq1": self.eq1, "eq2": self.eq2, "eq3m": self.eq3m, "eq4m": self.eq4m}
@@ -194,62 +197,52 @@ class CheckReport:
 def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Full audit of a candidate X against the defining equations of A^m.
 
-    The audit runs on the normalized pair (2^-e A, 2^e X), with 2^e the power
-    of two of :func:`~minkinv.dense_core.pow2_exponent`.  X is A^m exactly
-    when 2^e X is (2^-e A)^m, the relative residuals are the same, and the
-    rank floors of the range and null-space tests then see both blocks of
-    [X | A~] at their unscaled size, so the verdict does not depend on the
-    scale of A.  A candidate with ||2^e X|| beyond the double range fails
-    with infinite residuals.
+    The audit runs on the normalized pair (2^-e A, 2^e X) of one compact SVD
+    of 2^-e A (the factor-once gate of :mod:`~minkinv.minkowski`), with 2^e
+    the power of two of :func:`~minkinv.dense_core.pow2_exponent`.  X is A^m
+    exactly when 2^e X is (2^-e A)^m, and the relative residuals are the
+    same, so the verdict does not depend on the scale of A.  That SVD is the
+    only one the audit takes: its bases decide the range and null-space
+    tests as projection residuals (see :func:`_audit`).  A candidate with
+    ||2^e X|| beyond the double range fails with infinite residuals.
     """
-    A, X = mk._candidate_pair(A, X)
-    exp = pow2_exponent(A)
-    X, nX = mk._scaled_candidate(X, exp)
-    return _audit(scale_pow2(A, -exp), X, nX, tol)
+    return _audit(*mk._audit_pair(A, X, tol), tol)
 
 
-def _audit(A, X, nX: float, tol: Tolerance, sv=None, ranks=None) -> CheckReport:
-    """:func:`check_candidate` of the normalized pair (A, X), with nX = ||X||.
+def _audit(f, A, X, nX: float, tol: Tolerance) -> CheckReport:
+    """:func:`check_candidate` of the normalized pair (A, X); f factors A, nX = ||X||.
 
-    ``sv`` is the singular spectrum of A when a factorization already holds
-    it, and ``ranks`` is ``minkowski._adjoint_ranks`` of the pair when the
-    caller has taken it already.
+    ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
+    N(X) by projection.  Equations (1) and (2) make X a {1,2}-inverse of A,
+    so rank(X) = rank(A~), and the two inclusions are then the equalities
+    R(X) = R(A~) and N(X) = N(A~).
     """
     if not np.isfinite(nX):
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         inf = float("inf")
         return CheckReport(eq1=inf, eq2=inf, eq3m=inf, eq4m=inf,
-                           range_ok=False, null_ok=False, verdict=False)
+                           range_ok=False, null_ok=False, verdict=False,
+                           residual_range=inf, residual_null=inf)
     diffs, norms = mk._residual_norms(A, X)
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
     eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
-    As = mk.mink_adjoint(A)
-    floor_row, rank_row, rAs = mk._adjoint_ranks(X, As, tol, sv) if ranks is None else ranks
-    col = np.vstack([X, As])
-    floor_col = tol.eq_bound(fro(col))
-    rX = rank_of(X, tol, floor=floor_row)
-    range_ok = rank_row == rAs == rX
-    null_ok = rank_of(col, tol, floor=floor_col) == rAs == rX
+    range_ok, null_ok, res_range, res_null = mk._space_tests(f, X, nX, tol)
     return CheckReport(
         eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
         range_ok=bool(range_ok), null_ok=bool(null_ok),
         verdict=bool(eqs_ok and range_ok and null_ok),
+        residual_range=res_range, residual_null=res_null,
     )
 
 
 def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.MooreStyleReport"]:
     """``(check_candidate(A, X), moore_style_check(A, X))`` from one factorization.
 
-    Both auditors run on the same normalized pair and cut rank([X | A~]) and
-    rank(A~) off at the same floor, so one factorization of A and one SVD of
-    [X | A~] serve both.
+    Both auditors run on the same normalized pair and decide their space
+    tests on the same orthonormal bases, so one SVD of A serves both.
     """
-    A, X = mk._candidate_pair(A, X)
-    f = mk._factor(A, tol)
-    A = scale_pow2(A, -f.exp)
-    X, nX = mk._scaled_candidate(X, f.exp)
-    ranks = mk._adjoint_ranks(X, mk.mink_adjoint(A), tol, f.sv) if np.isfinite(nX) else None
-    return _audit(A, X, nX, tol, ranks=ranks), mk._moore_style(f, A, X, nX, tol, ranks)
+    pair = mk._audit_pair(A, X, tol)
+    return _audit(*pair, tol), mk._moore_style(*pair, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +316,10 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     the power of two of :func:`~minkinv.dense_core.pow2_exponent`, is the
     algorithms' gate.  That one factorization is passed to every algorithm,
     which refuses on its Grams and computes on 2^-e A, to the {1,3m}/{1,4m}
-    bases of compose, and to every audit, which reads rank(A~) from its
-    spectrum.  The pairwise gaps are taken on the normalized results, and
-    each outcome's ``result`` is scaled back by 2^-e.  Scaling by a power of
+    bases of compose, and to every audit, which tests the range and null
+    space of each result on its orthonormal bases, so the audits take no SVD
+    of their own.  The pairwise gaps are taken on the normalized results,
+    and each outcome's ``result`` is scaled back by 2^-e.  Scaling by a power of
     two is exact, so the report does not depend on the scale of A, and each
     outcome's ``result`` is, bit for bit, what the algorithm's public entry
     point returns on A.
@@ -341,7 +335,7 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     outcomes = []
 
     def audit(X):
-        return _audit(A, X, fro(X), tol, sv=f.sv)
+        return _audit(f, A, X, fro(X), tol)
 
     if f.r == 0:
         X = np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import minkinv as mi
 from minkinv import fixtures
+from minkinv.dense_core import scale_pow2
 from conftest import cgauss, existent, block_existent, isotropic
 
 A55 = fixtures.existent_5x5()
@@ -406,6 +407,43 @@ def test_sylvester_witnesses_identities():
     assert np.linalg.norm(Y @ Y - Y) < 1e-9
     ref = mi.mink_inverse_frf(A).result
     assert np.linalg.norm(As @ X - ref) / np.linalg.norm(ref) < 1e-8
+
+
+def _sylvester_parts(A):
+    """(e, P Q'^-1, Y) of sylvester_witnesses on the normalized 2^-e A."""
+    f, An = mi.minkowski._normalized_gate(A, mi.DEFAULT_TOL)
+    Z, Y = mi.minkowski._sylvester(f, An, mi.DEFAULT_TOL)
+    return f.exp, Z, Y
+
+
+@pytest.mark.parametrize("j", [-332, -27, 27, 332])
+def test_sylvester_witnesses_power_of_two_covariant(j):
+    # X = 2^-2e P Q'^-1 - Y: the |A|^-2 part scales by 2^-2j exactly and Y not at all
+    e, Z, Y0 = _sylvester_parts(A55)
+    X, Y = mi.sylvester_witnesses(2.0 ** j * A55)
+    assert Y.tobytes() == Y0.tobytes()
+    assert X.tobytes() == (scale_pow2(Z, -2 * (e + j)) - Y0).tobytes()
+
+
+@pytest.mark.parametrize("k", [-100, -8, 8, 100])
+def test_sylvester_witnesses_at_every_scale(k):
+    # Q = AA~ + I - AA^m mixes |A|^2 with 1; it used to be ranked unnormalized and raise Singular
+    A = 10.0 ** k * A55
+    X, Y = mi.sylvester_witnesses(A)
+    e, Z, Yn = _sylvester_parts(A)
+    assert Y.tobytes() == Yn.tobytes()
+    assert X.tobytes() == (scale_pow2(Z, -2 * e) - Y).tobytes()
+    # X itself rounds one of its two parts away; the identities hold on the normalized pair
+    An = scale_pow2(A, -e)
+    Xn = Z - Y
+    AAs = An @ mi.mink_adjoint(An)
+    g = max(1.0, np.linalg.norm(Xn))
+    assert np.linalg.norm(Xn @ AAs - Y @ Xn - np.eye(5)) < 1e-9 * g
+    assert np.linalg.norm(AAs @ Xn - Xn @ AAs) < 1e-9 * g
+    assert np.linalg.norm(AAs @ Y) < 1e-9
+    assert np.linalg.norm(Y @ Y - Y) < 1e-9
+    ref = mi.mink_inverse(An)
+    assert np.linalg.norm(mi.mink_adjoint(An) @ Xn - ref) < 1e-9 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------

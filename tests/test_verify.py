@@ -7,6 +7,7 @@ import minkinv as mi
 from minkinv import fixtures, verify
 from minkinv.cli import main
 from conftest import cgauss, existent, block_existent, isotropic, lapack_counts
+from reference_audit import reference_audit
 
 A55 = fixtures.existent_5x5()
 AM55 = fixtures.existent_5x5_minkinv()
@@ -84,6 +85,7 @@ def test_check_candidate_accepts_regression():
     rep = mi.check_candidate(A55, AM55)
     assert rep.verdict
     assert max(rep.residuals().values()) < 1e-12
+    assert max(rep.residual_range, rep.residual_null) < 1e-14
 
 
 def test_check_candidate_rejects_counterexample():
@@ -92,6 +94,7 @@ def test_check_candidate_rejects_counterexample():
     assert not rep.range_ok
     assert rep.null_ok
     assert rep.eq1 < 1e-12 and rep.eq2 < 1e-12
+    assert rep.residual_range > 0.1 and rep.residual_null < 1e-14
     assert rep.eq4m > 1e-3
 
 
@@ -107,7 +110,9 @@ def test_check_candidate_soundness_under_noise(rng):
     E = cgauss(rng, 5, 6)
     E *= 1e-3 / np.linalg.norm(E)
     assert mi.check_candidate(A, Am).verdict
-    assert not mi.check_candidate(A, Am + E).verdict
+    rep = mi.check_candidate(A, Am + E)
+    assert not (rep.verdict or rep.range_ok or rep.null_ok)
+    assert min(rep.residual_range, rep.residual_null) > 1e-5
 
 
 @pytest.mark.parametrize("A, X", [
@@ -119,6 +124,7 @@ def test_auditors_reject_a_candidate_beyond_the_double_range(A, X):
     rep = mi.check_candidate(A, X)
     assert not rep.verdict and not rep.range_ok and not rep.null_ok
     assert rep.eq1 == rep.eq2 == rep.eq3m == rep.eq4m == float("inf")
+    assert rep.residual_range == rep.residual_null == float("inf")
     moore = mi.moore_style_check(A, X)
     assert not moore.is_inverse and moore.exists
     assert not (moore.acts_identity_on_adjoint_range or moore.annihilates_adjoint_nullspace
@@ -183,23 +189,26 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     assert lapack_counts(monkeypatch, mi.mink_inverse, A) == {
         "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2}
     assert lapack_counts(monkeypatch, mi.cross_check, A) == {
-        "svd": 48, "inv": 10, "solve": 0, "eigvalsh": 2}
+        "svd": 27, "inv": 10, "solve": 0, "eigvalsh": 2}
     assert lapack_counts(monkeypatch, mi.diagnose_existence, A) == {
         "svd": 9, "inv": 0, "solve": 0, "eigvalsh": 0}
     X = mi.mink_inverse(A)
+    # each auditor takes one factorization of A and no other SVD
     assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, X), A) == {
-        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 0}
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
     assert lapack_counts(monkeypatch, lambda A: mi.moore_style_check(A, X), A) == {
-        "svd": 2, "inv": 0, "solve": 0, "eigvalsh": 2}
-    # `minkinv check` runs both auditors on one factorization and one rank of [X | A~]
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
+    # `minkinv check` runs both auditors on that one factorization
     a, x = str(tmp_path / "a.json"), str(tmp_path / "x.json")
     mi.write_matrix(a, A)
     mi.write_matrix(x, X)
     assert lapack_counts(monkeypatch, lambda A: main(["check", a, x]), A) == {
-        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 2}
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
 
 
-def test_cross_check_factors_once(monkeypatch):
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The list that every call of ``minkowski._factor`` appends to."""
     calls = []
     real = mi.minkowski._factor
 
@@ -208,11 +217,24 @@ def test_cross_check_factors_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mi.minkowski, "_factor", counted)
+    return calls
+
+
+def test_cross_check_factors_once(factor_calls):
     for A, force in [(existent(50, 50, 30, seed=1), False), (existent(7, 5, 3, seed=5), False),
                      (isotropic(5, 4, seed=3), False), (isotropic(6, 6, seed=4), True)]:
-        calls.clear()
+        factor_calls.clear()
         assert mi.cross_check(A, force=force).verdict
-        assert len(calls) == 1
+        assert len(factor_calls) == 1
+
+
+def test_auditors_factor_once(factor_calls):
+    for A in [existent(50, 50, 30, seed=1), isotropic(5, 4, seed=3), np.zeros((3, 2))]:
+        X = mi.moore_penrose(A)
+        for audit in (mi.check_candidate, mi.moore_style_check, verify._audit_both):
+            factor_calls.clear()
+            audit(A, X)
+            assert len(factor_calls) == 1
 
 
 def _public_result(name, A, force):
@@ -279,3 +301,62 @@ def test_cross_check_diagnoses_once(monkeypatch):
     assert len(calls) == 1
     assert mi.cross_check(isotropic(5, 4, seed=3)).verdict
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the projection audit against the rank-based reference
+# ---------------------------------------------------------------------------
+
+def _perturbed(rng, X, rel):
+    E = cgauss(rng, *X.shape)
+    return X + E * (rel * np.linalg.norm(X) / np.linalg.norm(E))
+
+
+def _candidates(rng, A):
+    """The exact inverse (forced past a failing gate), two perturbations of it, and pinv(A)."""
+    X = mi.mink_inverse_frf(A, force=True).result
+    return [X, _perturbed(rng, X, 1e-9), _perturbed(rng, X, 1e-3), np.linalg.pinv(A)]
+
+
+def _light_cone(eps):
+    x = np.array([1.0, 1.0 - eps, 0.0, 0.0])
+    c = np.array([1.0, 0.3, 0.2j, 0.1])
+    return np.outer(x, c.conj())
+
+
+def _audit_inputs(family):
+    """Unit-scale inputs of one family: random shapes and ranks, isotropic, or light-cone."""
+    rng = np.random.default_rng(61)
+    if family == "light_cone":
+        return [_light_cone(10.0 ** -k) for k in range(1, 12)]
+    if family == "isotropic":
+        return [isotropic(int(rng.integers(2, 12)), int(rng.integers(1, 12)), seed=6200 + i)
+                for i in range(12)]
+    inputs = []
+    for i in range(40):
+        m, n = (int(d) for d in rng.integers(1, 16, size=2))
+        inputs.append(existent(m, n, int(rng.integers(1, min(m, n) + 1)), seed=6100 + i))
+    return inputs
+
+
+@pytest.mark.parametrize("family", ["existent", "isotropic", "light_cone"])
+def test_check_candidate_matches_the_rank_reference(family):
+    rng = np.random.default_rng(64)
+    for A in (scale * A1 for A1 in _audit_inputs(family) for scale in (1.0, 1e-8, 1e8)):
+        for X in _candidates(rng, A):
+            assert mi.check_candidate(A, X).verdict == reference_audit(A, X).verdict
+
+
+@pytest.mark.parametrize("A, force", [
+    (existent(9, 7, 4, seed=65), False),
+    (existent(8, 8, 5, seed=7, scale=1e-8), False),
+    (existent(8, 8, 5, seed=7, scale=1e8), False),
+    (isotropic(6, 6, seed=4), True),
+    (_light_cone(1e-5), False),
+    (_light_cone(1e-9), False),
+    (_light_cone(1e-11), True),
+])
+def test_cross_check_audits_match_the_rank_reference(A, force):
+    for o in mi.cross_check(A, force=force).outcomes:
+        if o.check is not None:
+            assert o.check.verdict == reference_audit(A, o.result).verdict, o.name
