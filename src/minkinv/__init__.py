@@ -29,7 +29,6 @@ from .dense_core import (
     inv_shift_identity,
     rank_of,
     sigma_max,
-    svd,
 )
 from .errors import (
     BlockSingular,
@@ -54,7 +53,6 @@ from .errors import (
 from .minkowski import (
     ExistenceDiagnosis,
     InverseComputation,
-    MinkowskiMetric,
     MooreStyleReport,
     bjerhammar_witnesses,
     compose_13m_14m,

@@ -39,8 +39,6 @@ EXIT_IO = 3
 EXIT_PRECONDITION = 4
 EXIT_RETRY = 5
 
-_ALGOS = ("frf", "hs", "zlobec", "zlobec2", "group", "resolvent", "block", "compose")
-
 
 def _tolerance_parent():
     p = argparse.ArgumentParser(add_help=False)
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the Minkowski inverse with a chosen algorithm")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--algo", choices=_ALGOS, default="frf")
+    p.add_argument("--algo", choices=tuple(mk._ALGORITHMS), default="frf")
     p.add_argument("--k", type=int, default=0, help="left exponent (zlobec, zlobec2)")
     p.add_argument("--l", type=int, default=0, help="right exponent (zlobec, zlobec2)")
     p.add_argument("--r", type=int, default=None, help="leading block size (block)")
@@ -143,58 +141,27 @@ def _cmd_exists(args) -> int:
     return EXIT_OK if diag.exists else EXIT_NEGATIVE
 
 
-def _rng(seed):
-    return np.random.default_rng(np.random.PCG64(seed))
-
-
-def _gaussian_or_none(seed, shape):
-    if seed is None:
-        return None
-    rng = _rng(seed)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _cmd_inverse(args) -> int:
     tol = _tol_from(args)
     A = read_matrix(args.input)
-    m, n = A.shape
-    algo = args.algo
-    force = args.force
-    if algo == "frf":
-        comp = mk.mink_inverse_frf(A, tol, force=force)
-    elif algo == "hs":
-        comp = mk.mink_inverse_hs(A, tol, force=force)
-    elif algo == "zlobec":
-        k, l = args.k, args.l
-        W = _gaussian_or_none(args.seed, (m, n))
-        comp = mk.mink_inverse_zlobec(A, k, l, W, tol, force=force)
-    elif algo == "zlobec2":
-        W1 = _gaussian_or_none(args.seed, (m, m))
-        W2 = _gaussian_or_none(None if args.seed is None else args.seed + 1, (n, n))
-        comp = mk.mink_inverse_zlobec2(A, args.k, args.l, W1, W2, tol, force=force)
-    elif algo == "group":
-        comp = mk.mink_inverse_group(A, tol, force=force)
-    elif algo == "resolvent":
-        W = _gaussian_or_none(args.seed, (n, m))
-        comp = mk.mink_inverse_resolvent(A, W, tol, force=force)
-    elif algo == "block":
-        if args.r is None:
-            raise FormatError("--algo block requires --r")
-        comp = mk.mink_inverse_block(A, args.r, tol, force=force)
-    else:  # compose
-        Y = _gaussian_or_none(args.seed, (n, m))
-        Z = _gaussian_or_none(None if args.seed is None else args.seed + 1, (n, m))
-        X13 = mk.one_three_m(A, Y, tol)
-        X14 = mk.one_four_m(A, Z, tol)
-        X = mk.compose_13m_14m(A, X13, X14, tol)
-        comp = mk.InverseComputation(algorithm="compose13m14m", result=X,
-                                     residuals=mk.defining_residuals(A, X))
+    algo = mk._ALGORITHMS[args.algo]
+    params = {}
+    for option in algo.options:
+        if getattr(args, option) is None:
+            raise FormatError(f"--algo {args.algo} requires --{option}")
+        params[option] = getattr(args, option)
+    # with --seed s, free parameter i is drawn from PCG64(s + i)
+    for i, (name, shape) in enumerate(algo.free(*A.shape).items()):
+        if args.seed is not None:
+            rng = np.random.default_rng(np.random.PCG64(args.seed + i))
+            params[name] = verify._cgauss(rng, *shape)
+    comp = getattr(mk, algo.entry)(A, tol=tol, force=args.force, **params)
 
     write_matrix(args.output, comp.result)
     e1, e2, e3, e4 = comp.residuals
     print(f"algorithm: {comp.algorithm}")
     print(f"residuals: eq1={e1:.3e} eq2={e2:.3e} eq3m={e3:.3e} eq4m={e4:.3e}")
-    if force:
+    if args.force:
         report = verify.check_candidate(A, comp.result, tol)
         print(f"verdict: {'pass' if report.verdict else 'fail'} "
               f"(range_ok={report.range_ok}, null_ok={report.null_ok})")

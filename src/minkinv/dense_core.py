@@ -116,18 +116,6 @@ def scale_pow2(M, k: int) -> np.ndarray:
     return out
 
 
-def svd(A, full_matrices: bool = True):
-    """Singular value decomposition, numpy convention.
-
-    Returns ``(U, s, Vh)`` with ``A = U @ diag(s) @ Vh``, ``U`` and ``Vh``
-    unitary (or with orthonormal columns/rows when ``full_matrices=False``)
-    and ``s`` nonincreasing.  Non-convergence of the underlying LAPACK
-    iteration raises ``numpy.linalg.LinAlgError``; no silent garbage.
-    """
-    A = as_matrix(A)
-    return np.linalg.svd(A, full_matrices=full_matrices)
-
-
 @dataclass(frozen=True)
 class RankReport:
     """Numerical rank plus the evidence used to decide it.

@@ -21,12 +21,15 @@ and scales the result back by 2^-e, which is exact, so it holds at every
 scale of the double range; its residuals are those of the normalized pair,
 which equal the residuals of (A, result).  Each formula lives in a private
 core that takes the factorization and 2^-e A, so a caller that runs several
-algorithms on one matrix (``verify.cross_check``) factors it once.
+algorithms on one matrix (``verify.cross_check``) factors it once.  The
+cores are listed once, in the table ``_ALGORITHMS``, which the public
+``mink_inverse_*`` functions, ``cross_check`` and ``minkinv inverse`` share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from .errors import (
 )
 
 __all__ = [
-    "MinkowskiMetric", "metric_signs", "apply_metric_left", "apply_metric_right",
+    "metric_signs", "apply_metric_left", "apply_metric_right",
     "mink_adjoint", "ExistenceDiagnosis", "diagnose_existence",
     "InverseComputation", "mink_inverse",
     "mink_inverse_frf", "mink_inverse_hs", "mink_inverse_zlobec",
@@ -83,23 +86,6 @@ def metric_signs(n: int) -> np.ndarray:
     g = np.ones(n)
     g[1:] = -1.0
     return g
-
-
-@dataclass(frozen=True)
-class MinkowskiMetric:
-    """The metric G = diag(1, -1, ..., -1) of a given order.
-
-    G is never materialized for multiplication: applying it flips signs of
-    rows or columns 2..n, which is bit-identical to the dense product.
-    """
-
-    order: int
-
-    def signs(self) -> np.ndarray:
-        return metric_signs(self.order)
-
-    def dense(self) -> np.ndarray:
-        return np.diag(metric_signs(self.order)).astype(np.complex128)
 
 
 def apply_metric_left(M: np.ndarray) -> np.ndarray:
@@ -278,12 +264,16 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale, err, what):
     rep = numerical_rank(M, tol, scale=scale)
     if rep.rank < M.shape[0]:
         if not force:
-            s = rep.singular_values
-            cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-            raise err(f"{what} is numerically singular "
-                      f"(rank {rep.rank} of {M.shape[0]}, cond~{cond:.2e})")
+            raise err(_singular_message(what, rep, f"rank {rep.rank} of {M.shape[0]}, "))
         return moore_penrose(M, tol, scale=scale)
     return np.linalg.inv(M)
+
+
+def _singular_message(what: str, rep, evidence: str = "") -> str:
+    """'<what> is numerically singular (<evidence>cond~c)', c from the spectrum in ``rep``."""
+    s = rep.singular_values
+    cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
+    return f"{what} is numerically singular ({evidence}cond~{cond:.2e})"
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,7 @@ def _factor(A, tol: Tolerance) -> _Factored:
                      rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol))
 
 
-def _require_existence(f: _Factored, force: bool) -> _Factored:
+def _require_existence(f: _Factored, force: bool = False) -> _Factored:
     """``f``, or NotExistent (unless ``force``) when one of its Grams is singular.
 
     Raised here, after ``_factor`` returned, so the traceback a caller keeps
@@ -376,27 +366,35 @@ def _require_existence(f: _Factored, force: bool) -> _Factored:
     return f
 
 
-def _factor_gate(A, tol: Tolerance, force: bool = False) -> _Factored:
+def _factor_gate(A, tol: Tolerance) -> _Factored:
     """The existence gate of every algorithm: the factorization of A, or NotExistent."""
-    return _require_existence(_factor(A, tol), force)
+    return _require_existence(_factor(A, tol))
 
 
-def _normalized_gate(A, tol: Tolerance, force: bool = False) -> tuple[_Factored, np.ndarray]:
+def _normalized_gate(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     """:func:`_factor_gate` plus the normalized matrix 2^-e A that it factored."""
-    f = _factor_gate(A, tol, force)
+    f = _factor_gate(A, tol)
     return f, scale_pow2(A, -f.exp)
 
 
 def _audit_pair(A, X, tol: Tolerance):
-    """(f, 2^-e A, 2^e X, ||2^e X||) for a candidate X, with f the factorization of A.
-
-    The norm is infinite when 2^e X leaves the double range.
-    """
+    """:func:`_audited` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
     A, X = _candidate_pair(A, X)
     f = _factor(A, tol)
     with np.errstate(over="ignore"):
         X = scale_pow2(X, f.exp)
-        return f, scale_pow2(A, -f.exp), X, fro(X)
+    return _audited(f, scale_pow2(A, -f.exp), X, tol)
+
+
+def _audited(f: _Factored, A, X, tol: Tolerance):
+    """(f, A, X, ||X||, space), the auditors' inputs for a normalized pair.
+
+    ``space``, :func:`_space_tests` of X for both auditors, is None when
+    ||X|| is infinite: such an X is rejected without forming a projection.
+    """
+    with np.errstate(over="ignore"):
+        nX = fro(X)
+    return f, A, X, nX, _space_tests(f, X, nX, tol) if np.isfinite(nX) else None
 
 
 def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
@@ -425,7 +423,12 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
 
 
 def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
-    """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted."""
+    """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted.
+
+    Raises ZeroMatrix for rank 0.
+    """
+    if f.r == 0:
+        raise ZeroMatrix("cannot factor a numerically zero matrix")
     Bs = mink_adjoint(f.B)
     Cs = mink_adjoint(f.C)
 
@@ -461,13 +464,36 @@ class InverseComputation:
     gap: float | None = None
 
 
-def _finish(name: str, f: _Factored, A, X, gap=None) -> InverseComputation:
-    """Scale X, computed on the normalized A = 2^-e A_in, back to A_in^m = 2^-e X.
+def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputation:
+    """The public entry point of route ``key`` of :data:`_ALGORITHMS`.
 
-    The residuals are those of the normalized pair (A, X), which equal the
-    residuals of (A_in, result).
+    Checks its preconditions, factors A once, gates, runs the core on 2^-e A
+    and scales X back to A^m = 2^-e X.  The residuals are those of the
+    normalized pair, which equal the residuals of (A, result).
     """
-    return InverseComputation(algorithm=name, result=scale_pow2(X, -f.exp),
+    algo = _ALGORITHMS[key]
+    if params.get("k", 0) < 0 or params.get("l", 0) < 0:
+        raise ValueError("exponents must be nonnegative")
+    A = as_matrix(A)
+    m, n = A.shape
+    if algo.square and m != n:
+        raise NotSquare(f"this route needs a square matrix, got {A.shape}")
+    f = _factor(A, tol)
+    A = scale_pow2(A, -f.exp)
+    if "r" in algo.options:      # the caller's rank, with a nonsingular leading block
+        r = params["r"]
+        if not 1 <= r <= min(m, n):
+            raise RankMismatch(f"r must be within 1..{min(m, n)}, got {r}")
+        if f.r != r:
+            raise RankMismatch(f"rank(A)={f.r} does not match the requested r={r}")
+        rep = numerical_rank(A[:r, :r], tol)
+        if rep.rank < r:
+            raise BlockSingular(_singular_message(f"leading {r}x{r} block", rep))
+    _require_existence(f, force)
+    X, gap = algo.core(f, A, tol, force, **params)
+    options = ",".join(f"{o}={params[o]}" for o in algo.options)
+    return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
+                              result=scale_pow2(X, -f.exp),
                               residuals=defining_residuals(A, X), gap=gap)
 
 
@@ -484,11 +510,7 @@ def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> In
     Raises ZeroMatrix when the numerical rank is 0.  The residuals are those
     of the normalized pair, which equal the residuals of (A, result).
     """
-    A = as_matrix(A)
-    f = _factor_gate(A, tol, force)
-    if f.r == 0:
-        raise ZeroMatrix("cannot factor a numerically zero matrix")
-    return _finish("frf", f, scale_pow2(A, -f.exp), _frf(f, tol))
+    return _run("frf", A, tol, force)
 
 
 def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -504,28 +526,18 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     against the equivalent expanded block form; the agreement gap is recorded.
     Gated and run on 2^-e A like every algorithm (see the module docstring).
     """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"this route needs a square matrix, got {A.shape}")
-    f, A = _normalized_gate(A, tol, force)
-    X, gap = _hs(A, tol, force)
-    return _finish("hs", f, A, X, gap=gap)
+    return _run("hs", A, tol, force)
 
 
-def _hs(A, tol: Tolerance, force: bool):
+def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
-    hs = hs_decomposition(A, tol)
+    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(A, tol)
     r = hs.r
     U = hs.U
-    UGU = U.conj().T @ apply_metric_left(U)
-    G1 = UGU[:r, :r]
     G2 = UGU[:r, r:]
     G3 = UGU[r:, :r]
     G4 = UGU[r:, r:]
-    KL = np.hstack([hs.K, hs.L])
-    Delta = KL @ UGU @ KL.conj().T
-    Sigma = np.diag(hs.sigma).astype(np.complex128)
 
     # blocks of a unitary congruence of G have unit natural scale
     if not force and rank_of(G1, tol, scale=1.0) < r:
@@ -559,8 +571,13 @@ def _hs(A, tol: Tolerance, force: bool):
     return X, gap
 
 
-def _power(M, k):
-    return np.linalg.matrix_power(M, k)
+def _hs_blocks(A, tol: Tolerance):
+    """(hs, U*GU, its r-by-r block G1, [K L], Delta, Sigma) of the HS form of a square A."""
+    hs = hs_decomposition(A, tol)
+    UGU = hs.U.conj().T @ apply_metric_left(hs.U)
+    KL = np.hstack([hs.K, hs.L])
+    Delta = KL @ UGU @ KL.conj().T
+    return hs, UGU, UGU[:hs.r, :hs.r], KL, Delta, np.diag(hs.sigma).astype(np.complex128)
 
 
 def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
@@ -577,20 +594,17 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
     like every algorithm (see the module docstring); ``W`` parameterizes the
     {1}-inverse of that normalized product.
     """
-    if k < 0 or l < 0:
-        raise ValueError("exponents must be nonnegative")
-    A = as_matrix(A)
-    f, A = _normalized_gate(A, tol, force)
-    return _finish(f"zlobec(k={k},l={l})", f, A, _zlobec(f, A, k, l, W, tol))
+    return _run("zlobec", A, tol, force, k=k, l=l, W=W)
 
 
-def _zlobec(f: _Factored, A, k: int, l: int, W, tol: Tolerance) -> np.ndarray:
-    """X of :func:`mink_inverse_zlobec` on the normalized A factored by ``f``."""
+def _zlobec(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0, W=None):
+    """(X, None) of :func:`mink_inverse_zlobec` on the normalized A factored by ``f``."""
+    power = np.linalg.matrix_power
     As = mink_adjoint(A)
     AsA = As @ A
-    mid = _power(AsA, k + l + 1) @ As
+    mid = power(AsA, k + l + 1) @ As
     inner = one_inverse_sample(mid, W, tol, scale=f.s1 ** (2 * (k + l + 1) + 1))
-    return _power(AsA, k) @ As @ inner @ _power(AsA, l) @ As
+    return power(AsA, k) @ As @ inner @ power(AsA, l) @ As, None
 
 
 def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
@@ -603,21 +617,19 @@ def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
     k = l = 0 this is A~ (AA~)^(1) A (A~A)^(1) A~.  Gated and run on 2^-e A
     like every algorithm (see the module docstring).
     """
-    if k < 0 or l < 0:
-        raise ValueError("exponents must be nonnegative")
-    A = as_matrix(A)
-    f, A = _normalized_gate(A, tol, force)
-    return _finish(f"zlobec2(k={k},l={l})", f, A, _zlobec2(f, A, k, l, W1, W2, tol))
+    return _run("zlobec2", A, tol, force, k=k, l=l, W1=W1, W2=W2)
 
 
-def _zlobec2(f: _Factored, A, k: int, l: int, W1, W2, tol: Tolerance) -> np.ndarray:
-    """X of :func:`mink_inverse_zlobec2` on the normalized A factored by ``f``."""
+def _zlobec2(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0,
+             W1=None, W2=None):
+    """(X, None) of :func:`mink_inverse_zlobec2` on the normalized A factored by ``f``."""
+    power = np.linalg.matrix_power
     As = mink_adjoint(A)
     AsA = As @ A
     AAs = A @ As
-    left = one_inverse_sample(_power(AAs, k + 1), W1, tol, scale=f.s1 ** (2 * (k + 1)))
-    right = one_inverse_sample(_power(AsA, l + 1), W2, tol, scale=f.s1 ** (2 * (l + 1)))
-    return _power(AsA, k) @ As @ left @ A @ right @ _power(AsA, l) @ As
+    left = one_inverse_sample(power(AAs, k + 1), W1, tol, scale=f.s1 ** (2 * (k + 1)))
+    right = one_inverse_sample(power(AsA, l + 1), W2, tol, scale=f.s1 ** (2 * (l + 1)))
+    return power(AsA, k) @ As @ left @ A @ right @ power(AsA, l) @ As, None
 
 
 def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -628,10 +640,7 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
     agreement gap recorded.  Gated and run on 2^-e A like every algorithm
     (see the module docstring).
     """
-    A = as_matrix(A)
-    f, A = _normalized_gate(A, tol, force)
-    X, gap = _group(f, A, tol, force)
-    return _finish("group", f, A, X, gap=gap)
+    return _run("group", A, tol, force)
 
 
 def _group(f: _Factored, A, tol: Tolerance, force: bool):
@@ -668,13 +677,10 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     like every algorithm (see the module docstring), which keeps the shift I
     at the scale of A~A.
     """
-    A = as_matrix(A)
-    f, A = _normalized_gate(A, tol, force)
-    X, gap = _resolvent(f, A, W, tol, force)
-    return _finish("resolvent", f, A, X, gap=gap)
+    return _run("resolvent", A, tol, force, W=W)
 
 
-def _resolvent(f: _Factored, A, W, tol: Tolerance, force: bool):
+def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
     """(X, gap) of :func:`mink_inverse_resolvent` on the normalized A factored by ``f``."""
     m, n = A.shape
     As = mink_adjoint(A)
@@ -706,30 +712,16 @@ def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
     2^-e A like every algorithm (see the module docstring); the rank of the
     gate's factorization must equal ``r``.
     """
-    A = as_matrix(A)
-    m, n = A.shape
-    if not 1 <= r <= min(m, n):
-        raise RankMismatch(f"r must be within 1..{min(m, n)}, got {r}")
-    f = _factor(A, tol)
-    if f.r != r:
-        raise RankMismatch(f"rank(A)={f.r} does not match the requested r={r}")
-    A = scale_pow2(A, -f.exp)
-    rep1 = numerical_rank(A[:r, :r], tol)
-    if rep1.rank < r:
-        s = rep1.singular_values
-        cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-        raise BlockSingular(f"leading {r}x{r} block is numerically singular (cond~{cond:.2e})")
-    _require_existence(f, force)
-    return _finish(f"block(r={r})", f, A, _block(f, A, r, tol, force))
+    return _run("block", A, tol, force, r=r)
 
 
-def _block(f: _Factored, A, r: int, tol: Tolerance, force: bool) -> np.ndarray:
-    """X of :func:`mink_inverse_block` on the normalized A factored by ``f``."""
+def _block(f: _Factored, A, tol: Tolerance, force: bool, r: int):
+    """(X, None) of :func:`mink_inverse_block` on the normalized A factored by ``f``."""
     P = mink_adjoint(A[:r, :])   # n x r
     S = mink_adjoint(A[:, :r])   # r x m
     mid_inv = _inv_or_forced_pinv(S @ A @ P, tol, force, scale=f.s1 ** 3,
                                   err=Singular, what="bordered core")
-    return P @ mid_inv @ S
+    return P @ mid_inv @ S, None
 
 
 def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -854,6 +846,67 @@ def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
     return X14 @ A @ X13
 
 
+def _compose_core(f: _Factored, A, tol: Tolerance, force: bool):
+    """(X, None) of compose on the base members of the normalized A factored by ``f``."""
+    return _compose(A, _base_13m(f, tol), _base_14m(f, tol), tol), None
+
+
+def _compose_inverse(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL,
+                     force: bool = False) -> InverseComputation:
+    """The CLI's compose: :func:`compose_13m_14m` of the family members Y and Z select.
+
+    ``force`` does not apply; it is accepted so that every entry takes the same call.
+    """
+    X = compose_13m_14m(A, one_three_m(A, Y, tol), one_four_m(A, Z, tol), tol)
+    return InverseComputation(algorithm=_ALGORITHMS["compose"].name, result=X,
+                              residuals=defining_residuals(A, X))
+
+
+# ---------------------------------------------------------------------------
+# the algorithm table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """One independent route to A^m.
+
+    ``core(f, A, tol, force, **params) -> (X, gap)`` runs on the normalized A
+    that ``f`` factored.  ``name`` labels the results, ``entry`` names the
+    function of this module that the CLI calls (looked up at call time).
+    ``options`` are the entry's integer options ("r" is the rank, which
+    cross_check does not know); ``free(m, n)`` maps its free parameters to
+    their shapes, in the order the CLI seeds them.  Compose is not ``gated``:
+    it refuses through its {1,3m}/{1,4m} bases.
+    """
+
+    name: str
+    entry: str
+    core: Callable
+    square: bool = False
+    options: tuple[str, ...] = ()
+    free: Callable[[int, int], dict] = lambda m, n: {}
+    gated: bool = True
+
+
+# Keyed by the CLI's --algo name, in the order of its choices.  The routes
+# share the gate's factorization and no other product, so that cross_check
+# compares independent computations.
+_ALGORITHMS = {
+    "frf": _Algorithm("frf", "mink_inverse_frf", lambda f, A, tol, force: (_frf(f, tol), None)),
+    "hs": _Algorithm("hs", "mink_inverse_hs", _hs, square=True),
+    "zlobec": _Algorithm("zlobec", "mink_inverse_zlobec", _zlobec, options=("k", "l"),
+                         free=lambda m, n: {"W": (m, n)}),
+    "zlobec2": _Algorithm("zlobec2", "mink_inverse_zlobec2", _zlobec2, options=("k", "l"),
+                          free=lambda m, n: {"W1": (m, m), "W2": (n, n)}),
+    "group": _Algorithm("group", "mink_inverse_group", _group),
+    "resolvent": _Algorithm("resolvent", "mink_inverse_resolvent", _resolvent,
+                            free=lambda m, n: {"W": (n, m)}),
+    "block": _Algorithm("block", "mink_inverse_block", _block, options=("r",)),
+    "compose": _Algorithm("compose13m14m", "_compose_inverse", _compose_core, gated=False,
+                          free=lambda m, n: {"Y": (n, m), "Z": (n, m)}),
+}
+
+
 # ---------------------------------------------------------------------------
 # witness constructions and decision procedures
 # ---------------------------------------------------------------------------
@@ -943,9 +996,9 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     return _moore_style(*_audit_pair(A, X, tol), tol)
 
 
-def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance) -> MooreStyleReport:
-    """:func:`moore_style_check` of the normalized pair (A, X); f factors A, nX = ||X||."""
-    if not np.isfinite(nX):
+def _moore_style(f: _Factored, A, X, nX: float, space, tol: Tolerance) -> MooreStyleReport:
+    """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`."""
+    if space is None:
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
                                 annihilates_adjoint_nullspace=False,
@@ -958,7 +1011,7 @@ def _moore_style(f: _Factored, A, X, nX: float, tol: Tolerance) -> MooreStyleRep
     res_id = d_id / max(1.0, fro(As))
     ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
 
-    ok_range, ok_null, _, res_null = _space_tests(f, X, nX, tol)
+    ok_range, ok_null, _, res_null = space
 
     return MooreStyleReport(
         is_inverse=bool(f.exists and ok_id and ok_null and ok_range),

@@ -39,10 +39,10 @@ from .errors import (
 )
 from .minkowski import (
     _factor,
+    _hs_blocks,
     _inverse_of,
     apply_metric_left,
     apply_metric_right,
-    hs_decomposition,
     mink_adjoint,
 )
 
@@ -284,14 +284,9 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     if not _factor(A, tol).exists:
         raise NotExistent("the construction requires an existent Minkowski inverse")
     n = A.shape[0]
-    hs = hs_decomposition(A, tol)
+    hs, _, G1, KL, Delta, Sigma = _hs_blocks(A, tol)
     r = hs.r
     U = hs.U
-    UGU = U.conj().T @ apply_metric_left(U)
-    G1 = UGU[:r, :r]
-    KL = np.hstack([hs.K, hs.L])
-    Delta = KL @ UGU @ KL.conj().T
-    Sigma = np.diag(hs.sigma).astype(np.complex128)
 
     if X1free is None:
         J = KL.conj().T

@@ -93,17 +93,26 @@ def _draw_existent(rng, m, n, r, tol):
             continue
         if rank_of(mk.mink_adjoint(B) @ B, tol) != r or rank_of(C @ mk.mink_adjoint(C), tol) != r:
             continue
-        As = mk.mink_adjoint(A)
-        s2 = sa[0] * sa[0]
-        # margins anchored at sigma_1(A)^2, the natural scale of the products
-        s_asa = np.linalg.svd(As @ A, compute_uv=False)
-        s_aas = np.linalg.svd(A @ As, compute_uv=False)
-        if s_asa[r - 1] < _GRAM_MARGIN * s2 or s_aas[r - 1] < _GRAM_MARGIN * s2:
-            continue
-        if rank_of(A, tol) == rank_of(As @ A, tol, scale=s2) == rank_of(A @ As, tol, scale=s2) == r:
+        if _well_margined(A, sa, r, tol):
             return A
     raise RetryExhausted(f"no well-margined existent draw in {_MAX_DRAWS} tries "
                          f"for {m}x{n} rank {r}")
+
+
+def _well_margined(A, sa, r, tol):
+    """Whether the rank-r draw A, with singular values ``sa``, has its Gram margins.
+
+    A~A and AA~ must keep sigma_r above _GRAM_MARGIN times sigma_1(A)^2,
+    and A, A~A and AA~ must all have numerical rank r.
+    """
+    As = mk.mink_adjoint(A)
+    s2 = sa[0] * sa[0]
+    # margins anchored at sigma_1(A)^2, the natural scale of the products
+    s_asa = np.linalg.svd(As @ A, compute_uv=False)
+    s_aas = np.linalg.svd(A @ As, compute_uv=False)
+    if s_asa[r - 1] < _GRAM_MARGIN * s2 or s_aas[r - 1] < _GRAM_MARGIN * s2:
+        return False
+    return rank_of(A, tol) == rank_of(As @ A, tol, scale=s2) == rank_of(A @ As, tol, scale=s2) == r
 
 
 def _draw_isotropic(rng, m, n):
@@ -130,14 +139,7 @@ def _draw_block_existent(rng, m, n, r, tol):
         A[:r, r:] = A2
         A[r:, :r] = A3
         A[r:, r:] = A3 @ np.linalg.inv(A1) @ A2
-        sa = np.linalg.svd(A, compute_uv=False)
-        As = mk.mink_adjoint(A)
-        s2 = sa[0] * sa[0]
-        s_asa = np.linalg.svd(As @ A, compute_uv=False)
-        s_aas = np.linalg.svd(A @ As, compute_uv=False)
-        if s_asa[r - 1] < _GRAM_MARGIN * s2 or s_aas[r - 1] < _GRAM_MARGIN * s2:
-            continue
-        if rank_of(A, tol) == rank_of(As @ A, tol, scale=s2) == rank_of(A @ As, tol, scale=s2) == r:
+        if _well_margined(A, np.linalg.svd(A, compute_uv=False), r, tol):
             return A
     raise RetryExhausted(f"no well-margined block-existent draw in {_MAX_DRAWS} tries "
                          f"for {m}x{n} rank {r}")
@@ -209,15 +211,15 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return _audit(*mk._audit_pair(A, X, tol), tol)
 
 
-def _audit(f, A, X, nX: float, tol: Tolerance) -> CheckReport:
-    """:func:`check_candidate` of the normalized pair (A, X); f factors A, nX = ||X||.
+def _audit(f, A, X, nX: float, space, tol: Tolerance) -> CheckReport:
+    """:func:`check_candidate` of the normalized pair (A, X), from ``minkowski._audited``.
 
     ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
     N(X) by projection.  Equations (1) and (2) make X a {1,2}-inverse of A,
     so rank(X) = rank(A~), and the two inclusions are then the equalities
     R(X) = R(A~) and N(X) = N(A~).
     """
-    if not np.isfinite(nX):
+    if space is None:
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         inf = float("inf")
         return CheckReport(eq1=inf, eq2=inf, eq3m=inf, eq4m=inf,
@@ -226,7 +228,7 @@ def _audit(f, A, X, nX: float, tol: Tolerance) -> CheckReport:
     diffs, norms = mk._residual_norms(A, X)
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
     eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
-    range_ok, null_ok, res_range, res_null = mk._space_tests(f, X, nX, tol)
+    range_ok, null_ok, res_range, res_null = space
     return CheckReport(
         eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
         range_ok=bool(range_ok), null_ok=bool(null_ok),
@@ -239,10 +241,11 @@ def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.Mo
     """``(check_candidate(A, X), moore_style_check(A, X))`` from one factorization.
 
     Both auditors run on the same normalized pair and decide their space
-    tests on the same orthonormal bases, so one SVD of A serves both.
+    tests on the same orthonormal bases, so one SVD of A and one pair of
+    projection residuals serve both.
     """
-    pair = mk._audit_pair(A, X, tol)
-    return _audit(*pair, tol), mk._moore_style(*pair, tol)
+    audited = mk._audit_pair(A, X, tol)
+    return _audit(*audited, tol), mk._moore_style(*audited, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +275,6 @@ class CrossCheckReport:
     forced: bool = False
 
 
-def _deterministic_algorithms(f, A, tol, force):
-    """Name/thunk pairs for every algorithm applicable to the normalized A, at defaults.
-
-    Each thunk runs the algorithm's private core on the one factorization
-    ``f`` of A, behind the gate its public entry point applies, and returns
-    the normalized result.  compose refuses through its {1,3m}/{1,4m} bases,
-    as its public form does; both bases existing is existence itself.
-    """
-    m, n = A.shape
-
-    def gated(core):
-        def run():
-            mk._require_existence(f, force)
-            return core()
-        return run
-
-    algos = [
-        ("frf", gated(lambda: mk._frf(f, tol))),
-        ("zlobec", gated(lambda: mk._zlobec(f, A, 0, 0, None, tol))),
-        ("zlobec2", gated(lambda: mk._zlobec2(f, A, 0, 0, None, None, tol))),
-        ("group", gated(lambda: mk._group(f, A, tol, force)[0])),
-        ("resolvent", gated(lambda: mk._resolvent(f, A, None, tol, force)[0])),
-        ("compose13m14m",
-         lambda: mk._compose(A, mk._base_13m(f, tol), mk._base_14m(f, tol), tol)),
-    ]
-    if m == n:
-        algos.insert(1, ("hs", gated(lambda: mk._hs(A, tol, force)[0])))
-    return algos
-
-
 def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCheckReport:
     """Run every applicable algorithm and compare the results pairwise.
 
@@ -322,7 +295,9 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     and each outcome's ``result`` is scaled back by 2^-e.  Scaling by a power of
     two is exact, so the report does not depend on the scale of A, and each
     outcome's ``result`` is, bit for bit, what the algorithm's public entry
-    point returns on A.
+    point returns on A.  The algorithms are the routes of the table
+    ``minkowski._ALGORITHMS``, each at its default parameters: all but the
+    block route, which needs the rank, and HS only when A is square.
 
     The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
     once, for the report's ``diagnosis`` and the choice between the existent,
@@ -335,7 +310,7 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     outcomes = []
 
     def audit(X):
-        return _audit(f, A, X, fro(X), tol)
+        return _audit(*mk._audited(f, A, X, tol), tol)
 
     if f.r == 0:
         X = np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
@@ -347,16 +322,20 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
 
     run_forced = force and not diag.exists
     computed = []                    # normalized results of the "ok" outcomes
-    for name, thunk in _deterministic_algorithms(f, A, tol, force=run_forced):
+    for algo in mk._ALGORITHMS.values():
+        if "r" in algo.options or (algo.square and A.shape[0] != A.shape[1]):
+            continue
         try:
-            X = thunk()
-            outcomes.append(AlgorithmOutcome(name=name, status="ok",
+            if algo.gated:
+                mk._require_existence(f, run_forced)
+            X = algo.core(f, A, tol, run_forced)[0]
+            outcomes.append(AlgorithmOutcome(name=algo.name, status="ok",
                                              result=scale_pow2(X, -f.exp), check=audit(X)))
             computed.append(X)
         except NotExistent as exc:
-            outcomes.append(AlgorithmOutcome(name=name, status="refused", detail=str(exc)))
+            outcomes.append(AlgorithmOutcome(name=algo.name, status="refused", detail=str(exc)))
         except MinkinvError as exc:
-            outcomes.append(AlgorithmOutcome(name=name, status="failed", detail=str(exc)))
+            outcomes.append(AlgorithmOutcome(name=algo.name, status="failed", detail=str(exc)))
 
     if diag.exists:
         gaps = []

@@ -2,14 +2,15 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import minkinv as mi
 from minkinv import fixtures, matio
-from minkinv.cli import main
-from conftest import cgauss
+from minkinv.cli import build_parser, main
+from conftest import cgauss, existent
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -196,6 +197,47 @@ def test_inverse_zlobec_seeded_invariance(tmp_path):
     X1 = mi.read_matrix(d1)
     X2 = mi.read_matrix(d2)
     assert np.max(np.abs(X1 - X2)) < 1e-8
+
+
+def _seeded(seed, shape):
+    """The CLI's free parameter drawn from PCG64(seed)."""
+    return cgauss(np.random.default_rng(np.random.PCG64(seed)), *shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 4)])
+@pytest.mark.parametrize("argv, direct", [
+    (["--algo", "zlobec", "--k", "1", "--l", "2"],
+     lambda A, m, n: mi.mink_inverse_zlobec(A, 1, 2, _seeded(9, (m, n))).result),
+    (["--algo", "zlobec2"],
+     lambda A, m, n: mi.mink_inverse_zlobec2(A, 0, 0, _seeded(9, (m, m)),
+                                             _seeded(10, (n, n))).result),
+    (["--algo", "resolvent"],
+     lambda A, m, n: mi.mink_inverse_resolvent(A, _seeded(9, (n, m))).result),
+    (["--algo", "compose"],
+     lambda A, m, n: mi.compose_13m_14m(A, mi.one_three_m(A, _seeded(9, (n, m))),
+                                        mi.one_four_m(A, _seeded(10, (n, m))))),
+])
+def test_inverse_seeds_free_parameters(tmp_path, shape, argv, direct):
+    # --seed s draws the i-th free parameter from PCG64(s + i)
+    if shape == (5, 5):
+        src = fixture_path("existent_5x5.json")
+    else:
+        src = str(tmp_path / "a.json")
+        mi.write_matrix(src, existent(*shape, 2, seed=3))
+    A = mi.read_matrix(src)
+    dst, ref = tmp_path / "x.json", tmp_path / "ref.json"
+    assert main(["inverse", src, str(dst), *argv, "--seed", "9"]) == 0
+    mi.write_matrix(ref, direct(A, *shape))
+    assert dst.read_bytes() == ref.read_bytes()
+
+
+def test_readme_algo_list_matches_the_parser():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    listed = re.search(r"--algo frf # ([\w|]+)\n\s+# ([\w|]+)\n", readme)
+    inverse = build_parser()._subparsers._group_actions[0].choices["inverse"]
+    choices = next(a.choices for a in inverse._actions if a.dest == "algo")
+    assert "".join(listed.groups()).split("|") == list(choices)
 
 
 def test_inverse_nonexistent_exit(tmp_path):

@@ -37,26 +37,6 @@ def test_scale_pow2_exact_beyond_finite_powers(rng):
     assert np.array_equal(mi.dense_core.scale_pow2(M, 7), M * 128.0)
 
 
-def test_svd_identity():
-    U, s, Vh = mi.svd(np.eye(3))
-    assert_allclose(s, np.ones(3))
-    assert_allclose(U @ np.diag(s) @ Vh, np.eye(3), atol=1e-14)
-
-
-def test_svd_diagonal():
-    U, s, Vh = mi.svd(np.diag([3.0, 0.0]))
-    assert_allclose(s, [3.0, 0.0])
-
-
-def test_svd_reconstruction_random(rng):
-    A = cgauss(rng, 7, 5)
-    U, s, Vh = mi.svd(A, full_matrices=False)
-    assert np.linalg.norm(A - U @ np.diag(s) @ Vh) / np.linalg.norm(A) < 1e-12
-    assert_allclose(U.conj().T @ U, np.eye(5), atol=1e-13)
-    assert_allclose(Vh @ Vh.conj().T, np.eye(5), atol=1e-13)
-    assert np.all(np.diff(s) <= 0)
-
-
 def test_numerical_rank_zero():
     rep = mi.numerical_rank(np.zeros((3, 3)))
     assert rep.rank == 0

@@ -58,7 +58,6 @@ def test_metric_application_bit_equivalent(rng):
     M = cgauss(rng, 5, 4)
     assert np.array_equal(mi.minkowski.apply_metric_left(M), metric(5) @ M)
     assert np.array_equal(mi.minkowski.apply_metric_right(M), M @ metric(4))
-    assert np.array_equal(mi.MinkowskiMetric(4).dense(), metric(4))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,33 @@ def test_auditors_factor_once(factor_calls):
             assert len(factor_calls) == 1
 
 
+def test_audits_project_once(monkeypatch, tmp_path):
+    calls = []
+    real = mi.minkowski._space_tests
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mi.minkowski, "_space_tests", counted)
+    A = existent(6, 6, 4, seed=2)
+    a, x = str(tmp_path / "a.json"), str(tmp_path / "x.json")
+    mi.write_matrix(a, A)
+    mi.write_matrix(x, mi.mink_inverse(A))
+    big = 1e300 * np.ones((5, 5))
+    # `minkinv check` projects once for both auditors; an X whose normalized
+    # norm overflows is rejected without forming a projection
+    for audit, want in [(lambda: main(["check", a, x]), 1),
+                        (lambda: mi.check_candidate(A, mi.mink_inverse(A)), 1),
+                        (lambda: mi.moore_style_check(A, mi.mink_inverse(A)), 1),
+                        (lambda: verify._audit_both(1e10 * A55, big), 0),
+                        (lambda: mi.check_candidate(1e10 * A55, big), 0),
+                        (lambda: mi.moore_style_check(1e10 * A55, big), 0)]:
+        calls.clear()
+        audit()
+        assert len(calls) == want
+
+
 def _public_result(name, A, force):
     """What the public entry point of a cross_check algorithm returns on A."""
     if name == "compose13m14m":
