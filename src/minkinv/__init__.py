@@ -46,7 +46,6 @@ from .errors import (
     RetryExhausted,
     ShapeMismatch,
     Singular,
-    SingularFactor,
     SingularParam,
     ZeroMatrix,
 )

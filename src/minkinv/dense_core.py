@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexNotOne, RankMismatch, ShapeMismatch, Singular, ZeroMatrix
+from .errors import IndexNotOne, NotSquare, RankMismatch, ShapeMismatch, Singular, ZeroMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -38,6 +38,14 @@ def as_matrix(a) -> np.ndarray:
         raise ShapeMismatch(f"matrix dimensions must be positive, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
+    return M
+
+
+def _shaped(name: str, a, shape) -> np.ndarray:
+    """``as_matrix(a)``, or ShapeMismatch naming ``name`` unless its shape is ``shape``."""
+    M = as_matrix(a)
+    if M.shape != shape:
+        raise ShapeMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
     return M
 
 
@@ -197,12 +205,14 @@ def one_inverse_sample(A, W=None, tol: Tolerance = DEFAULT_TOL,
     {1}-inverse family.  ``W=None`` gives the base point ``A+``.
     """
     A = as_matrix(A)
-    Ap = moore_penrose(A, tol, scale=scale)
+    return _one_inverse(A, moore_penrose(A, tol, scale=scale), W)
+
+
+def _one_inverse(A, Ap, W) -> np.ndarray:
+    """:func:`one_inverse_sample` of A given its pseudoinverse ``Ap``."""
     if W is None:
         return Ap
-    W = as_matrix(W)
-    if W.shape != Ap.shape:
-        raise ShapeMismatch(f"W must be {Ap.shape}, got {W.shape}")
+    W = _shaped("W", W, Ap.shape)
     return Ap + W - Ap @ A @ W @ A @ Ap
 
 
@@ -307,20 +317,29 @@ class HSDecomposition:
 def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
     """Hartwig-Spindelbock decomposition of a square matrix.
 
-    Built from the full SVD A = W Sigma V*: U = W and [K L] is the top r rows
-    of V* W, which forces K K* + L L* = I_r up to rounding.  Raises NotSquare
-    for rectangular input and ZeroMatrix for rank 0.
+    Built from the compact SVD A = U_r Sigma V_r* by :func:`_hs_from_svd`.
+    Raises NotSquare for rectangular input and ZeroMatrix for rank 0.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
-        from .errors import NotSquare
         raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
-    W, s, Vh = np.linalg.svd(A)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     r = _rank_from_spectrum(s, A.shape, tol).rank
+    return _hs_from_svd(U[:, :r], s[:r].copy(), Vh[:r])
+
+
+def _hs_from_svd(Ur, s, Vh_r) -> HSDecomposition:
+    """The HS form of the square A = Ur diag(s) Vh_r, with Ur and Vh_r* orthonormal.
+
+    U = [Ur, Q], Q the complement of R(Ur) from one Householder QR of Ur, and
+    [K L] = Vh_r U, which forces K K* + L L* = I_r up to rounding.
+    """
+    r = s.size
     if r == 0:
         raise ZeroMatrix("decomposition needs rank >= 1")
-    KL = (Vh @ W)[:r, :]
-    return HSDecomposition(U=W, sigma=s[:r].copy(), K=KL[:, :r], L=KL[:, r:], r=r)
+    U = np.hstack([Ur, np.linalg.qr(Ur, mode="complete")[0][:, r:]])
+    KL = Vh_r @ U
+    return HSDecomposition(U=U, sigma=s, K=KL[:, :r], L=KL[:, r:], r=r)
 
 
 def projector_onto_along(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -352,10 +371,8 @@ def inv_shift_identity(A, B, tol: Tolerance = DEFAULT_TOL):
     numerically singular.
     """
     A = as_matrix(A)
-    B = as_matrix(B)
     m, n = A.shape
-    if B.shape != (n, m):
-        raise ShapeMismatch(f"B must be {n}x{m}, got {B.shape}")
+    B = _shaped("B", B, (n, m))
     anchor = max(1.0, sigma_max(A) * sigma_max(B))
     inner = np.eye(n, dtype=np.complex128) - B @ A
     if rank_of(inner, tol, scale=anchor) < n:

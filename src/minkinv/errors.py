@@ -29,10 +29,6 @@ class Singular(MinkinvError):
     """A matrix that must be inverted is numerically singular."""
 
 
-class SingularFactor(Singular):
-    """An inner Gram factor (CC~ or B~B) is numerically singular."""
-
-
 class BlockSingular(Singular):
     """The leading r-by-r block is numerically singular."""
 

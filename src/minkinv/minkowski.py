@@ -36,12 +36,14 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _hs_from_svd,
+    _one_inverse,
     _rank_from_spectrum,
+    _shaped,
     as_matrix,
     fro,
     full_rank_factorization,
     group_inverse,
-    hs_decomposition,
     index_of,
     mats_close,
     moore_penrose,
@@ -199,18 +201,27 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
 
     ``exists`` is criterion (a).  All ranks share one cutoff convention, with
     product cutoffs anchored at the appropriate power of sigma_max(A).  Each
-    rank is taken once: rank(A) and sigma_max(A) come from one spectrum, and
-    the indices from rank(M) and rank(M^2), with :func:`index_of` walking
-    further powers only when the index exceeds one.
+    rank is taken once: rank(A), sigma_max(A) and the projector
+    A+ A = V_r V_r* come from one SVD of A, and the indices from rank(M) and
+    rank(M^2), with :func:`index_of` walking further powers only when the
+    index exceeds one.
     """
     A = as_matrix(A)
-    m, n = A.shape
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    r = _rank_from_spectrum(s, A.shape, tol).rank
+    return _diagnose(A, r, float(s[0]), Vh[:r].conj().T @ Vh[:r], tol)
+
+
+def _diagnose(A, rank_A: int, sA: float, ApA, tol: Tolerance) -> ExistenceDiagnosis:
+    """:func:`diagnose_existence` of A given rank(A), sigma_max(A) and A+ A = V_r V_r*.
+
+    V_r V_r* is A+ A without the rounding of forming A+ A, rounding that can
+    make the resolvent of a light-cone draw look nonsingular.
+    """
+    n = A.shape[1]
     As = mink_adjoint(A)
     AAs = A @ As
     AsA = As @ A
-    rep_A = numerical_rank(A, tol)
-    rank_A = rep_A.rank
-    sA = float(rep_A.singular_values[0])
     s2 = sA * sA
 
     rank_AAs = rank_of(AAs, tol, scale=s2)
@@ -225,7 +236,7 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     ind_le1_AAs = rank2_AAs == rank_AAs
     range_A_in_AAs = rank_of(np.hstack([AAs, A]), tol, scale=max(sA, s2)) == rank_AAs
 
-    resolvent = AsA + np.eye(n, dtype=np.complex128) - moore_penrose(A, tol) @ A
+    resolvent = AsA + np.eye(n, dtype=np.complex128) - ApA
     resolvent_nonsingular = rank_of(resolvent, tol, scale=max(1.0, s2)) == n
 
     criteria = {
@@ -289,8 +300,8 @@ class _Factored:
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
     this value alive pins (m + n) r + min(m, n) entries, not the SVD's
     workspace.  G U_r and G V_r = G C* are orthonormal bases of N(A~)^perp
-    and R(A~), on which the audits test candidates (see
-    :func:`_space_tests`).
+    and R(A~), on which the audits test candidates (see :func:`_space_tests`);
+    B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
     ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
     B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
     differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
@@ -315,6 +326,14 @@ class _Factored:
     @property
     def s(self) -> np.ndarray:
         return self.sv[:self.r]
+
+    @property
+    def pinv_B(self) -> np.ndarray:
+        return (self.B / self.s ** 2).conj().T
+
+    @property
+    def pinv_A(self) -> np.ndarray:
+        return self.C.conj().T @ self.pinv_B
 
     @property
     def exists(self) -> bool:
@@ -532,7 +551,7 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
 def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
-    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(A, tol)
+    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f.B / f.s, f.s, f.C)
     r = hs.r
     U = hs.U
     G2 = UGU[:r, r:]
@@ -571,9 +590,9 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     return X, gap
 
 
-def _hs_blocks(A, tol: Tolerance):
-    """(hs, U*GU, its r-by-r block G1, [K L], Delta, Sigma) of the HS form of a square A."""
-    hs = hs_decomposition(A, tol)
+def _hs_blocks(Ur, s, Vh_r):
+    """(hs, U*GU, its r-by-r block G1, [K L], Delta, Sigma) of the HS form of Ur diag(s) Vh_r."""
+    hs = _hs_from_svd(Ur, s, Vh_r)
     UGU = hs.U.conj().T @ apply_metric_left(hs.U)
     KL = np.hstack([hs.K, hs.L])
     Delta = KL @ UGU @ KL.conj().T
@@ -669,13 +688,13 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
                            force: bool = False) -> InverseComputation:
     """Minkowski inverse via the shifted-Gram resolvent.
 
-    Builds a {1}-inverse A1 = one_inverse_sample(A, W) and returns
+    Builds the {1}-inverse A1 = A+ + W - A+ A W A A+ and returns
     (A (A~A + I - A1 A)^-1)~, cross-checked against the dual form
     ((AA~ + I - A A1)^-1 A)~.  Nonsingularity of the shifted matrix is
     equivalent to existence; a singular resolvent after a passing gate
     raises Singular as an internal inconsistency.  Gated and run on 2^-e A
     like every algorithm (see the module docstring), which keeps the shift I
-    at the scale of A~A.
+    at the scale of A~A; A+ comes from the gate's factorization.
     """
     return _run("resolvent", A, tol, force, W=W)
 
@@ -684,7 +703,7 @@ def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
     """(X, gap) of :func:`mink_inverse_resolvent` on the normalized A factored by ``f``."""
     m, n = A.shape
     As = mink_adjoint(A)
-    A1 = one_inverse_sample(A, W, tol)
+    A1 = _one_inverse(A, f.pinv_A, W)
     anchor = max(1.0, f.s1 ** 2)
     left = _inv_or_forced_pinv(As @ A + np.eye(n, dtype=np.complex128) - A1 @ A,
                                tol, force, scale=anchor, err=Singular, what="resolvent")
@@ -755,23 +774,16 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Existence and scale come from the factorization of the algorithms' gate
     (see the module docstring): rank(A) is its rank r and rank(A~A) the rank
-    of its Gram B~B, the base is evaluated on the factors B, C of 2^-e A,
-    and scaled back by 2^-e.
+    of its Gram B~B, the member is evaluated on the factors B, C of 2^-e A,
+    with 2^e Y in place of Y, and scaled back by 2^-e.
     """
     A = as_matrix(A)
     f = _factor(A, tol)
-    base = scale_pow2(_base_13m(f, tol), -f.exp)
-    if Y is None:
-        return base
-    Y = as_matrix(Y)
-    n, m = base.shape
-    if Y.shape != (n, m):
-        raise ShapeMismatch(f"Y must be {n}x{m}, got {Y.shape}")
-    return base + (np.eye(n, dtype=np.complex128) - base @ A) @ Y
+    return scale_pow2(_member_13m(f, scale_pow2(A, -f.exp), Y), -f.exp)
 
 
-def _base_13m(f: _Factored, tol: Tolerance) -> np.ndarray:
-    """The base member C+ (B~B)^-1 B~ of (2^-e A){1,3m}, or NotExistent13m.
+def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
+    """The member of (2^-e A){1,3m} that 2^e Y selects (the base C+ (B~B)^-1 B~ for Y=None).
 
     A nonsingular Gram at the gate's cutoff is also nonsingular at the
     looser cutoff of :func:`numerical_rank`, so B~B is inverted directly.
@@ -779,7 +791,11 @@ def _base_13m(f: _Factored, tol: Tolerance) -> np.ndarray:
     if f.r == 0 or f.rank_BsB != f.r:
         raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r} (or rank 0)")
     Bs = mink_adjoint(f.B)
-    return moore_penrose(f.C, tol) @ np.linalg.inv(Bs @ f.B) @ Bs
+    X = f.C.conj().T @ np.linalg.inv(Bs @ f.B) @ Bs
+    if Y is None:
+        return X
+    Y = scale_pow2(_shaped("Y", Y, X.shape), f.exp)
+    return X + (np.eye(X.shape[0], dtype=np.complex128) - X @ A) @ Y
 
 
 def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -794,26 +810,23 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     A = as_matrix(A)
     f = _factor(A, tol)
-    base = scale_pow2(_base_14m(f, tol), -f.exp)
-    if Z is None:
-        return base
-    Z = as_matrix(Z)
-    n, m = base.shape
-    if Z.shape != (n, m):
-        raise ShapeMismatch(f"Z must be {n}x{m}, got {Z.shape}")
-    return base + Z @ (np.eye(m, dtype=np.complex128) - A @ base)
+    return scale_pow2(_member_14m(f, scale_pow2(A, -f.exp), Z), -f.exp)
 
 
-def _base_14m(f: _Factored, tol: Tolerance) -> np.ndarray:
-    """The base member C~ (CC~)^-1 B+ of (2^-e A){1,4m}, or NotExistent14m.
+def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
+    """The member of (2^-e A){1,4m} that 2^e Z selects (the base C~ (CC~)^-1 B+ for Z=None).
 
-    The gate's Gram is Sigma CC~ Sigma up to sign flips, so, as in
-    :func:`_base_13m`, CC~ is nonsingular when it is and is inverted directly.
+    The gate's Gram is Sigma CC~ Sigma up to sign flips, so CC~ is
+    nonsingular when it is, and is inverted directly.
     """
     if f.r == 0 or f.rank_CCs != f.r:
         raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r} (or rank 0)")
     Cs = mink_adjoint(f.C)
-    return Cs @ np.linalg.inv(f.C @ Cs) @ moore_penrose(f.B, tol)
+    X = Cs @ np.linalg.inv(f.C @ Cs) @ f.pinv_B
+    if Z is None:
+        return X
+    Z = scale_pow2(_shaped("Z", Z, X.shape), f.exp)
+    return X + Z @ (np.eye(X.shape[1], dtype=np.complex128) - A @ X)
 
 
 def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -848,18 +861,22 @@ def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
 
 def _compose_core(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, None) of compose on the base members of the normalized A factored by ``f``."""
-    return _compose(A, _base_13m(f, tol), _base_14m(f, tol), tol), None
+    return _compose(A, _member_13m(f, A), _member_14m(f, A), tol), None
 
 
 def _compose_inverse(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL,
                      force: bool = False) -> InverseComputation:
     """The CLI's compose: :func:`compose_13m_14m` of the family members Y and Z select.
 
+    One factorization gives both members, on 2^-e A, and A^m exists when they do.
     ``force`` does not apply; it is accepted so that every entry takes the same call.
     """
-    X = compose_13m_14m(A, one_three_m(A, Y, tol), one_four_m(A, Z, tol), tol)
-    return InverseComputation(algorithm=_ALGORITHMS["compose"].name, result=X,
-                              residuals=defining_residuals(A, X))
+    A = as_matrix(A)
+    f = _factor(A, tol)
+    A = scale_pow2(A, -f.exp)
+    X = _compose(A, _member_13m(f, A, Y), _member_14m(f, A, Z), tol)
+    return InverseComputation(algorithm=_ALGORITHMS["compose"].name,
+                              result=scale_pow2(X, -f.exp), residuals=defining_residuals(A, X))
 
 
 # ---------------------------------------------------------------------------
@@ -1044,12 +1061,8 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     P = moore_penrose(As, tol)           # m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    Y = np.zeros((m, m), dtype=np.complex128) if Y is None else as_matrix(Y)
-    Z = np.zeros((n, n), dtype=np.complex128) if Z is None else as_matrix(Z)
-    if Y.shape != (m, m):
-        raise ShapeMismatch(f"Y must be {m}x{m}, got {Y.shape}")
-    if Z.shape != (n, n):
-        raise ShapeMismatch(f"Z must be {n}x{n}, got {Z.shape}")
+    Y = np.zeros((m, m), dtype=np.complex128) if Y is None else _shaped("Y", Y, (m, m))
+    Z = np.zeros((n, n), dtype=np.complex128) if Z is None else _shaped("Z", Z, (n, n))
     left_ann = eye_m - P @ As            # annihilated by A~ on the left
     right_ann = eye_n - As @ P           # annihilates A~ on the right
     B = P @ Am + left_ann @ Y

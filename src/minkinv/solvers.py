@@ -19,6 +19,7 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _shaped,
     as_matrix,
     fro,
     mats_close,
@@ -33,7 +34,6 @@ from .errors import (
     NotExistent,
     NotSquare,
     RankMismatch,
-    ShapeMismatch,
     SingularParam,
     ZeroMatrix,
 )
@@ -66,16 +66,10 @@ class RankEquationInstance:
 
     def __post_init__(self):
         A = as_matrix(self.A)
-        B = as_matrix(self.B)
-        C = as_matrix(self.C)
         m, n = A.shape
-        if B.shape != (m, m):
-            raise ShapeMismatch(f"B must be {m}x{m}, got {B.shape}")
-        if C.shape != (n, n):
-            raise ShapeMismatch(f"C must be {n}x{n}, got {C.shape}")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "B", _shaped("B", self.B, (m, m)))
+        object.__setattr__(self, "C", _shaped("C", self.C, (n, n)))
 
 
 @dataclass(frozen=True)
@@ -98,15 +92,9 @@ class GeneralSolution:
         n, p = self.particular.shape
         X = self.particular.copy()
         if Y is not None:
-            Y = as_matrix(Y)
-            if Y.shape != (n, p):
-                raise ShapeMismatch(f"Y must be {n}x{p}, got {Y.shape}")
-            X = X + (np.eye(n, dtype=np.complex128) - self._A1 @ self._A) @ Y
+            X = X + (np.eye(n, dtype=np.complex128) - self._A1 @ self._A) @ _shaped("Y", Y, (n, p))
         if Z is not None:
-            Z = as_matrix(Z)
-            if Z.shape != (n, p):
-                raise ShapeMismatch(f"Z must be {n}x{p}, got {Z.shape}")
-            X = X + Z @ (np.eye(p, dtype=np.complex128) - self._B @ self._B1)
+            X = X + _shaped("Z", Z, (n, p)) @ (np.eye(p, dtype=np.complex128) - self._B @ self._B1)
         return X
 
 
@@ -120,11 +108,7 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     """
     A = as_matrix(A)
     B = as_matrix(B)
-    D = as_matrix(D)
-    m, n = A.shape
-    p, q = B.shape
-    if D.shape != (m, q):
-        raise ShapeMismatch(f"D must be {m}x{q}, got {D.shape}")
+    D = _shaped("D", D, (A.shape[0], B.shape[1]))
     A1 = one_inverse_sample(A, WA, tol)
     B1 = one_inverse_sample(B, WB, tol)
     recon = A @ A1 @ D @ B1 @ B
@@ -170,9 +154,7 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
         raise RankMismatch(f"rank(A)={r} and rank(B)={r1} must be equal")
     if r == 0:
         raise ZeroMatrix("equivalence construction needs rank >= 1")
-    X1 = as_matrix(X1)
-    if X1.shape != (r, r):
-        raise ShapeMismatch(f"X1 must be {r}x{r}, got {X1.shape}")
+    X1 = _shaped("X1", X1, (r, r))
     if rank_of(X1, tol) < r:
         raise SingularParam("X1 is numerically singular")
 
@@ -180,12 +162,9 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     P1, Q1, _ = _equivalence_decomposition(B, tol)
 
     def blk(shape, given, name):
-        if given is None:
+        if given is None or min(shape) == 0:
             return np.zeros(shape, dtype=np.complex128)
-        given = as_matrix(given) if min(shape) > 0 else np.zeros(shape, dtype=np.complex128)
-        if given.shape != shape:
-            raise ShapeMismatch(f"{name} must be {shape}, got {given.shape}")
-        return given
+        return _shaped(name, given, shape)
 
     Xblk = np.zeros((l, m), dtype=np.complex128)
     Xblk[:r, :r] = X1
@@ -276,33 +255,28 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     while keeping N(T*) = N([K L]); Y1 (n-by-r) and Y2 (n-by-(n-r)) sweep the
     stated free parameters.  For every choice, ``rank_equation_solve`` on
     (A, B, C) returns A^m.  Existence is decided by the one-SVD gate of
-    :func:`~minkinv.minkowski.mink_inverse`.
+    :func:`~minkinv.minkowski.mink_inverse`, whose SVD also gives the HS form.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
-    if not _factor(A, tol).exists:
+    f = _factor(A, tol)
+    if not f.exists:
         raise NotExistent("the construction requires an existent Minkowski inverse")
     n = A.shape[0]
-    hs, _, G1, KL, Delta, Sigma = _hs_blocks(A, tol)
+    hs, _, G1, KL, Delta, Sigma = _hs_blocks(f.B / f.s, np.ldexp(f.s, f.exp), f.C)  # A = 2^e B C
     r = hs.r
     U = hs.U
 
     if X1free is None:
         J = KL.conj().T
     else:
-        X1free = as_matrix(X1free)
-        if X1free.shape != (r, r):
-            raise ShapeMismatch(f"X1free must be {r}x{r}, got {X1free.shape}")
+        X1free = _shaped("X1free", X1free, (r, r))
         if rank_of(X1free, tol) < r:
             raise SingularParam("X1free is numerically singular")
         J = KL.conj().T @ X1free
-    Y1 = np.zeros((n, r), dtype=np.complex128) if Y1 is None else as_matrix(Y1)
-    Y2 = np.zeros((n, n - r), dtype=np.complex128) if Y2 is None else as_matrix(Y2)
-    if Y1.shape != (n, r):
-        raise ShapeMismatch(f"Y1 must be {n}x{r}, got {Y1.shape}")
-    if Y2.shape != (n, n - r):
-        raise ShapeMismatch(f"Y2 must be {n}x{n - r}, got {Y2.shape}")
+    Y1 = np.zeros((n, r), dtype=np.complex128) if Y1 is None else _shaped("Y1", Y1, (n, r))
+    Y2 = np.zeros((n, n - r), dtype=np.complex128) if Y2 is None else _shaped("Y2", Y2, (n, n - r))
 
     T = J @ Sigma @ KL
     Tp = moore_penrose(T, tol)

@@ -301,12 +301,12 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
 
     The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
     once, for the report's ``diagnosis`` and the choice between the existent,
-    refusing and forced verdicts.
+    refusing and forced verdicts; the factorization gives it rank(A), sigma_1 and A+ A.
     """
     A = as_matrix(A)
     f = mk._factor(A, tol)
     A = scale_pow2(A, -f.exp)
-    diag = mk.diagnose_existence(A, tol)
+    diag = mk._diagnose(A, f.r, f.s1, f.C.conj().T @ f.C, tol)
     outcomes = []
 
     def audit(X):

@@ -26,8 +26,8 @@ def isotropic(m, n, seed):
 
 
 def lapack_counts(monkeypatch, call, A):
-    """Calls of numpy's svd, inv, solve and eigvalsh made by ``call(A)``."""
-    counts = dict.fromkeys(("svd", "inv", "solve", "eigvalsh"), 0)
+    """Calls of numpy's svd, inv, solve, eigvalsh and qr made by ``call(A)``."""
+    counts = dict.fromkeys(("svd", "inv", "solve", "eigvalsh", "qr"), 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1

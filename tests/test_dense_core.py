@@ -180,13 +180,21 @@ def test_hs_decomposition_paper_singular_values():
     assert_allclose(hs.sigma, fixtures.EXISTENT_5X5_SINGULAR_VALUES, rtol=5e-4)
 
 
+def _factor_hs(A):
+    """(HS form, matrix) as the HS route builds it: from the gate's SVD of 2^-e A."""
+    f = mi.minkowski._factor(A, mi.DEFAULT_TOL)
+    return mi.dense_core._hs_from_svd(f.B / f.s, f.s, f.C), mi.dense_core.scale_pow2(A, -f.exp)
+
+
 def test_hs_decomposition_invariants(rng):
     A = cgauss(rng, 6, 3) @ cgauss(rng, 3, 6)
-    hs = mi.hs_decomposition(A)
-    assert hs.r == 3
-    assert np.linalg.norm(hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T - np.eye(3)) < 1e-12
-    assert np.linalg.norm(hs.U.conj().T @ hs.U - np.eye(6)) < 1e-12
-    assert np.linalg.norm(hs.U @ hs.core() @ hs.U.conj().T - A) / np.linalg.norm(A) < 1e-12
+    for hs, A, r in [(mi.hs_decomposition(A), A, 3), (*_factor_hs(A), 3),
+                     (*_factor_hs(1e8 * A), 3), (*_factor_hs(cgauss(rng, 5, 5)), 5)]:
+        n = A.shape[0]
+        assert hs.r == r
+        assert np.linalg.norm(hs.K @ hs.K.conj().T + hs.L @ hs.L.conj().T - np.eye(r)) < 1e-12
+        assert np.linalg.norm(hs.U.conj().T @ hs.U - np.eye(n)) < 1e-12
+        assert np.linalg.norm(hs.U @ hs.core() @ hs.U.conj().T - A) / np.linalg.norm(A) < 1e-12
 
 
 def test_hs_decomposition_errors():

@@ -100,6 +100,15 @@ def test_diagnose_isotropic():
     assert d.criteria_agree
 
 
+@pytest.mark.parametrize("m, n, seed", [(2, 1, 80_088), (5, 1, 80_138), (4, 1, 80_174),
+                                        (11, 2, 80_045), (5, 1, 80_307)])
+def test_resolvent_criterion_agrees_on_light_cone_draws(m, n, seed):
+    # rounding in a formed A+ A made A~A + I - A+ A look nonsingular on these draws
+    A = isotropic(m, n, seed)
+    assert mi.diagnose_existence(A).criteria_agree
+    assert mi.cross_check(A).diagnosis.criteria_agree
+
+
 # ---------------------------------------------------------------------------
 # the inverse algorithms on the paper regression matrix
 # ---------------------------------------------------------------------------
@@ -140,6 +149,12 @@ def test_hs_agrees_with_frf():
     X1 = mi.mink_inverse_hs(A).result
     X2 = mi.mink_inverse_frf(A).result
     assert np.linalg.norm(X1 - X2) / np.linalg.norm(X2) < 1e-9
+
+
+def test_hs_zero_matrix():
+    for force in (False, True):
+        with pytest.raises(mi.ZeroMatrix):
+            mi.mink_inverse_hs(np.zeros((3, 3)), force=force)
 
 
 def test_hs_not_square():
@@ -566,6 +581,23 @@ def test_refusal_traceback_pins_no_large_arrays():
             pinned += sum(a.nbytes for a in _arrays_held(value) if a is not A)
         tb = tb.tb_next
     assert pinned < A.nbytes / 4
+
+
+@pytest.mark.parametrize("A", [
+    existent(9, 5, 3, seed=21),                     # tall, rank-deficient
+    existent(4, 9, 4, seed=22),                     # wide, full row rank
+    existent(8, 8, 5, seed=23, scale=1e-100),       # square, rank-deficient
+    cgauss(np.random.default_rng(24), 7, 3),        # tall, full column rank
+    isotropic(6, 4, seed=25),                       # rank 1, no inverse
+])
+def test_factor_pseudoinverses_match_moore_penrose(A):
+    # A+ = C* Sigma^-2 B*, B+ = Sigma^-2 B* and C+ = C* of 2^-e A = B C, and A+ A = C* C
+    f = mi.minkowski._factor(mi.as_matrix(A), mi.DEFAULT_TOL)
+    An = scale_pow2(A, -f.exp)
+    for closed, ref in [(f.pinv_A, mi.moore_penrose(An)), (f.pinv_B, mi.moore_penrose(f.B)),
+                        (f.C.conj().T, mi.moore_penrose(f.C)),
+                        (f.C.conj().T @ f.C, mi.moore_penrose(An) @ An)]:
+        assert mi.fro(closed - ref) <= mi.DEFAULT_TOL.eq_bound(mi.fro(ref))
 
 
 def test_zero_matrix_inverse():

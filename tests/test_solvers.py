@@ -190,7 +190,7 @@ def test_solvers_gate_on_one_factorization(monkeypatch):
     # one SVD and two Gram eigvalsh gate, two r-by-r inverses give A^m, and
     # three rank tests verify the idempotents and the bordered matrix
     assert lapack_counts(monkeypatch, mi.mink_rank_characterization, A55) == {
-        "svd": 4, "inv": 2, "solve": 0, "eigvalsh": 2}
+        "svd": 4, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
 
 
 def test_bc_parameterization_requires_existence():

@@ -187,23 +187,25 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     # the benchmark's count-baseline input: 50x50, rank 30, seed 1
     A = existent(50, 50, 30, seed=1)
     assert lapack_counts(monkeypatch, mi.mink_inverse, A) == {
-        "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2}
+        "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
+    # the routes' own products and the diagnosis's seven product ranks, and
+    # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary
     assert lapack_counts(monkeypatch, mi.cross_check, A) == {
-        "svd": 27, "inv": 10, "solve": 0, "eigvalsh": 2}
+        "svd": 21, "inv": 10, "solve": 0, "eigvalsh": 2, "qr": 1}
     assert lapack_counts(monkeypatch, mi.diagnose_existence, A) == {
-        "svd": 9, "inv": 0, "solve": 0, "eigvalsh": 0}
+        "svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
     X = mi.mink_inverse(A)
     # each auditor takes one factorization of A and no other SVD
     assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, X), A) == {
-        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2, "qr": 0}
     assert lapack_counts(monkeypatch, lambda A: mi.moore_style_check(A, X), A) == {
-        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2, "qr": 0}
     # `minkinv check` runs both auditors on that one factorization
     a, x = str(tmp_path / "a.json"), str(tmp_path / "x.json")
     mi.write_matrix(a, A)
     mi.write_matrix(x, X)
     assert lapack_counts(monkeypatch, lambda A: main(["check", a, x]), A) == {
-        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2}
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2, "qr": 0}
 
 
 @pytest.fixture
@@ -226,6 +228,18 @@ def test_cross_check_factors_once(factor_calls):
         factor_calls.clear()
         assert mi.cross_check(A, force=force).verdict
         assert len(factor_calls) == 1
+
+
+def test_cli_compose_factors_once(factor_calls, monkeypatch, tmp_path):
+    a, x = str(tmp_path / "a.json"), str(tmp_path / "x.json")
+    mi.write_matrix(a, existent(50, 50, 30, seed=1))
+    for seed in ([], ["--seed", "3"]):
+        factor_calls.clear()
+        assert main(["inverse", a, x, "--algo", "compose", *seed]) == 0
+        assert len(factor_calls) == 1
+    # lapack_counts undoes every patch of this test, so it runs last
+    assert lapack_counts(monkeypatch, lambda a: main(["inverse", a, x, "--algo", "compose"]),
+                         a) == {"svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
 
 
 def test_auditors_factor_once(factor_calls):
@@ -316,14 +330,15 @@ def test_cli_check_audits_equal_the_two_auditors(A, X):
 
 
 def test_cross_check_diagnoses_once(monkeypatch):
+    # cross_check feeds the diagnosis core from its factorization
     calls = []
-    real = mi.minkowski.diagnose_existence
+    real = mi.minkowski._diagnose
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mi.minkowski, "diagnose_existence", counted)
+    monkeypatch.setattr(mi.minkowski, "_diagnose", counted)
     assert mi.cross_check(existent(6, 6, 4, seed=2)).verdict
     assert len(calls) == 1
     assert mi.cross_check(isotropic(5, 4, seed=3)).verdict
