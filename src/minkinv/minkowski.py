@@ -28,6 +28,7 @@ cores are listed once, in the table ``_ALGORITHMS``, which the public
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +54,6 @@ from .dense_core import (
     rank_of,
     rel_residual,
     scale_pow2,
-    sigma_max,
 )
 from .errors import (
     BlockSingular,
@@ -355,22 +355,41 @@ def _gram_rank(H, dim: int, s1: float, tol: Tolerance) -> int:
     return int(np.sum(lam > cutoff))
 
 
+_last = (None, None)   # ((tol, shape, SHA-256 of the bytes of A), _Factored) of the last _factor
+
+
+def _forget_factor() -> None:
+    """Drop the remembered factorization, so that the next :func:`_factor` is cold."""
+    global _last
+    _last = (None, None)
+
+
 def _factor(A, tol: Tolerance) -> _Factored:
-    """Normalize A by a power of two, take one compact SVD, rank the two Grams."""
-    m, n = A.shape
+    """Normalize A by a power of two, take one compact SVD, rank the two Grams.
+
+    The last result is remembered, keyed on ``tol``, the shape of A and a
+    digest of its bytes: a later call on bit-identical A (-0.0 is not 0.0)
+    returns the same ``_Factored``, with read-only arrays, and takes no LAPACK call.
+    """
+    global _last
+    key = (tol, A.shape, hashlib.sha256(np.ascontiguousarray(A)).digest())
+    last_key, last_f = _last
+    if last_key == key:
+        return last_f
     exp = pow2_exponent(A)
     U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
     r = _rank_from_spectrum(sv, A.shape, tol).rank
     s1 = float(sv[0])
     B = U[:, :r] * sv[:r]
     C = Vh[:r].copy()
-    if r == 0:
-        return _Factored(exp, sv, B, C, 0, 0)
-    SC = sv[:r, None] * C
-    dim = max(m, n)
-    return _Factored(exp, sv, B, C,
-                     rank_BsB=_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
-                     rank_CCs=_gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol))
+    for a in (sv, B, C):
+        a.flags.writeable = False
+    SC, dim = sv[:r, None] * C, max(A.shape)
+    ranks = (_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
+             _gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol)) if r else (0, 0)
+    f = _Factored(exp, sv, B, C, *ranks)
+    _last = (key, f)
+    return f
 
 
 def _require_existence(f: _Factored, force: bool = False) -> _Factored:
@@ -933,13 +952,13 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
 
     Fixes X = A (AA~A)^(1) and Y = (AA~A)^(1) A with the pseudoinverse as the
     {1}-inverse; existence makes rank(AA~A) = rank(A), which is exactly what
-    the recovery identities need.  Both identities are verified before
-    returning.
+    the recovery identities need.  The cutoff anchor sigma_1(A) = 2^e s_1
+    comes from the gate.  Both identities are verified before returning.
     """
     A = as_matrix(A)
-    _factor_gate(A, tol)
+    f = _factor_gate(A, tol)
     M = A @ mink_adjoint(A) @ A
-    Mp = moore_penrose(M, tol, scale=sigma_max(A) ** 3)
+    Mp = moore_penrose(M, tol, scale=float(np.ldexp(f.s1, f.exp)) ** 3)
     X = A @ Mp
     Y = Mp @ A
     scale = fro(A)
@@ -1055,10 +1074,11 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     from the same Y and Z so a single signature drives all three witnesses.
     """
     A = as_matrix(A)
-    Am = _inverse_of(_factor_gate(A, tol), tol)
+    f = _factor_gate(A, tol)
+    Am = _inverse_of(f, tol)
     m, n = A.shape
     As = mink_adjoint(A)
-    P = moore_penrose(As, tol)           # m x n
+    P = scale_pow2(mink_adjoint(f.pinv_A), -f.exp)   # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
     Y = np.zeros((m, m), dtype=np.complex128) if Y is None else _shaped("Y", Y, (m, m))

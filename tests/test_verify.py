@@ -6,7 +6,7 @@ import pytest
 import minkinv as mi
 from minkinv import fixtures, verify
 from minkinv.cli import main
-from conftest import cgauss, existent, block_existent, isotropic, lapack_counts
+from conftest import cgauss, existent, block_existent, isotropic, lapack_counts, light_cone
 from reference_audit import reference_audit
 
 A55 = fixtures.existent_5x5()
@@ -208,6 +208,23 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 2, "qr": 0}
 
 
+def test_compute_then_certify_factors_once(monkeypatch):
+    # check_candidate after mink_inverse on the same A reuses its factorization
+    A = existent(50, 50, 30, seed=1)
+    assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, mi.mink_inverse(A)), A) == {
+        "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
+
+
+def test_witness_lapack_counts(monkeypatch):
+    # (A~)+ = (A+)~ and sigma_1(A) come from the gate; factorization_witnesses
+    # keeps the pseudoinverse of its own product AA~A
+    A = existent(50, 50, 30, seed=1)
+    assert lapack_counts(monkeypatch, mi.bjerhammar_witnesses, A) == {
+        "svd": 1, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
+    assert lapack_counts(monkeypatch, mi.factorization_witnesses, A) == {
+        "svd": 2, "inv": 0, "solve": 0, "eigvalsh": 2, "qr": 0}
+
+
 @pytest.fixture
 def factor_calls(monkeypatch):
     """The list that every call of ``minkowski._factor`` appends to."""
@@ -360,17 +377,11 @@ def _candidates(rng, A):
     return [X, _perturbed(rng, X, 1e-9), _perturbed(rng, X, 1e-3), np.linalg.pinv(A)]
 
 
-def _light_cone(eps):
-    x = np.array([1.0, 1.0 - eps, 0.0, 0.0])
-    c = np.array([1.0, 0.3, 0.2j, 0.1])
-    return np.outer(x, c.conj())
-
-
 def _audit_inputs(family):
     """Unit-scale inputs of one family: random shapes and ranks, isotropic, or light-cone."""
     rng = np.random.default_rng(61)
     if family == "light_cone":
-        return [_light_cone(10.0 ** -k) for k in range(1, 12)]
+        return [light_cone(10.0 ** -k) for k in range(1, 12)]
     if family == "isotropic":
         return [isotropic(int(rng.integers(2, 12)), int(rng.integers(1, 12)), seed=6200 + i)
                 for i in range(12)]
@@ -394,9 +405,9 @@ def test_check_candidate_matches_the_rank_reference(family):
     (existent(8, 8, 5, seed=7, scale=1e-8), False),
     (existent(8, 8, 5, seed=7, scale=1e8), False),
     (isotropic(6, 6, seed=4), True),
-    (_light_cone(1e-5), False),
-    (_light_cone(1e-9), False),
-    (_light_cone(1e-11), True),
+    (light_cone(1e-5), False),
+    (light_cone(1e-9), False),
+    (light_cone(1e-11), True),
 ])
 def test_cross_check_audits_match_the_rank_reference(A, force):
     for o in mi.cross_check(A, force=force).outcomes:
