@@ -16,7 +16,11 @@ matrix 2^-e A, with 2^e the power of two of :func:`pow2_exponent`, gives
 A = 2^e B C, and NotExistent is raised unless both r-by-r metric Grams B~B
 and CC~ are nonsingular.  That is the rank-triple criterion of
 :func:`diagnose_existence`, whose five criteria run only where their
-evidence is asked for.  The algorithm then evaluates its formula on 2^-e A
+evidence is asked for.  The metric is a rank-one update of -I,
+G = 2 e1 e1* - I, so each Gram is Sigma (2 u u* - I) Sigma up to sign flips,
+with u the first row of a singular basis: the gate ranks it by an O(r)
+inertia count, and :func:`mink_inverse` inverts it by Sherman-Morrison,
+so neither forms a Gram.  The algorithm then evaluates its formula on 2^-e A
 and scales the result back by 2^-e, which is exact, so it holds at every
 scale of the double range; its residuals are those of the normalized pair,
 which equal the residuals of (A, result).  Each formula lives in a private
@@ -199,14 +203,19 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     (d) rank((AA~)^2) = rank(AA~) and rank([AA~ | A]) = rank(AA~);
     (e) A~A + I - A+ A nonsingular.
 
-    ``exists`` is criterion (a).  All ranks share one cutoff convention, with
-    product cutoffs anchored at the appropriate power of sigma_max(A).  Each
-    rank is taken once: rank(A), sigma_max(A) and the projector
-    A+ A = V_r V_r* come from one SVD of A, and the indices from rank(M) and
-    rank(M^2), with :func:`index_of` walking further powers only when the
-    index exceeds one.
+    ``exists`` is criterion (a).  The criteria are evaluated on the
+    normalized matrix 2^-e A of :func:`pow2_exponent`, whose ranks are those
+    of A, so the diagnosis does not depend on the scale of A.  All ranks
+    share one cutoff convention, with product cutoffs anchored at the
+    appropriate power of sigma_max(A); the resolvent, which mixes |A|^2 with
+    1, is cut off at max(1, sigma_max(A)^2) with the width max(m, n) of the
+    other product ranks.  Each rank is taken once: rank(A), sigma_max(A)
+    and the projector A+ A = V_r V_r* come from one SVD of A, and the
+    indices from rank(M) and rank(M^2), with :func:`index_of` walking
+    further powers only when the index exceeds one.
     """
     A = as_matrix(A)
+    A = scale_pow2(A, -pow2_exponent(A))
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
     r = _rank_from_spectrum(s, A.shape, tol).rank
     return _diagnose(A, r, float(s[0]), Vh[:r].conj().T @ Vh[:r], tol)
@@ -237,7 +246,8 @@ def _diagnose(A, rank_A: int, sA: float, ApA, tol: Tolerance) -> ExistenceDiagno
     range_A_in_AAs = rank_of(np.hstack([AAs, A]), tol, scale=max(sA, s2)) == rank_AAs
 
     resolvent = AsA + np.eye(n, dtype=np.complex128) - ApA
-    resolvent_nonsingular = rank_of(resolvent, tol, scale=max(1.0, s2)) == n
+    resolvent_nonsingular = _rank_from_spectrum(np.linalg.svd(resolvent, compute_uv=False),
+                                                A.shape, tol, scale=max(1.0, s2)).rank == n
 
     criteria = {
         "rank_triple": rank_AAs == rank_AsA == rank_A,
@@ -302,16 +312,24 @@ class _Factored:
     workspace.  G U_r and G V_r = G C* are orthonormal bases of N(A~)^perp
     and R(A~), on which the audits test candidates (see :func:`_space_tests`);
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
-    ``rank_BsB`` and ``rank_CCs`` are the ranks of the Hermitian r-by-r Grams
-    B* G B = Sigma (U_r* G U_r) Sigma and Sigma (V_r* G V_r) Sigma, which
-    differ from B~B and Sigma CC~ Sigma by sign flips and carry the nonzero
-    singular values of A~A and AA~ respectively.
+
+    The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
+    Hermitian r-by-r Grams B* G B = Sigma (2 u u* - I) Sigma and
+    C G C* = 2 v v* - I, with u = U_r* e1 and v = V_r* e1, are known from
+    the SVD; they differ from B~B and CC~ by sign flips.  ``d_u`` and ``d_v``
+    are their light-cone margins p*Gp / p*p, with p = U_r u (resp. V_r v)
+    the projection of e1 on R(U_r) (resp. R(V_r)); in exact arithmetic
+    d_u = 2 ||u||^2 - 1.  ``rank_BsB`` and ``rank_CCs`` are the ranks of
+    B* G B and Sigma (C G C*) Sigma, which carry the nonzero singular
+    values of A~A and AA~ (see :func:`_gram_rank`).
     """
 
     exp: int
     sv: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    d_u: float
+    d_v: float
     rank_BsB: int
     rank_CCs: int
 
@@ -340,19 +358,40 @@ class _Factored:
         return self.rank_BsB == self.rank_CCs == self.r
 
 
-def _gram_rank(H, dim: int, s1: float, tol: Tolerance) -> int:
-    """Rank of a Hermitian Gram, cut off as the rank triple cuts off A~A and AA~.
+def _cone_margin(Q, w) -> float:
+    """p*Gp / p*p of p = Q w, the projection of e1 on R(Q) for w = Q* e1 (-1 when p = 0)."""
+    g = np.abs(Q @ w) ** 2
+    pp = g.sum()
+    return float((g[0] - g[1:].sum()) / pp) if pp else -1.0
 
-    The cutoff is rank_rtol * max(m, n) * max(sigma_1(H), sigma_1(A)^2):
-    anchored at the size the metric product has without cancellation, so the
-    O(eps) rounding left by an exactly cancelling light-cone Gram ranks 0.
-    It takes max(m, n), not the order of the product, because the r-by-r
+
+def _gram_rank(w, d: float, s2, cut: float) -> int:
+    """Rank of Sigma (2 w w* - I) Sigma, Sigma^2 = diag(s2), with margin d = 2 ||w||^2 - 1.
+
+    Counts the eigenvalues outside [-cut, cut] by inertia, in O(r).  With
+    D = Sigma^2 + x I nonsingular, Haynsworth inertia additivity on the
+    bordered matrix [[-D, Sigma w], [(Sigma w)*, -1/2]] gives
+
+        #{eigenvalues < x} = #{i : s2_i > -x} - 1 + [t(x) < 0],
+        #{eigenvalues > x} = #{i : s2_i < -x} + [t(x) > 0],
+        t(x) = d / 2 - x sum_i |w_i|^2 / (s2_i + x),
+
+    where the |w_i|^2 are rescaled to sum to (1 + d) / 2, so that the
+    margin d, taken G-weighted from the basis, stands in for 2 ||w||^2 - 1
+    and an exactly isotropic input keeps its exact 0.  ``cut`` is
+    rank_rtol * max(m, n) * sigma_1^2, the size the metric product has
+    without cancellation, so the O(eps) rounding of an exactly cancelling
+    light-cone Gram ranks 0.  It takes max(m, n), not r, because the r-by-r
     Gram keeps more of that rounding than the full product does (a 6x2
     light-cone draw left 3.3e-16 against an order-2 cutoff of 2.7e-16).
     """
-    lam = np.abs(np.linalg.eigvalsh(H))
-    cutoff = tol.rank_rtol * dim * max(float(lam.max()), s1 * s1)
-    return int(np.sum(lam > cutoff))
+    a = np.abs(w) ** 2
+    total = a.sum()
+    a = a * ((1.0 + d) / (2.0 * total)) if total else a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over = d / 2 - cut * np.sum(a / (s2 + cut)) > 0         # t(cut) > 0
+        under = d / 2 + cut * np.sum(a / (s2 - cut)) < 0        # t(-cut) < 0
+    return int(over) + int(np.sum(s2 > cut)) - 1 + int(under)
 
 
 _last = (None, None)   # ((tol, shape, SHA-256 of the bytes of A), _Factored) of the last _factor
@@ -367,6 +406,10 @@ def _forget_factor() -> None:
 def _factor(A, tol: Tolerance) -> _Factored:
     """Normalize A by a power of two, take one compact SVD, rank the two Grams.
 
+    The Grams are not formed: their light-cone margins come from the
+    projections of e1 on the singular bases, and their ranks from an O(r)
+    inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
+
     The last result is remembered, keyed on ``tol``, the shape of A and a
     digest of its bytes: a later call on bit-identical A (-0.0 is not 0.0)
     returns the same ``_Factored``, with read-only arrays, and takes no LAPACK call.
@@ -379,15 +422,16 @@ def _factor(A, tol: Tolerance) -> _Factored:
     exp = pow2_exponent(A)
     U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
     r = _rank_from_spectrum(sv, A.shape, tol).rank
-    s1 = float(sv[0])
-    B = U[:, :r] * sv[:r]
+    Ur = U[:, :r]
+    B = Ur * sv[:r]
     C = Vh[:r].copy()
     for a in (sv, B, C):
         a.flags.writeable = False
-    SC, dim = sv[:r, None] * C, max(A.shape)
-    ranks = (_gram_rank(B.conj().T @ apply_metric_left(B), dim, s1, tol),
-             _gram_rank(apply_metric_right(SC) @ SC.conj().T, dim, s1, tol)) if r else (0, 0)
-    f = _Factored(exp, sv, B, C, *ranks)
+    u, v = Ur[0].conj(), C[:, 0]                 # U_r* e1, V_r* e1
+    d_u, d_v = (_cone_margin(Ur, u), _cone_margin(C.conj().T, v)) if r else (-1.0, -1.0)
+    s2, cut = sv[:r] ** 2, tol.rank_rtol * max(A.shape) * float(sv[0]) ** 2
+    ranks = (_gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut)) if r else (0, 0)
+    f = _Factored(exp, sv, B, C, d_u, d_v, *ranks)
     _last = (key, f)
     return f
 
@@ -476,11 +520,26 @@ def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
     return Cs @ inv(f.C @ Cs, f.rank_CCs) @ inv(Bs @ f.B, f.rank_BsB) @ Bs
 
 
-def _inverse_of(f: _Factored, tol: Tolerance) -> np.ndarray:
-    """A^m from the factorization of A (the zero matrix for rank 0)."""
+def _inverse_of(f: _Factored) -> np.ndarray:
+    """A^m from the factorization of an existent A (the zero matrix for rank 0).
+
+    The formula of :func:`_frf` with both Gram inverses in closed form.  With
+    G = 2 e1 e1* - I, Sherman-Morrison gives (2 u u* - I)^-1 = -I + (2/d_u) u u*
+    and likewise for v, so C~ (CC~)^-1 (B~B)^-1 B~ of 2^-e A is
+
+        G (-V_r + (2/d_v) q v*) Sigma^-1 (-U_r* + (2/d_u) u p*) G,
+
+    with p = U_r u and q = V_r v: one n-by-r by r-by-m product, and no Gram
+    product or inverse.
+    """
     if f.r == 0:
         return np.zeros((f.C.shape[1], f.B.shape[0]), dtype=np.complex128)
-    return scale_pow2(_frf(f, tol), -f.exp)
+    Ur, Vr = f.B / f.s, f.C.conj().T
+    u, v = Ur[0].conj(), f.C[:, 0]
+    left = np.outer((2 / f.d_v) * (Vr @ v), v.conj()) - Vr
+    right = np.outer((2 / f.d_u) * u, (Ur @ u).conj()) - Ur.conj().T
+    X = apply_metric_left(left / f.s) @ apply_metric_right(right)
+    return scale_pow2(X, -f.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +828,16 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     once: one compact SVD of the normalized matrix 2^-e A gives A = 2^e B C,
     the rank-r Grams B~B and CC~ decide existence (the rank-triple criterion
     of :func:`diagnose_existence`, without its other four criteria), and
-    A^m = 2^-e C~ (CC~)^-1 (B~B)^-1 B~.  Scaling by 2^e is exact, so
+    A^m = 2^-e C~ (CC~)^-1 (B~B)^-1 B~.  The Grams are ranked by an inertia
+    count and inverted by Sherman-Morrison from the SVD alone, so the SVD is
+    its only LAPACK call; ``mink_inverse_frf`` evaluates the same formula
+    with formed and inverted Grams.  Scaling by 2^e is exact, so
     ``mink_inverse(2**j * A) == mink_inverse(A) / 2**j`` bit for bit.  The
     zero matrix maps to the zero matrix (every defining equation holds
     trivially for X = 0).
     """
     A = as_matrix(A)
-    return _inverse_of(_factor_gate(A, tol), tol)
+    return _inverse_of(_factor_gate(A, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1137,7 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     """
     A = as_matrix(A)
     f = _factor_gate(A, tol)
-    Am = _inverse_of(f, tol)
+    Am = _inverse_of(f)
     m, n = A.shape
     As = mink_adjoint(A)
     P = scale_pow2(mink_adjoint(f.pinv_A), -f.exp)   # (A~)+ = (A+)~ from the gate, m x n

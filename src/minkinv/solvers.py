@@ -217,7 +217,7 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     if not f.exists:
         raise NotExistent("the characterization requires an existent Minkowski inverse")
     r = f.r
-    Am = _inverse_of(f, tol)
+    Am = _inverse_of(f)
     X = np.eye(n, dtype=np.complex128) - Am @ A
     Y = np.eye(m, dtype=np.complex128) - A @ Am
 

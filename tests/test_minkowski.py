@@ -101,12 +101,25 @@ def test_diagnose_isotropic():
 
 
 @pytest.mark.parametrize("m, n, seed", [(2, 1, 80_088), (5, 1, 80_138), (4, 1, 80_174),
-                                        (11, 2, 80_045), (5, 1, 80_307)])
+                                        (11, 2, 80_045), (5, 1, 80_307),
+                                        (9, 2, 80_641), (5, 3, 80_993)])
 def test_resolvent_criterion_agrees_on_light_cone_draws(m, n, seed):
-    # rounding in a formed A+ A made A~A + I - A+ A look nonsingular on these draws
+    # rounding in a formed A+ A made A~A + I - A+ A look nonsingular on these
+    # draws; on the last two, so did a resolvent cutoff of width n, not max(m, n)
     A = isotropic(m, n, seed)
     assert mi.diagnose_existence(A).criteria_agree
     assert mi.cross_check(A).diagnosis.criteria_agree
+
+
+@pytest.mark.parametrize("k", (-300, -100, -8, 8, 100, 300))
+def test_diagnose_at_every_scale(k):
+    # the criteria run on 2^-e A, so no product over- or underflows and the
+    # resolvent's shift I keeps the scale of A~A
+    d = mi.diagnose_existence(10.0 ** k * fixtures.existent_5x5())
+    assert d.exists and d.criteria_agree
+    assert d.ranks() == mi.diagnose_existence(fixtures.existent_5x5()).ranks()
+    d = mi.diagnose_existence(10.0 ** k * fixtures.nonexistent_5x4())
+    assert not d.exists and d.criteria_agree
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +555,17 @@ def test_direct_algorithms_scale_covariance(k):
     }
     for name, X in results.items():
         assert np.linalg.norm(X - want) <= 1e-8 * np.linalg.norm(want), f"{name} at k={k}"
+
+
+@pytest.mark.parametrize("k", (-100, -8, 0, 8, 100))
+def test_closed_form_inverse_matches_frf(k):
+    # mink_inverse inverts the two Grams in closed form, the frf route
+    # forms and inverts them: two evaluations of one formula
+    for seed in range(12):
+        m, n = 3 + seed % 5, 2 + seed % 7
+        A = existent(m, n, 1 + seed % min(m, n), seed=90_000 + seed, scale=10.0 ** k)
+        X = mi.mink_inverse(A)
+        assert np.linalg.norm(X - mi.mink_inverse_frf(A).result) <= 1e-8 * np.linalg.norm(X)
 
 
 def test_adjoint_commutation():

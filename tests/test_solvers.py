@@ -187,10 +187,10 @@ def test_characterization_requires_existence():
 
 
 def test_solvers_gate_on_one_factorization(monkeypatch):
-    # one SVD and two Gram eigvalsh gate, two r-by-r inverses give A^m, and
-    # three rank tests verify the idempotents and the bordered matrix
+    # one SVD gates and gives A^m in closed form, and three rank tests
+    # verify the idempotents and the bordered matrix
     assert lapack_counts(monkeypatch, mi.mink_rank_characterization, A55) == {
-        "svd": 4, "inv": 2, "solve": 0, "eigvalsh": 2, "qr": 0}
+        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_bc_parameterization_requires_existence():
