@@ -26,14 +26,18 @@ def _degenerate_range(rng, m, r):
     return np.hstack([x, Y])
 
 
-def gate_corpus(rng, reps):
-    """Inputs on both sides of the gate's decision, ``reps`` seeded draws per family."""
-    # exactly isotropic 2x2s: the columns or the rows are multiples of (1, +-1)
+def _isotropic_2x2s():
+    """Integer 2x2s whose columns, or rows, are multiples of the null vector (1, +-1)."""
     for a, b, sign in itertools.product(range(-2, 3), range(-2, 3), (1, -1)):
         if a or b:
             M = np.array([[a, b], [sign * a, sign * b]])
             yield M
             yield M.T
+
+
+def gate_corpus(rng, reps):
+    """Inputs on both sides of the gate's decision, ``reps`` seeded draws per family."""
+    yield from _isotropic_2x2s()
     for _ in range(reps):
         m, n = rng.integers(1, 5, size=2)
         yield rng.integers(-2, 3, size=(m, n)) + 1j * rng.integers(-1, 2, size=(m, n)) * rng.integers(0, 2)
@@ -94,9 +98,6 @@ def test_inertia_gate_matches_gram_products():
 
 def test_exactly_isotropic_inputs_are_refused():
     # a margin taken as 2 ||u||^2 - 1 reads rounding, not 0, on these
-    for a, b, sign in itertools.product(range(-2, 3), range(-2, 3), (1, -1)):
-        if a or b:
-            M = np.array([[a, b], [sign * a, sign * b]])
-            for A in (M, M.T):
-                f = minkowski._factor(as_matrix(A), minkowski.DEFAULT_TOL)
-                assert (f.r, f.exists) == (1, False), A
+    for A in _isotropic_2x2s():
+        f = minkowski._factor(as_matrix(A), minkowski.DEFAULT_TOL)
+        assert (f.r, f.exists) == (1, False), A
