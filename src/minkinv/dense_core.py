@@ -16,6 +16,10 @@ matrices (products, residual projectors):
 * ``floor`` is an absolute cutoff floor used when a rank test verifies an
   algebraic identity at equality tolerance: singular values below the
   verification tolerance are indistinguishable from zero.
+
+A product whose column and row spaces lie in known r-dimensional subspaces
+is ranked, pseudo-inverted or group-inverted from the SVD of its r-by-r core
+(``_core_svd``, ``_group_of_svd``), with the cutoff of the product itself.
 """
 
 from __future__ import annotations
@@ -271,24 +275,66 @@ def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL,
 def group_inverse(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
     """Group inverse of an index-one square matrix.
 
-    Uses the full-rank-factorization form M# = F (GF)^-2 G with M = F G.
-    The precondition rank(M^2) = rank(M) is checked and IndexNotOne raised
-    otherwise.  The zero matrix returns the zero matrix.
+    Uses the full-rank-factorization form M# = F (GF)^-2 G with M = F G, the
+    factors of one compact SVD (see :func:`_group_of_svd`).  The
+    precondition rank(M^2) = rank(M) is checked on the r-by-r core of that
+    SVD and IndexNotOne raised otherwise.  The zero matrix returns the zero
+    matrix.
     """
     M = as_matrix(M)
     _require_square(M)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     r = _rank_from_spectrum(s, M.shape, tol, scale).rank
+    return _group_of_svd(U[:, :r], s[:r], Vh[:r], M.shape, tol, scale)
+
+
+def _group_of_svd(U, s, Vh, shape, tol: Tolerance, scale: float | None = None,
+                  force: bool = False) -> np.ndarray:
+    """F (GF)^-2 G of the square M = F G of ``shape``, F = U diag(s) and G = Vh.
+
+    U diag(s) Vh is a compact SVD of M truncated at its rank k = s.size.
+    Then M^2 = U (s GF) Vh, so rank(M^2) is the rank of the k-by-k s GF at
+    the cutoff of M^2 (anchor ``scale``^2), and M^2 is never formed.
+    IndexNotOne unless that rank is k; ``force`` pseudo-inverts (GF)^2
+    instead, so that the breakdown stays observable.
+    """
+    k = s.size
+    if k == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    F = U * s
+    GF = Vh @ F
     scale2 = None if scale is None else scale * scale
-    r2 = rank_of(M @ M, tol, scale=scale2)
-    if r2 != r:
-        raise IndexNotOne(f"rank(M^2)={r2} != rank(M)={r}; index exceeds one")
-    if r == 0:
-        return np.zeros_like(M)
-    F = U[:, :r] * s[:r]         # M = F G, the full-rank factorization of the same SVD
-    G = Vh[:r, :]
-    GF = G @ F
-    return F @ np.linalg.inv(GF @ GF) @ G
+    r2 = _rank_from_spectrum(np.linalg.svd(s[:, None] * GF, compute_uv=False),
+                             shape, tol, scale2).rank
+    if r2 != k and not force:
+        raise IndexNotOne(f"rank(M^2)={r2} != rank(M)={k}; index exceeds one")
+    GF2 = GF @ GF
+    return F @ (np.linalg.inv(GF2) if r2 == k else moore_penrose(GF2, tol)) @ Vh
+
+
+def _core_svd(M, L, R=None, tol: Tolerance = DEFAULT_TOL, scale: float | None = None,
+              compute_uv: bool = True):
+    """The rank report of M from the SVD of its core L* M R, and with ``compute_uv`` its SVD.
+
+    L and R have orthonormal columns with R(M) within R(L) and R(M*) within
+    R(R); R=None stands for the identity.  Then M = L K R* with K = L* M R,
+    the singular values of M are those of K plus zeros, and
+    pinv(M) = R pinv(K) L*.  When L and R have fewer columns than M has
+    rows and columns, K is the smaller matrix to factor.  The rank takes the
+    cutoff of M itself, with the width max(M.shape) and the anchor ``scale``
+    of :func:`numerical_rank`.  With ``compute_uv`` the result is
+    ``(report, U, Vh)``, where M = U diag(s) Vh is truncated at the rank:
+    U = L U_K and Vh = Vh_K R* are the core's singular bases lifted back.
+    """
+    K = L.conj().T @ M
+    if R is not None:
+        K = K @ R
+    if not compute_uv:
+        return _rank_from_spectrum(np.linalg.svd(K, compute_uv=False), M.shape, tol, scale)
+    U, s, Vh = np.linalg.svd(K, full_matrices=False)
+    rep = _rank_from_spectrum(s, M.shape, tol, scale)
+    U, Vh = L @ U[:, :rep.rank], Vh[:rep.rank]
+    return rep, U, Vh if R is None else Vh @ R.conj().T
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,11 @@ core that takes the factorization and 2^-e A, so a caller that runs several
 algorithms on one matrix (``verify.cross_check``) factors it once.  The
 cores are listed once, in the table ``_ALGORITHMS``, which the public
 ``mink_inverse_*`` functions, ``cross_check`` and ``minkinv inverse`` share.
+
+The products that the diagnosis ranks and the Zlobec and group routes
+invert have their column and row spaces among R(U_r), G R(U_r), R(V_r) and
+G R(V_r) of that SVD, so each is formed from A and then factored on its
+r-by-r core (``dense_core._core_svd``), not by an m-by-m or n-by-n SVD.
 """
 
 from __future__ import annotations
@@ -41,19 +46,18 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _core_svd,
+    _group_of_svd,
     _hs_from_svd,
     _one_inverse,
     _rank_from_spectrum,
     _shaped,
     as_matrix,
     fro,
-    full_rank_factorization,
-    group_inverse,
     index_of,
     mats_close,
     moore_penrose,
     numerical_rank,
-    one_inverse_sample,
     pow2_exponent,
     rank_of,
     rel_residual,
@@ -209,43 +213,56 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     share one cutoff convention, with product cutoffs anchored at the
     appropriate power of sigma_max(A); the resolvent, which mixes |A|^2 with
     1, is cut off at max(1, sigma_max(A)^2) with the width max(m, n) of the
-    other product ranks.  Each rank is taken once: rank(A), sigma_max(A)
-    and the projector A+ A = V_r V_r* come from one SVD of A, and the
-    indices from rank(M) and rank(M^2), with :func:`index_of` walking
-    further powers only when the index exceeds one.
+    other product ranks.  Everything comes from one SVD of A, the gate's
+    factorization (remembered like every gate's): rank(A), sigma_max(A), the
+    projector A+ A = V_r V_r*, and the bases in which each product is
+    ranked on its r-by-r core (see :func:`_diagnose`).  The indices come
+    from rank(M) and rank(M^2), with :func:`index_of` walking further powers
+    only when the index exceeds one.
     """
     A = as_matrix(A)
-    A = scale_pow2(A, -pow2_exponent(A))
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = _rank_from_spectrum(s, A.shape, tol).rank
-    return _diagnose(A, r, float(s[0]), Vh[:r].conj().T @ Vh[:r], tol)
+    f = _factor(A, tol)
+    return _diagnose(f, scale_pow2(A, -f.exp), tol)
 
 
-def _diagnose(A, rank_A: int, sA: float, ApA, tol: Tolerance) -> ExistenceDiagnosis:
-    """:func:`diagnose_existence` of A given rank(A), sigma_max(A) and A+ A = V_r V_r*.
+def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
+    """:func:`diagnose_existence` of the normalized A factored by ``f``.
 
-    V_r V_r* is A+ A without the rounding of forming A+ A, rounding that can
-    make the resolvent of a light-cone draw look nonsingular.
+    Each product is formed from A, then ranked on its core in the gate's
+    bases (``dense_core._core_svd``): A~A and its square on G V_r / V_r,
+    AA~ and its square on U_r / G U_r, A~AA~ on G V_r / G U_r, and
+    [AA~ | A] on U_r from the left.  Forming first keeps the rounding of
+    the product: a formed A~A that is exactly 0 ranks 0, where a core built
+    from the factors can keep a rounding-sized value.  The resolvent is
+    ranked on its own SVD, with A+ A = V_r V_r* taken without the rounding
+    of forming A+ A, rounding that can make the resolvent of a light-cone
+    draw look nonsingular.
     """
-    n = A.shape[1]
+    n, rank_A = A.shape[1], f.r
+    Ur, Vr = f.Ur, f.Vr
+    GUr, GVr = apply_metric_left(Ur), apply_metric_left(Vr)
     As = mink_adjoint(A)
     AAs = A @ As
     AsA = As @ A
+    sA = f.s1
     s2 = sA * sA
 
-    rank_AAs = rank_of(AAs, tol, scale=s2)
-    rank_AsA = rank_of(AsA, tol, scale=s2)
-    rank_AsAAs = rank_of(As @ A @ As, tol, scale=s2 * sA)
-    rank2_AsA = rank_of(AsA @ AsA, tol, scale=s2 * s2)
-    rank2_AAs = rank_of(AAs @ AAs, tol, scale=s2 * s2)
+    def rank(M, L, R, scale):
+        return _core_svd(M, L, R, tol, scale, compute_uv=False).rank
+
+    rank_AAs = rank(AAs, Ur, GUr, s2)
+    rank_AsA = rank(AsA, GVr, Vr, s2)
+    rank_AsAAs = rank(As @ A @ As, GVr, GUr, s2 * sA)
+    rank2_AsA = rank(AsA @ AsA, GVr, Vr, s2 * s2)
+    rank2_AAs = rank(AAs @ AAs, Ur, GUr, s2 * s2)
     ind_AAs = _index(AAs, rank_AAs, rank2_AAs, tol, s2)
     ind_AsA = _index(AsA, rank_AsA, rank2_AsA, tol, s2)
 
     ind_le1_AsA = rank2_AsA == rank_AsA
     ind_le1_AAs = rank2_AAs == rank_AAs
-    range_A_in_AAs = rank_of(np.hstack([AAs, A]), tol, scale=max(sA, s2)) == rank_AAs
+    range_A_in_AAs = rank(np.hstack([AAs, A]), Ur, None, max(sA, s2)) == rank_AAs
 
-    resolvent = AsA + np.eye(n, dtype=np.complex128) - ApA
+    resolvent = AsA + np.eye(n, dtype=np.complex128) - Vr @ f.C
     resolvent_nonsingular = _rank_from_spectrum(np.linalg.svd(resolvent, compute_uv=False),
                                                 A.shape, tol, scale=max(1.0, s2)).rank == n
 
@@ -288,6 +305,12 @@ def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale, err, what):
             raise err(_singular_message(what, rep, f"rank {rep.rank} of {M.shape[0]}, "))
         return moore_penrose(M, tol, scale=scale)
     return np.linalg.inv(M)
+
+
+def _core_pinv(M, L, R, tol: Tolerance, scale: float) -> np.ndarray:
+    """pinv(M) = R pinv(L* M R) L*, truncated at M's cutoff (see ``dense_core._core_svd``)."""
+    rep, U, Vh = _core_svd(M, L, R, tol, scale)
+    return (Vh.conj().T / rep.singular_values[:rep.rank]) @ U.conj().T
 
 
 def _singular_message(what: str, rep, evidence: str = "") -> str:
@@ -344,6 +367,14 @@ class _Factored:
     @property
     def s(self) -> np.ndarray:
         return self.sv[:self.r]
+
+    @property
+    def Ur(self) -> np.ndarray:
+        return self.B / self.s
+
+    @property
+    def Vr(self) -> np.ndarray:
+        return self.C.conj().T
 
     @property
     def pinv_B(self) -> np.ndarray:
@@ -469,14 +500,22 @@ def _audit_pair(A, X, tol: Tolerance):
 
 
 def _audited(f: _Factored, A, X, tol: Tolerance):
-    """(f, A, X, ||X||, space), the auditors' inputs for a normalized pair.
+    """(f, A, X, ||X||, space, eqs), the auditors' inputs for a normalized pair.
 
-    ``space``, :func:`_space_tests` of X for both auditors, is None when
-    ||X|| is infinite: such an X is rejected without forming a projection.
+    ``space``, :func:`_space_tests` of X, and ``eqs``, its
+    :func:`_residual_norms`, serve both auditors.  Both are None when ||X||
+    is infinite: such an X is rejected without forming a product.
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
-    return f, A, X, nX, _space_tests(f, X, nX, tol) if np.isfinite(nX) else None
+    if not np.isfinite(nX):
+        return f, A, X, nX, None, None
+    return f, A, X, nX, _space_tests(f, X, nX, tol), _residual_norms(A, X)
+
+
+def _eqs_within(diffs, norms, tol: Tolerance) -> bool:
+    """Whether each defining-equation difference is within the equality bound at its norm."""
+    return all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
 
 
 def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
@@ -494,10 +533,10 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     m, n = f.B.shape[0], f.C.shape[1]
     d_range = d_null = 0.0
     if f.r < n:
-        Qr = apply_metric_left(f.C.conj().T)
+        Qr = apply_metric_left(f.Vr)
         d_range = fro(X - Qr @ (Qr.conj().T @ X))
     if f.r < m:
-        Qn = apply_metric_left(f.B / f.s)
+        Qn = apply_metric_left(f.Ur)
         d_null = fro(X - (X @ Qn) @ Qn.conj().T)
     bound = tol.eq_bound(nX)
     scale = max(1.0, nX)
@@ -534,7 +573,7 @@ def _inverse_of(f: _Factored) -> np.ndarray:
     """
     if f.r == 0:
         return np.zeros((f.C.shape[1], f.B.shape[0]), dtype=np.complex128)
-    Ur, Vr = f.B / f.s, f.C.conj().T
+    Ur, Vr = f.Ur, f.Vr
     u, v = Ur[0].conj(), f.C[:, 0]
     left = np.outer((2 / f.d_v) * (Vr @ v), v.conj()) - Vr
     right = np.outer((2 / f.d_u) * u, (Ur @ u).conj()) - Ur.conj().T
@@ -629,7 +668,7 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
 def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
-    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f.B / f.s, f.s, f.C)
+    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f.Ur, f.s, f.C)
     r = hs.r
     U = hs.U
     G2 = UGU[:r, r:]
@@ -682,7 +721,7 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
     """Generalized Zlobec formula with free exponents and a free {1}-inverse.
 
     Evaluates (A~A)^k A~ [ (A~A)^(k+l+1) A~ ]^(1) (A~A)^l A~, where the inner
-    {1}-inverse is sampled via ``one_inverse_sample`` with parameter ``W``
+    {1}-inverse is sampled as by ``one_inverse_sample``, with parameter ``W``
     (``W=None`` takes the pseudoinverse).  The result is independent of k, l
     and W in exact arithmetic; k = l = 0 is the classic A~ (A~AA~)^(1) A~.
     In floating point the W terms cancel only up to eps times the condition
@@ -700,7 +739,8 @@ def _zlobec(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0
     As = mink_adjoint(A)
     AsA = As @ A
     mid = power(AsA, k + l + 1) @ As
-    inner = one_inverse_sample(mid, W, tol, scale=f.s1 ** (2 * (k + l + 1) + 1))
+    GUr, GVr = apply_metric_left(f.Ur), apply_metric_left(f.Vr)
+    inner = _one_inverse(mid, _core_pinv(mid, GVr, GUr, tol, f.s1 ** (2 * (k + l + 1) + 1)), W)
     return power(AsA, k) @ As @ inner @ power(AsA, l) @ As, None
 
 
@@ -724,8 +764,11 @@ def _zlobec2(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 
     As = mink_adjoint(A)
     AsA = As @ A
     AAs = A @ As
-    left = one_inverse_sample(power(AAs, k + 1), W1, tol, scale=f.s1 ** (2 * (k + 1)))
-    right = one_inverse_sample(power(AsA, l + 1), W2, tol, scale=f.s1 ** (2 * (l + 1)))
+    Ur, Vr = f.Ur, f.Vr
+    GUr, GVr = apply_metric_left(Ur), apply_metric_left(Vr)
+    AAs_k, AsA_l = power(AAs, k + 1), power(AsA, l + 1)
+    left = _one_inverse(AAs_k, _core_pinv(AAs_k, Ur, GUr, tol, f.s1 ** (2 * (k + 1))), W1)
+    right = _one_inverse(AsA_l, _core_pinv(AsA_l, GVr, Vr, tol, f.s1 ** (2 * (l + 1))), W2)
     return power(AsA, k) @ As @ left @ A @ right @ power(AsA, l) @ As, None
 
 
@@ -741,21 +784,21 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
 
 
 def _group(f: _Factored, A, tol: Tolerance, force: bool):
-    """(X, gap) of :func:`mink_inverse_group` on the normalized A factored by ``f``."""
+    """(X, gap) of :func:`mink_inverse_group` on the normalized A factored by ``f``.
+
+    Each Gram product is formed, then factored on its r-by-r core (A~A on
+    G V_r / V_r, AA~ on U_r / G U_r) for ``dense_core._group_of_svd``.
+    """
     As = mink_adjoint(A)
     s2 = f.s1 ** 2
+    Ur, Vr = f.Ur, f.Vr
 
-    def grp(M):
-        if not force:
-            return group_inverse(M, tol, scale=s2)
-        if rank_of(M, tol, scale=s2) == 0:
-            return np.zeros_like(M)
-        frm = full_rank_factorization(M, tol, scale=s2)
-        GF = frm.C @ frm.B
-        return frm.B @ moore_penrose(GF @ GF, tol) @ frm.C
+    def grp(M, L, R):
+        rep, U, Vh = _core_svd(M, L, R, tol, s2)
+        return _group_of_svd(U, rep.singular_values[:rep.rank], Vh, M.shape, tol, s2, force)
 
-    X1 = grp(As @ A) @ As
-    X2 = As @ grp(A @ As)
+    X1 = grp(As @ A, apply_metric_left(Vr), Vr) @ As
+    X2 = As @ grp(A @ As, Ur, apply_metric_left(Ur))
     gap = rel_residual(X2, X1)
     if not force and not mats_close(X2, X1, tol, scale=fro(X1)):
         raise MinkinvError(f"internal inconsistency: dual group forms differ by {gap:.3e}")
@@ -988,7 +1031,8 @@ class _Algorithm:
 
 # Keyed by the CLI's --algo name, in the order of its choices.  The routes
 # share the gate's factorization and no other product, so that cross_check
-# compares independent computations.
+# compares independent computations; zlobec, zlobec2 and group also take the
+# gate's singular bases, on which they factor their own products.
 _ALGORITHMS = {
     "frf": _Algorithm("frf", "mink_inverse_frf", lambda f, A, tol, force: (_frf(f, tol), None)),
     "hs": _Algorithm("hs", "mink_inverse_hs", _hs, square=True),
@@ -1020,7 +1064,7 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     A = as_matrix(A)
     f = _factor_gate(A, tol)
     M = A @ mink_adjoint(A) @ A
-    Mp = moore_penrose(M, tol, scale=float(np.ldexp(f.s1, f.exp)) ** 3)
+    Mp = _core_pinv(M, f.Ur, f.Vr, tol, float(np.ldexp(f.s1, f.exp)) ** 3)
     X = A @ Mp
     Y = Mp @ A
     scale = fro(A)
@@ -1063,7 +1107,9 @@ class MooreStyleReport:
 
     The three tests realize: X acts as a left inverse on R(A~)
     (XAA~ = A~), X annihilates N(A~), and R(X) is contained in R(A~).
-    ``is_inverse`` is their conjunction (false as well when no Minkowski
+    ``satisfies_defining_equations`` holds when equations (1), (2), (3m)
+    and (4m) hold within the bounds of ``check_candidate``.  ``is_inverse``
+    is the conjunction of all four tests (false as well when no Minkowski
     inverse exists at all).
     """
 
@@ -1071,6 +1117,7 @@ class MooreStyleReport:
     acts_identity_on_adjoint_range: bool
     annihilates_adjoint_nullspace: bool
     range_within_adjoint_range: bool
+    satisfies_defining_equations: bool
     residual_identity: float
     residual_nullspace: float
     exists: bool
@@ -1080,7 +1127,10 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     """Decide X = A^m by range/null-space identities, without computing A^m.
 
     Tests XAA~ = A~, X v = 0 for every v in N(A~), and R(X) within R(A~).
-    All three hold iff X is the Minkowski inverse.  The tests run on the
+    All three hold iff X is the Minkowski inverse.  The identity test's
+    bound grows with ||X||, so near the light cone it can pass an X whose
+    defining equations fail: the verdict also requires those equations
+    within the bounds of ``check_candidate``.  The tests run on the
     normalized pair (2^-e A, 2^e X) of :func:`pow2_exponent`, which has the
     same answer, so the verdict does not depend on the scale of A.
     ``exists`` comes from the factor-once gate's factorization of 2^-e A
@@ -1094,13 +1144,14 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     return _moore_style(*_audit_pair(A, X, tol), tol)
 
 
-def _moore_style(f: _Factored, A, X, nX: float, space, tol: Tolerance) -> MooreStyleReport:
+def _moore_style(f: _Factored, A, X, nX: float, space, eqs, tol: Tolerance) -> MooreStyleReport:
     """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`."""
     if space is None:
         # ||2^e X|| overflows: far larger than the inverse of any normalized A
         return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
                                 annihilates_adjoint_nullspace=False,
                                 range_within_adjoint_range=False,
+                                satisfies_defining_equations=False,
                                 residual_identity=float("inf"), residual_nullspace=float("inf"),
                                 exists=f.exists)
     As = mink_adjoint(A)
@@ -1110,12 +1161,14 @@ def _moore_style(f: _Factored, A, X, nX: float, space, tol: Tolerance) -> MooreS
     ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
 
     ok_range, ok_null, _, res_null = space
+    ok_eqs = _eqs_within(*eqs, tol)
 
     return MooreStyleReport(
-        is_inverse=bool(f.exists and ok_id and ok_null and ok_range),
+        is_inverse=bool(f.exists and ok_id and ok_null and ok_range and ok_eqs),
         acts_identity_on_adjoint_range=bool(ok_id),
         annihilates_adjoint_nullspace=bool(ok_null),
         range_within_adjoint_range=bool(ok_range),
+        satisfies_defining_equations=bool(ok_eqs),
         residual_identity=float(res_id),
         residual_nullspace=float(res_null),
         exists=bool(f.exists),

@@ -211,7 +211,7 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return _audit(*mk._audit_pair(A, X, tol), tol)
 
 
-def _audit(f, A, X, nX: float, space, tol: Tolerance) -> CheckReport:
+def _audit(f, A, X, nX: float, space, eqs, tol: Tolerance) -> CheckReport:
     """:func:`check_candidate` of the normalized pair (A, X), from ``minkowski._audited``.
 
     ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
@@ -225,9 +225,9 @@ def _audit(f, A, X, nX: float, space, tol: Tolerance) -> CheckReport:
         return CheckReport(eq1=inf, eq2=inf, eq3m=inf, eq4m=inf,
                            range_ok=False, null_ok=False, verdict=False,
                            residual_range=inf, residual_null=inf)
-    diffs, norms = mk._residual_norms(A, X)
+    diffs, norms = eqs
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
-    eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
+    eqs_ok = mk._eqs_within(diffs, norms, tol)
     range_ok, null_ok, res_range, res_null = space
     return CheckReport(
         eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
@@ -241,8 +241,8 @@ def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.Mo
     """``(check_candidate(A, X), moore_style_check(A, X))`` from one factorization.
 
     Both auditors run on the same normalized pair and decide their space
-    tests on the same orthonormal bases, so one SVD of A and one pair of
-    projection residuals serve both.
+    tests on the same orthonormal bases, so one SVD of A, one pair of
+    projection residuals and one set of defining-equation norms serve both.
     """
     audited = mk._audit_pair(A, X, tol)
     return _audit(*audited, tol), mk._moore_style(*audited, tol)
@@ -301,12 +301,13 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
 
     The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
     once, for the report's ``diagnosis`` and the choice between the existent,
-    refusing and forced verdicts; the factorization gives it rank(A), sigma_1 and A+ A.
+    refusing and forced verdicts; the factorization gives it rank(A), sigma_1,
+    A+ A and the bases on whose r-by-r cores it ranks the products.
     """
     A = as_matrix(A)
     f = mk._factor(A, tol)
     A = scale_pow2(A, -f.exp)
-    diag = mk._diagnose(A, f.r, f.s1, f.C.conj().T @ f.C, tol)
+    diag = mk._diagnose(f, A, tol)
     outcomes = []
 
     def audit(X):

@@ -32,17 +32,30 @@ def light_cone(eps):
     return np.outer(x, c.conj())
 
 
+class LapackCounts(dict):
+    """Calls per numpy.linalg routine, plus ``work``, the total computed work of those calls.
+
+    The work of one call follows the benchmark's rule: m*n*min(m, n) for an
+    m-by-n svd or qr, n^3 for the others.  It compares equal to the plain
+    dict of its call counts.
+    """
+
+    work = 0
+
+
 def lapack_counts(monkeypatch, call, A):
-    """Calls of numpy's svd, inv, solve, eigvalsh and qr made by a cold ``call(A)``.
+    """Calls of numpy's svd, inv, solve, eigvalsh and qr made by a cold ``call(A)``, and their work.
 
     The remembered factorization is dropped first, so a count does not
     depend on what the test computed before.
     """
-    counts = dict.fromkeys(("svd", "inv", "solve", "eigvalsh", "qr"), 0)
+    counts = LapackCounts.fromkeys(("svd", "inv", "solve", "eigvalsh", "qr"), 0)
     for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
-            return _fn(*args, **kwargs)
+            m, n = np.shape(a)[-2:]
+            counts.work += m * n * min(m, n) if _name in ("svd", "qr") else n ** 3
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     minkowski._forget_factor()
     call(A)

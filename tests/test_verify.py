@@ -132,6 +132,24 @@ def test_auditors_reject_a_candidate_beyond_the_double_range(A, X):
     assert moore.residual_identity == moore.residual_nullspace == float("inf")
 
 
+@pytest.mark.parametrize("k", range(1, 14))
+def test_auditors_reach_one_verdict_near_the_light_cone(k):
+    # moore_style_check's identity bound grows with ||X|| ~ 1/eps, so the
+    # identity test alone passes the mink_inverse X that check_candidate
+    # rejects on eq1 at eps = 1e-8..1e-11; the defining equations catch it
+    verdicts = set()
+    for A in (light_cone(10.0 ** -k), mi.mink_adjoint(light_cone(10.0 ** -k))):
+        for scale in (1.0, 1e8, 1e-8):
+            for force in (False, True):
+                for o in mi.cross_check(scale * A, force=force).outcomes:
+                    if o.status == "ok":
+                        moore = mi.moore_style_check(scale * A, o.result)
+                        assert moore.is_inverse == o.check.verdict, (k, scale, force, o.name)
+                        verdicts.add(o.check.verdict)
+    if 8 <= k <= 11:
+        assert verdicts == {False}
+
+
 def test_check_candidate_shape_error():
     with pytest.raises(mi.ShapeMismatch):
         mi.check_candidate(A55, np.eye(4))
@@ -189,11 +207,15 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     assert lapack_counts(monkeypatch, mi.mink_inverse, A) == {
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
     # the routes' own products and the diagnosis's seven product ranks, and
-    # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary
-    assert lapack_counts(monkeypatch, mi.cross_check, A) == {
-        "svd": 21, "inv": 10, "solve": 0, "eigvalsh": 0, "qr": 1}
-    assert lapack_counts(monkeypatch, mi.diagnose_existence, A) == {
-        "svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary;
+    # the group, Zlobec and diagnosis products are factored on their 30x30
+    # cores, so the work (m n min(m, n) per SVD) is about half of 21 full SVDs
+    counts = lapack_counts(monkeypatch, mi.cross_check, A)
+    assert counts == {"svd": 21, "inv": 10, "solve": 0, "eigvalsh": 0, "qr": 1}
+    assert counts.work <= 1_600_000
+    counts = lapack_counts(monkeypatch, mi.diagnose_existence, A)
+    assert counts == {"svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    assert counts.work <= 500_000
     X = mi.mink_inverse(A)
     # each auditor takes one factorization of A and no other SVD
     assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, X), A) == {
@@ -217,12 +239,13 @@ def test_compute_then_certify_factors_once(monkeypatch):
 
 def test_witness_lapack_counts(monkeypatch):
     # (A~)+ = (A+)~ and sigma_1(A) come from the gate; factorization_witnesses
-    # keeps the pseudoinverse of its own product AA~A
+    # keeps the pseudoinverse of its own product AA~A, taken on its 30x30 core
     A = existent(50, 50, 30, seed=1)
     assert lapack_counts(monkeypatch, mi.bjerhammar_witnesses, A) == {
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
-    assert lapack_counts(monkeypatch, mi.factorization_witnesses, A) == {
-        "svd": 2, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    counts = lapack_counts(monkeypatch, mi.factorization_witnesses, A)
+    assert counts == {"svd": 2, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    assert counts.work == 50 ** 3 + 30 ** 3
 
 
 @pytest.fixture
