@@ -9,16 +9,26 @@ finite.  Explicit pairs keep parsing unambiguous; no string-parsed complex
 literals.  Writing then reading a matrix reproduces it bit for bit.
 
 Both directions run in bulk.  Writing builds the pair list with one numpy
-``tolist`` and encodes it with the C encoder of ``json.dumps``; reading
-decodes with the C decoder, checks the types and lengths of all entries in
-C-level passes, and converts them with one ``np.fromiter`` call.  Only a
-payload that fails those checks walks its entries one by one, to name the
-first bad one in the :class:`FormatError`.
+``tolist`` and encodes it with the C encoder of ``json.dumps``.
+
+Reading takes one of two paths.  A file laid out exactly as
+:func:`write_matrix` writes it (no spaces, keys in schema order, only JSON
+whitespace after the closing brace) is recognised by a few whole-text string
+passes, decoded by one ``json.loads`` into a flat list of 2*rows*cols
+numbers, and converted by one ``np.fromiter`` call; no per-entry list is
+built.  Everything else, and every file that path cannot decode into finite
+doubles, goes to the general path: ``json.loads`` of the whole text, then
+:func:`matrix_from_payload`, which checks the types and lengths of all
+entries in C-level passes and converts them with one ``np.fromiter`` call.
+Only a payload that fails those checks walks its entries one by one, to name
+the first bad one in the :class:`FormatError`.  So the two paths return the
+same bits and raise the same errors on every file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 
 import numpy as np
@@ -90,17 +100,64 @@ def matrix_from_payload(obj) -> np.ndarray:
     return M
 
 
+# write_matrix's layout, up to trailing whitespace: the header, then the pairs
+# with no spaces.  18 digits bound int() well below its string-length limit.
+_CANONICAL_HEAD = re.compile(r'\{"rows":([1-9][0-9]{0,17}),"cols":([1-9][0-9]{0,17}),"data":')
+_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+
+
+def _read_canonical(text: str) -> np.ndarray | None:
+    """The matrix in ``text`` if it is laid out as :func:`write_matrix` writes it, else None.
+
+    Bulk string passes check the layout: the header, the ``[[`` and ``]]``
+    ends of ``data``, exactly N-1 ``],[`` separators for N = rows*cols, and
+    what is left once number characters are dropped.  Together they leave
+    each number token alone between a pair's brackets and comma, so one
+    ``json.loads`` of the text with the separators flattened decodes exactly
+    the 2N tokens the general path would, under JSON's number grammar.
+    Any text that fails a check, or whose numbers the decoder rejects,
+    overflow or are not finite, gives None and is left to the general path,
+    which reports it.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    n = rows * cols
+    start = head.end()
+    tail = text[len(text.rstrip(" \t\n\r")):]
+    # the separator count precedes the skeleton, which is then no longer than the text
+    if not (text.startswith("[[", start) and text.endswith("]]}" + tail)
+            and text.count("],[", start) == n - 1
+            and text.translate(_DROP_NUMBER_CHARS)
+            == '{"rows":,"cols":,"data":[' + "[,]," * (n - 1) + "[,]]}" + tail):
+        return None
+    try:
+        values = json.loads(text.replace("],[", ","))["data"][0]
+        flat = np.fromiter(values, dtype=np.float64, count=2 * n)
+    except (ValueError, OverflowError):
+        return None
+    if not np.all(np.isfinite(flat)):
+        return None
+    return flat.view(np.complex128).reshape(rows, cols)
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file; FormatError on bad UTF-8, JSON or schema, OSError on I/O."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"file is not UTF-8 text: {exc}") from exc
-        except RecursionError as exc:
-            raise FormatError("invalid JSON: arrays or objects nested too deeply") from exc
+    M = _read_canonical(text)
+    if M is not None:
+        return M
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or an integer literal past int()'s digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: arrays or objects nested too deeply") from exc
     return matrix_from_payload(obj)
 
 

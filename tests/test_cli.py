@@ -91,6 +91,7 @@ def test_payload_accepts_numpy_floats():
 
 BAD_FILES = {
     "int_beyond_double": b'{"rows":1,"cols":1,"data":[[1' + b"0" * 400 + b',0]]}',
+    "int_too_long": b'{"rows":1,"cols":1,"data":[[1' + b"0" * 5000 + b',0]]}',
     "not_utf8": b'{"rows":1,"cols":1,"data":[[1,0]]}\xff\xfe',
     "bool_shape": b'{"rows":true,"cols":true,"data":[[1,0]]}',
     "nested_too_deep": b'{"rows":1,"cols":1,"data":' + b"[" * 100000 + b"]" * 100000 + b"}",
@@ -148,6 +149,15 @@ def test_adjoint_bad_matrix_file_exits_2(tmp_path, capsys, name):
     path.write_bytes(BAD_FILES[name])
     assert main(["adjoint", str(path), str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err.startswith("minkinv: ")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_exists_and_check_bad_matrix_file_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_FILES[name])
+    assert main(["exists", str(path)]) == 2
+    assert main(["check", str(path), fixture_path("existent_5x5_minkinv.json")]) == 2
+    assert main(["check", fixture_path("existent_5x5.json"), str(path)]) == 2
 
 
 def test_exists_exit_codes(capsys):
