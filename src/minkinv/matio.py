@@ -8,8 +8,8 @@ with ``data`` in row-major order, one ``[re, im]`` pair per entry, all values
 finite.  Explicit pairs keep parsing unambiguous; no string-parsed complex
 literals.  Writing then reading a matrix reproduces it bit for bit.
 
-Both directions run in bulk.  Writing builds the pair list with one numpy
-``tolist`` and encodes it with the C encoder of ``json.dumps``.
+Writing runs in bulk: it builds the pair list with one numpy ``tolist`` and
+encodes it with the C encoder of ``json.dumps``.
 
 Reading takes one of two paths.  A file laid out exactly as
 :func:`write_matrix` writes it (no spaces, keys in schema order, only JSON
@@ -18,18 +18,15 @@ passes, decoded by one ``json.loads`` into a flat list of 2*rows*cols
 numbers, and converted by one ``np.fromiter`` call; no per-entry list is
 built.  Everything else, and every file that path cannot decode into finite
 doubles, goes to the general path: ``json.loads`` of the whole text, then
-:func:`matrix_from_payload`, which checks the types and lengths of all
-entries in C-level passes and converts them with one ``np.fromiter`` call.
-Only a payload that fails those checks walks its entries one by one, to name
-the first bad one in the :class:`FormatError`.  So the two paths return the
-same bits and raise the same errors on every file.
+:func:`matrix_from_payload`, which checks and converts the entries one by
+one and names the first bad one in the :class:`FormatError`.  So the two
+paths return the same bits and raise the same errors on every file.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -47,17 +44,6 @@ def matrix_to_payload(M) -> dict:
         "cols": n,
         "data": np.stack([flat.real, flat.imag], -1).tolist(),
     }
-
-
-def _is_bulk_convertible(data: list) -> bool:
-    """True when every entry is a list or tuple of exactly two plain ints or floats.
-
-    ``bool`` entries and subclasses of int and float fail here and are left
-    to the per-entry loop of :func:`_entries_one_by_one`.
-    """
-    return (set(map(type, data)) <= {list, tuple}
-            and set(map(len, data)) == {2}
-            and set(map(type, chain.from_iterable(data))) <= {int, float})
 
 
 def _entries_one_by_one(data: list) -> np.ndarray:
@@ -87,11 +73,7 @@ def matrix_from_payload(obj) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(f"data must hold rows*cols = {rows * cols} entries")
     try:
-        if _is_bulk_convertible(data):
-            flat = np.fromiter(chain.from_iterable(data), dtype=np.float64,
-                               count=2 * len(data)).view(np.complex128)
-        else:
-            flat = _entries_one_by_one(data)
+        flat = _entries_one_by_one(data)
     except OverflowError as exc:
         raise FormatError(f"matrix entry out of the double range: {exc}") from exc
     M = flat.reshape(rows, cols)

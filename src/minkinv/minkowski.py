@@ -72,7 +72,6 @@ from .errors import (
     NotExistent14m,
     NotSquare,
     RankMismatch,
-    ShapeMismatch,
     Singular,
     ZeroMatrix,
 )
@@ -130,16 +129,8 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     eq3m = ||(AX)~ - AX|| / max(1, ||AX||) and eq4m analogously,
     all in Frobenius norm.
     """
-    return _relative_residuals(*_residual_norms(*_candidate_pair(A, X)))
-
-
-def _candidate_pair(A, X):
-    """A and X as matrices; ShapeMismatch unless X is n-by-m for an m-by-n A."""
     A = as_matrix(A)
-    X = as_matrix(X)
-    if X.shape != (A.shape[1], A.shape[0]):
-        raise ShapeMismatch(f"candidate must be {A.shape[1]}x{A.shape[0]}, got {X.shape}")
-    return A, X
+    return _relative_residuals(*_residual_norms(A, _shaped("candidate", X, A.shape[::-1])))
 
 
 def _residual_norms(A, X):
@@ -220,9 +211,7 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     from rank(M) and rank(M^2), with :func:`index_of` walking further powers
     only when the index exceeds one.
     """
-    A = as_matrix(A)
-    f = _factor(A, tol)
-    return _diagnose(f, scale_pow2(A, -f.exp), tol)
+    return _diagnose(*_normalized(A, tol), tol)
 
 
 def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
@@ -479,37 +468,40 @@ def _require_existence(f: _Factored, force: bool = False) -> _Factored:
     return f
 
 
-def _factor_gate(A, tol: Tolerance) -> _Factored:
-    """The existence gate of every algorithm: the factorization of A, or NotExistent."""
-    return _require_existence(_factor(A, tol))
+def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
+    """(f, 2^-e A): ``as_matrix`` of A, its factorization f, and the normalized A that f factored.
 
-
-def _normalized_gate(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
-    """:func:`_factor_gate` plus the normalized matrix 2^-e A that it factored."""
-    f = _factor_gate(A, tol)
+    The prologue of every entry point that runs on 2^-e A, so that each
+    converts and checks its input once.
+    """
+    A = as_matrix(A)
+    f = _factor(A, tol)
     return f, scale_pow2(A, -f.exp)
 
 
 def _audit_pair(A, X, tol: Tolerance):
     """:func:`_audited` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
-    A, X = _candidate_pair(A, X)
-    f = _factor(A, tol)
+    f, A = _normalized(A, tol)
+    X = _shaped("candidate", X, A.shape[::-1])
     with np.errstate(over="ignore"):
         X = scale_pow2(X, f.exp)
-    return _audited(f, scale_pow2(A, -f.exp), X, tol)
+    return _audited(f, A, X, tol)
 
 
 def _audited(f: _Factored, A, X, tol: Tolerance):
     """(f, A, X, ||X||, space, eqs), the auditors' inputs for a normalized pair.
 
     ``space``, :func:`_space_tests` of X, and ``eqs``, its
-    :func:`_residual_norms`, serve both auditors.  Both are None when ||X||
-    is infinite: such an X is rejected without forming a product.
+    :func:`_residual_norms`, serve both auditors.  An X whose norm
+    overflows is rejected here, without forming a product: its ``space`` is
+    (False, False, inf, inf) and its ``eqs`` are infinite differences at
+    unit norms, so every test fails with infinite residuals.
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
     if not np.isfinite(nX):
-        return f, A, X, nX, None, None
+        inf = float("inf")
+        return f, A, X, nX, (False, False, inf, inf), ((inf,) * 4, (1.0,) * 4)
     return f, A, X, nX, _space_tests(f, X, nX, tol), _residual_norms(A, X)
 
 
@@ -603,19 +595,18 @@ class InverseComputation:
 def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputation:
     """The public entry point of route ``key`` of :data:`_ALGORITHMS`.
 
-    Checks its preconditions, factors A once, gates, runs the core on 2^-e A
-    and scales X back to A^m = 2^-e X.  The residuals are those of the
-    normalized pair, which equal the residuals of (A, result).
+    Factors A once, checks the route's preconditions, gates when the route
+    is ``gated``, runs the core on 2^-e A and scales X back to A^m = 2^-e X.
+    The residuals are those of the normalized pair, which equal the
+    residuals of (A, result).
     """
     algo = _ALGORITHMS[key]
     if params.get("k", 0) < 0 or params.get("l", 0) < 0:
         raise ValueError("exponents must be nonnegative")
-    A = as_matrix(A)
+    f, A = _normalized(A, tol)
     m, n = A.shape
     if algo.square and m != n:
         raise NotSquare(f"this route needs a square matrix, got {A.shape}")
-    f = _factor(A, tol)
-    A = scale_pow2(A, -f.exp)
     if "r" in algo.options:      # the caller's rank, with a nonsingular leading block
         r = params["r"]
         if not 1 <= r <= min(m, n):
@@ -625,12 +616,13 @@ def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputati
         rep = numerical_rank(A[:r, :r], tol)
         if rep.rank < r:
             raise BlockSingular(_singular_message(f"leading {r}x{r} block", rep))
-    _require_existence(f, force)
+    if algo.gated:
+        _require_existence(f, force)
     X, gap = algo.core(f, A, tol, force, **params)
     options = ",".join(f"{o}={params[o]}" for o in algo.options)
     return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
                               result=scale_pow2(X, -f.exp),
-                              residuals=defining_residuals(A, X), gap=gap)
+                              residuals=_relative_residuals(*_residual_norms(A, X)), gap=gap)
 
 
 def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -879,8 +871,7 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     zero matrix maps to the zero matrix (every defining equation holds
     trivially for X = 0).
     """
-    A = as_matrix(A)
-    return _inverse_of(_factor_gate(A, tol))
+    return _inverse_of(_require_existence(_factor(as_matrix(A), tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +892,8 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     of its Gram B~B, the member is evaluated on the factors B, C of 2^-e A,
     with 2^e Y in place of Y, and scaled back by 2^-e.
     """
-    A = as_matrix(A)
-    f = _factor(A, tol)
-    return scale_pow2(_member_13m(f, scale_pow2(A, -f.exp), Y), -f.exp)
+    f, A = _normalized(A, tol)
+    return scale_pow2(_member_13m(f, A, Y), -f.exp)
 
 
 def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
@@ -932,9 +922,8 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale come from the gate's factorization, as in :func:`one_three_m`,
     with rank(AA~) the rank of its Gram CC~.
     """
-    A = as_matrix(A)
-    f = _factor(A, tol)
-    return scale_pow2(_member_14m(f, scale_pow2(A, -f.exp), Z), -f.exp)
+    f, A = _normalized(A, tol)
+    return scale_pow2(_member_14m(f, A, Z), -f.exp)
 
 
 def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
@@ -963,10 +952,10 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     normalized pair (2^-e A, 2^e X13, 2^e X14), and the product is scaled
     back by 2^-e.
     """
-    A = as_matrix(A)
+    f, A = _normalized(A, tol)
     X13 = as_matrix(X13)
     X14 = as_matrix(X14)
-    f, A = _normalized_gate(A, tol)
+    _require_existence(f)
     X = _compose(A, scale_pow2(X13, f.exp), scale_pow2(X14, f.exp), tol)
     return scale_pow2(X, -f.exp)
 
@@ -983,9 +972,9 @@ def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
     return X14 @ A @ X13
 
 
-def _compose_core(f: _Factored, A, tol: Tolerance, force: bool):
-    """(X, None) of compose on the base members of the normalized A factored by ``f``."""
-    return _compose(A, _member_13m(f, A), _member_14m(f, A), tol), None
+def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):
+    """(X, None) of compose on the members Y and Z select, on the normalized A factored by ``f``."""
+    return _compose(A, _member_13m(f, A, Y), _member_14m(f, A, Z), tol), None
 
 
 def _compose_inverse(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL,
@@ -995,12 +984,7 @@ def _compose_inverse(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL,
     One factorization gives both members, on 2^-e A, and A^m exists when they do.
     ``force`` does not apply; it is accepted so that every entry takes the same call.
     """
-    A = as_matrix(A)
-    f = _factor(A, tol)
-    A = scale_pow2(A, -f.exp)
-    X = _compose(A, _member_13m(f, A, Y), _member_14m(f, A, Z), tol)
-    return InverseComputation(algorithm=_ALGORITHMS["compose"].name,
-                              result=scale_pow2(X, -f.exp), residuals=defining_residuals(A, X))
+    return _run("compose", A, tol, force, Y=Y, Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,8 +1000,10 @@ class _Algorithm:
     function of this module that the CLI calls (looked up at call time).
     ``options`` are the entry's integer options ("r" is the rank, which
     cross_check does not know); ``free(m, n)`` maps its free parameters to
-    their shapes, in the order the CLI seeds them.  Compose is not ``gated``:
-    it refuses through its {1,3m}/{1,4m} bases.
+    their shapes, in the order the CLI seeds them.  A ``gated`` route refuses
+    at the gate, before its core runs, unless forced; compose is not gated,
+    so ``_run`` and ``cross_check`` leave its refusal, forced or not, to its
+    {1,3m}/{1,4m} members.
     """
 
     name: str
@@ -1058,19 +1044,20 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
 
     Fixes X = A (AA~A)^(1) and Y = (AA~A)^(1) A with the pseudoinverse as the
     {1}-inverse; existence makes rank(AA~A) = rank(A), which is exactly what
-    the recovery identities need.  The cutoff anchor sigma_1(A) = 2^e s_1
-    comes from the gate.  Both identities are verified before returning.
+    the recovery identities need.  Both are built and verified on the gate's
+    normalized 2^-e A, whose witnesses are 2^2e X and 2^2e Y, and scaled
+    back by 2^-2e, so they hold at every scale of the double range.
     """
-    A = as_matrix(A)
-    f = _factor_gate(A, tol)
+    f, A = _normalized(A, tol)
+    _require_existence(f)
     M = A @ mink_adjoint(A) @ A
-    Mp = _core_pinv(M, f.Ur, f.Vr, tol, float(np.ldexp(f.s1, f.exp)) ** 3)
+    Mp = _core_pinv(M, f.Ur, f.Vr, tol, f.s1 ** 3)
     X = A @ Mp
     Y = Mp @ A
     scale = fro(A)
     if not mats_close(X @ M, A, tol, scale=scale) or not mats_close(M @ Y, A, tol, scale=scale):
         raise MinkinvError("internal inconsistency: factorization witnesses failed to verify")
-    return X, Y
+    return scale_pow2(X, -2 * f.exp), scale_pow2(Y, -2 * f.exp)
 
 
 def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
@@ -1084,8 +1071,8 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     as an internal inconsistency otherwise.  Far from unit scale, X rounds
     away its |A|^-2 part or its O(1) part -Y.
     """
-    A = as_matrix(A)
-    f, A = _normalized_gate(A, tol)
+    f, A = _normalized(A, tol)
+    _require_existence(f)
     Z, Y = _sylvester(f, A, tol)
     return scale_pow2(Z, -2 * f.exp) - Y, Y
 
@@ -1146,19 +1133,13 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
 
 def _moore_style(f: _Factored, A, X, nX: float, space, eqs, tol: Tolerance) -> MooreStyleReport:
     """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`."""
-    if space is None:
-        # ||2^e X|| overflows: far larger than the inverse of any normalized A
-        return MooreStyleReport(is_inverse=False, acts_identity_on_adjoint_range=False,
-                                annihilates_adjoint_nullspace=False,
-                                range_within_adjoint_range=False,
-                                satisfies_defining_equations=False,
-                                residual_identity=float("inf"), residual_nullspace=float("inf"),
-                                exists=f.exists)
     As = mink_adjoint(A)
-
-    d_id = fro(X @ A @ As - As)
+    if np.isfinite(nX):
+        d_id = fro(X @ A @ As - As)
+        ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
+    else:   # an X whose norm overflows (see _audited) fails unformed
+        d_id, ok_id = float("inf"), False
     res_id = d_id / max(1.0, fro(As))
-    ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
 
     ok_range, ok_null, _, res_null = space
     ok_eqs = _eqs_within(*eqs, tol)
@@ -1189,7 +1170,7 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     from the same Y and Z so a single signature drives all three witnesses.
     """
     A = as_matrix(A)
-    f = _factor_gate(A, tol)
+    f = _require_existence(_factor(A, tol))
     Am = _inverse_of(f)
     m, n = A.shape
     As = mink_adjoint(A)

@@ -119,15 +119,12 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     return GeneralSolution(particular=A1 @ D @ B1, _A=A, _A1=A1, _B=B, _B1=B1)
 
 
-def _equivalence_decomposition(A, tol: Tolerance):
-    """Nonsingular P, Q with A = P [[I_r, 0], [0, 0]] Q, from the SVD."""
-    m, n = A.shape
+def _equivalence_decomposition(A, r: int):
+    """Nonsingular P, Q with A = P [[I_r, 0], [0, 0]] Q for A of rank r, from the SVD."""
     U, s, Vh = np.linalg.svd(A)
-    r = rank_of(A, tol)
-    d = np.ones(m, dtype=np.complex128)
+    d = np.ones(A.shape[0], dtype=np.complex128)
     d[:r] = s[:r]
-    P = U * d  # U @ diag(d)
-    return P, Vh, r
+    return U * d, Vh   # U @ diag(d)
 
 
 def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
@@ -158,8 +155,8 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     if rank_of(X1, tol) < r:
         raise SingularParam("X1 is numerically singular")
 
-    P, Q, _ = _equivalence_decomposition(A, tol)
-    P1, Q1, _ = _equivalence_decomposition(B, tol)
+    P, Q = _equivalence_decomposition(A, r)
+    P1, Q1 = _equivalence_decomposition(B, r)
 
     def blk(shape, given, name):
         if given is None or min(shape) == 0:

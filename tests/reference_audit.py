@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from minkinv import minkowski as mk
-from minkinv.dense_core import DEFAULT_TOL, Tolerance, fro, pow2_exponent, rank_of, scale_pow2
+from minkinv.dense_core import (DEFAULT_TOL, Tolerance, _shaped, as_matrix, fro, pow2_exponent,
+                                rank_of, scale_pow2)
 
 
 class RankAudit(NamedTuple):
@@ -28,7 +29,8 @@ class RankAudit(NamedTuple):
 
 def reference_audit(A, X, tol: Tolerance = DEFAULT_TOL) -> RankAudit:
     """The rank-test audit of a candidate X for A^m."""
-    A, X = mk._candidate_pair(A, X)
+    A = as_matrix(A)
+    X = _shaped("candidate", X, A.shape[::-1])
     exp = pow2_exponent(A)
     A = scale_pow2(A, -exp)
     with np.errstate(over="ignore"):

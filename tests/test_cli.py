@@ -250,9 +250,28 @@ def test_readme_algo_list_matches_the_parser():
     assert "".join(listed.groups()).split("|") == list(choices)
 
 
-def test_inverse_nonexistent_exit(tmp_path):
-    rc = main(["inverse", fixture_path("nonexistent_5x4.json"), str(tmp_path / "x.json")])
-    assert rc == 1
+_GATE = "Minkowski inverse does not exist: rank(A)=2, rank(AA~)=1, rank(A~A)=1"
+_COMPOSE = "rank(A~A)=1 != rank(A)=2 (or rank 0)"
+
+
+@pytest.mark.parametrize("args, rc, message", [
+    ([], 1, _GATE),
+    (["--algo", "frf"], 1, _GATE),
+    (["--algo", "hs"], 4, "this route needs a square matrix, got (5, 4)"),
+    (["--algo", "zlobec"], 1, _GATE),
+    (["--algo", "zlobec2"], 1, _GATE),
+    (["--algo", "group"], 1, _GATE),
+    (["--algo", "resolvent"], 1, _GATE),
+    (["--algo", "block", "--r", "2"], 4, "leading 2x2 block is numerically singular (cond~inf)"),
+    (["--algo", "compose"], 1, _COMPOSE),
+    (["--algo", "compose", "--force"], 1, _COMPOSE),   # compose refuses through its members
+], ids=["default", "frf", "hs", "zlobec", "zlobec2", "group", "resolvent", "block", "compose",
+        "compose-force"])
+def test_inverse_nonexistent_exit(tmp_path, capsys, args, rc, message):
+    dst = tmp_path / "x.json"
+    assert main(["inverse", fixture_path("nonexistent_5x4.json"), str(dst), *args]) == rc
+    assert capsys.readouterr().err == f"minkinv: {message}\n"
+    assert not dst.exists()
 
 
 def test_inverse_force_reports_failure(tmp_path, capsys):

@@ -411,6 +411,25 @@ def test_factorization_witnesses_generated():
     assert np.linalg.norm(mi.mink_adjoint(A @ Y) - ref) / np.linalg.norm(ref) < 1e-8
 
 
+@pytest.mark.parametrize("j", [-332, -27, 27, 332])
+def test_factorization_witnesses_power_of_two_covariant(j):
+    # built on the normalized 2^-e A and scaled back by 2^-2e, so both scale by 2^-2j exactly
+    X0, Y0 = mi.factorization_witnesses(A55)
+    X, Y = mi.factorization_witnesses(2.0 ** j * A55)
+    assert X.tobytes() == scale_pow2(X0, -2 * j).tobytes()
+    assert Y.tobytes() == scale_pow2(Y0, -2 * j).tobytes()
+
+
+@pytest.mark.parametrize("k", [-150, -110, 110, 150])
+def test_factorization_witnesses_at_every_scale(k):
+    # AA~A of the raw A under- or overflows at these scales; that of 2^-e A does not
+    A = 10.0 ** k * A55
+    X, Y = mi.factorization_witnesses(A)
+    ref = mi.mink_inverse(A)
+    for W in (X @ A, A @ Y):
+        assert np.linalg.norm(mi.mink_adjoint(W) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_sylvester_witnesses_identity():
     X, Y = mi.sylvester_witnesses(np.eye(4))
     assert_allclose(X, np.eye(4), atol=1e-13)
@@ -438,7 +457,7 @@ def test_sylvester_witnesses_identities():
 
 def _sylvester_parts(A):
     """(e, P Q'^-1, Y) of sylvester_witnesses on the normalized 2^-e A."""
-    f, An = mi.minkowski._normalized_gate(A, mi.DEFAULT_TOL)
+    f, An = mi.minkowski._normalized(A, mi.DEFAULT_TOL)
     Z, Y = mi.minkowski._sylvester(f, An, mi.DEFAULT_TOL)
     return f.exp, Z, Y
 

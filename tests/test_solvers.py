@@ -81,6 +81,16 @@ def test_xayb_random_instance(rng):
     assert np.linalg.norm(X @ A @ Y - B) < 1e-9 * np.linalg.norm(B)
 
 
+def test_xayb_lapack_counts(monkeypatch, rng):
+    # rank(A), rank(B), rank(X1) and the two equivalence SVDs, which reuse the ranks;
+    # X1^-1, P^-1 and Q^-1
+    A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
+    B = cgauss(rng, 3, 2) @ cgauss(rng, 2, 6)
+    X1 = cgauss(rng, 2, 2)
+    assert lapack_counts(monkeypatch, lambda A: mi.solve_xay_b(A, B, X1), A) == {
+        "svd": 5, "inv": 3, "solve": 0, "eigvalsh": 0, "qr": 0}
+
+
 def test_xayb_rank_mismatch(rng):
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
     B = cgauss(rng, 3, 6)

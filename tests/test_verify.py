@@ -128,7 +128,7 @@ def test_auditors_reject_a_candidate_beyond_the_double_range(A, X):
     moore = mi.moore_style_check(A, X)
     assert not moore.is_inverse and moore.exists
     assert not (moore.acts_identity_on_adjoint_range or moore.annihilates_adjoint_nullspace
-                or moore.range_within_adjoint_range)
+                or moore.range_within_adjoint_range or moore.satisfies_defining_equations)
     assert moore.residual_identity == moore.residual_nullspace == float("inf")
 
 
