@@ -17,16 +17,13 @@ from .dense_core import (
     Tolerance,
     as_matrix,
     fro,
-    full_rank_factorization,
     group_inverse,
-    hs_decomposition,
     index_of,
     mats_close,
     moore_penrose,
     numerical_rank,
     one_inverse_sample,
     projector_onto_along,
-    inv_shift_identity,
     rank_of,
     sigma_max,
 )
@@ -58,6 +55,8 @@ from .minkowski import (
     defining_residuals,
     diagnose_existence,
     factorization_witnesses,
+    full_rank_factorization,
+    hs_decomposition,
     metric_signs,
     mink_adjoint,
     mink_inverse,

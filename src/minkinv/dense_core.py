@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexNotOne, NotSquare, RankMismatch, ShapeMismatch, Singular, ZeroMatrix
+from .errors import IndexNotOne, RankMismatch, ShapeMismatch, ZeroMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -256,22 +256,6 @@ class FullRankFactorization:
     r: int
 
 
-def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL,
-                            scale: float | None = None) -> FullRankFactorization:
-    """Full-rank factorization A = B C from the compact SVD.
-
-    B = U_r Sigma_r and C = V_r* give the best-conditioned factors among the
-    valid choices.  ``scale`` anchors the rank cutoff exactly as in
-    :func:`numerical_rank`.  Raises ZeroMatrix when the numerical rank is 0.
-    """
-    A = as_matrix(A)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = _rank_from_spectrum(s, A.shape, tol, scale).rank
-    if r == 0:
-        raise ZeroMatrix("cannot factor a numerically zero matrix")
-    return FullRankFactorization(B=U[:, :r] * s[:r], C=Vh[:r, :], r=r)
-
-
 def group_inverse(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
     """Group inverse of an index-one square matrix.
 
@@ -360,20 +344,6 @@ class HSDecomposition:
         return out
 
 
-def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
-    """Hartwig-Spindelbock decomposition of a square matrix.
-
-    Built from the compact SVD A = U_r Sigma V_r* by :func:`_hs_from_svd`.
-    Raises NotSquare for rectangular input and ZeroMatrix for rank 0.
-    """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = _rank_from_spectrum(s, A.shape, tol).rank
-    return _hs_from_svd(U[:, :r], s[:r].copy(), Vh[:r])
-
-
 def _hs_from_svd(Ur, s, Vh_r) -> HSDecomposition:
     """The HS form of the square A = Ur diag(s) Vh_r, with Ur and Vh_r* orthonormal.
 
@@ -406,23 +376,3 @@ def projector_onto_along(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if not (rBA == rA == rB):
         raise RankMismatch(f"rank(BA)={rBA}, rank(A)={rA}, rank(B)={rB} must all agree")
     return A @ moore_penrose(B @ A, tol, scale=anchor) @ B
-
-
-def inv_shift_identity(A, B, tol: Tolerance = DEFAULT_TOL):
-    """(I - AB)^-1 computed directly and via the push-through identity.
-
-    Returns the pair ``(direct, shifted)`` where ``direct = inv(I_m - A B)``
-    and ``shifted = I_m + A inv(I_n - B A) B``; the two agree up to rounding
-    whenever I - BA is well conditioned.  Raises Singular when I - BA is
-    numerically singular.
-    """
-    A = as_matrix(A)
-    m, n = A.shape
-    B = _shaped("B", B, (n, m))
-    anchor = max(1.0, sigma_max(A) * sigma_max(B))
-    inner = np.eye(n, dtype=np.complex128) - B @ A
-    if rank_of(inner, tol, scale=anchor) < n:
-        raise Singular("I - BA is numerically singular")
-    direct = np.linalg.inv(np.eye(m, dtype=np.complex128) - A @ B)
-    shifted = np.eye(m, dtype=np.complex128) + A @ np.linalg.inv(inner) @ B
-    return direct, shifted

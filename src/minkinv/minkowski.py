@@ -45,6 +45,9 @@ import numpy as np
 
 from .dense_core import (
     DEFAULT_TOL,
+    EPS,
+    FullRankFactorization,
+    HSDecomposition,
     Tolerance,
     _core_svd,
     _group_of_svd,
@@ -85,6 +88,7 @@ __all__ = [
     "mink_inverse_block", "one_three_m", "one_four_m", "compose_13m_14m",
     "factorization_witnesses", "sylvester_witnesses", "MooreStyleReport",
     "moore_style_check", "bjerhammar_witnesses", "defining_residuals",
+    "full_rank_factorization", "hs_decomposition",
 ]
 
 
@@ -552,7 +556,7 @@ def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
 
 
 def _inverse_of(f: _Factored) -> np.ndarray:
-    """A^m from the factorization of an existent A (the zero matrix for rank 0).
+    """(2^-e A)^m = 2^e A^m from the factorization of an existent A (0 for rank 0).
 
     The formula of :func:`_frf` with both Gram inverses in closed form.  With
     G = 2 e1 e1* - I, Sherman-Morrison gives (2 u u* - I)^-1 = -I + (2/d_u) u u*
@@ -569,8 +573,7 @@ def _inverse_of(f: _Factored) -> np.ndarray:
     u, v = Ur[0].conj(), f.C[:, 0]
     left = np.outer((2 / f.d_v) * (Vr @ v), v.conj()) - Vr
     right = np.outer((2 / f.d_u) * u, (Ur @ u).conj()) - Ur.conj().T
-    X = apply_metric_left(left / f.s) @ apply_metric_right(right)
-    return scale_pow2(X, -f.exp)
+    return apply_metric_left(left / f.s) @ apply_metric_right(right)
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +652,10 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
 
         G U [[K* (G1 Sigma Delta)^-1, 0], [L* (G1 Sigma Delta)^-1, 0]] U* G.
 
-    Nonsingularity of G1 and Delta is exactly the existence condition, so a
-    singular G1 or Delta raises NotExistent.  The result is cross-checked
-    against the equivalent expanded block form; the agreement gap is recorded.
-    Gated and run on 2^-e A like every algorithm (see the module docstring).
+    Nonsingularity of G1 and Delta is the existence condition, which the
+    gate decides; a singular G1 Sigma Delta raises NotExistent.  The result
+    is cross-checked against the equivalent expanded block form; the
+    agreement gap is recorded.  Gated and run on 2^-e A like every algorithm.
     """
     return _run("hs", A, tol, force)
 
@@ -660,18 +663,12 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
 def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
-    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f.Ur, f.s, f.C)
+    hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f)
     r = hs.r
     U = hs.U
     G2 = UGU[:r, r:]
     G3 = UGU[r:, :r]
     G4 = UGU[r:, r:]
-
-    # blocks of a unitary congruence of G have unit natural scale
-    if not force and rank_of(G1, tol, scale=1.0) < r:
-        raise NotExistent("G1 is singular, i.e. rank(A~A) < rank(A)")
-    if not force and rank_of(Delta, tol, scale=1.0) < r:
-        raise NotExistent("Delta is singular, i.e. rank(AA~) < rank(A)")
     core_inv = _inv_or_forced_pinv(G1 @ Sigma @ Delta, tol, force,
                                    scale=hs.sigma[0],
                                    err=NotExistent, what="G1 Sigma Delta")
@@ -699,9 +696,9 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     return X, gap
 
 
-def _hs_blocks(Ur, s, Vh_r):
-    """(hs, U*GU, its r-by-r block G1, [K L], Delta, Sigma) of the HS form of Ur diag(s) Vh_r."""
-    hs = _hs_from_svd(Ur, s, Vh_r)
+def _hs_blocks(f: _Factored):
+    """(hs, U*GU, its r-by-r block G1, [K L], Delta, Sigma) of the HS form of the normalized A."""
+    hs = _hs_from_svd(f.Ur, f.s, f.C)
     UGU = hs.U.conj().T @ apply_metric_left(hs.U)
     KL = np.hstack([hs.K, hs.L])
     Delta = KL @ UGU @ KL.conj().T
@@ -871,7 +868,31 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     zero matrix maps to the zero matrix (every defining equation holds
     trivially for X = 0).
     """
-    return _inverse_of(_require_existence(_factor(as_matrix(A), tol)))
+    f = _require_existence(_factor(as_matrix(A), tol))
+    return scale_pow2(_inverse_of(f), -f.exp)
+
+
+def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL) -> FullRankFactorization:
+    """A = B C with B = 2^e U_r Sigma_r and C = V_r* from the gate's SVD of 2^-e A.
+
+    Raises ZeroMatrix when the numerical rank is 0.
+    """
+    f = _factor(as_matrix(A), tol)
+    if f.r == 0:
+        raise ZeroMatrix("cannot factor a numerically zero matrix")
+    return FullRankFactorization(B=scale_pow2(f.B, f.exp), C=f.C.copy(), r=f.r)
+
+
+def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
+    """Hartwig-Spindelbock form of a square A, from the gate's SVD of 2^-e A.
+
+    Raises NotSquare for rectangular input and ZeroMatrix for rank 0.
+    """
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
+    f = _factor(A, tol)
+    return _hs_from_svd(f.Ur, np.ldexp(f.s, f.exp), f.C)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +1060,20 @@ _ALGORITHMS = {
 # witness constructions and decision procedures
 # ---------------------------------------------------------------------------
 
+def _witness(name: str, W, k: int) -> np.ndarray:
+    """2^k W, or MinkinvError naming the witness when 2^k W leaves the double range.
+
+    It has left it when scaling back misses W by more than eps ||W||: an
+    entry overflowed, or underflowed with more than rounding noise.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = scale_pow2(W, k)
+        lost = fro(scale_pow2(out, -k) - W)
+    if not lost <= EPS * fro(W):
+        raise MinkinvError(f"witness {name} lies outside the double range at this scale of A")
+    return out
+
+
 def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     """Witnesses (X, Y) with A = X AA~A = AA~A Y and A^m = (XA)~ = (AY)~.
 
@@ -1046,7 +1081,8 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     {1}-inverse; existence makes rank(AA~A) = rank(A), which is exactly what
     the recovery identities need.  Both are built and verified on the gate's
     normalized 2^-e A, whose witnesses are 2^2e X and 2^2e Y, and scaled
-    back by 2^-2e, so they hold at every scale of the double range.
+    back by 2^-2e; beyond the double range, from about |A| = 1e154 or
+    1e-154 on, MinkinvError names the witness.
     """
     f, A = _normalized(A, tol)
     _require_existence(f)
@@ -1057,7 +1093,7 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     scale = fro(A)
     if not mats_close(X @ M, A, tol, scale=scale) or not mats_close(M @ Y, A, tol, scale=scale):
         raise MinkinvError("internal inconsistency: factorization witnesses failed to verify")
-    return scale_pow2(X, -2 * f.exp), scale_pow2(Y, -2 * f.exp)
+    return _witness("X", X, -2 * f.exp), _witness("Y", Y, -2 * f.exp)
 
 
 def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
@@ -1069,12 +1105,13 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     2^-e A: Q is AA~ on R(A) and I on N(A~), so AA^m Q^-1 = 2^-2e AA^m Q'^-1.
     Q' is provably nonsingular when the inverse exists; Singular is raised
     as an internal inconsistency otherwise.  Far from unit scale, X rounds
-    away its |A|^-2 part or its O(1) part -Y.
+    away its |A|^-2 part or its O(1) part -Y, and from about |A| = 1e154 or
+    1e-154 on, MinkinvError names X.
     """
     f, A = _normalized(A, tol)
     _require_existence(f)
     Z, Y = _sylvester(f, A, tol)
-    return scale_pow2(Z, -2 * f.exp) - Y, Y
+    return _witness("X", Z, -2 * f.exp) - Y, Y
 
 
 def _sylvester(f: _Factored, A, tol: Tolerance):
@@ -1168,17 +1205,20 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     for free Y (m-by-m) and Z (n-by-n); the products A~B, CA~ and A~DA~ are
     invariant under Y and Z.  The m-by-n free parameters of D are derived
     from the same Y and Z so a single signature drives all three witnesses.
+    Built and verified on the gate's 2^-e A with 2^2e Y and 2^2e Z, then
+    scaled back, B and C by 2^-2e and D by 2^-3e; MinkinvError names a witness
+    beyond the double range (D from about |A| = 1e102 or 1e-102 on).
     """
-    A = as_matrix(A)
-    f = _require_existence(_factor(A, tol))
+    f, A = _normalized(A, tol)
+    _require_existence(f)
     Am = _inverse_of(f)
     m, n = A.shape
     As = mink_adjoint(A)
-    P = scale_pow2(mink_adjoint(f.pinv_A), -f.exp)   # (A~)+ = (A+)~ from the gate, m x n
+    P = mink_adjoint(f.pinv_A)           # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    Y = np.zeros((m, m), dtype=np.complex128) if Y is None else _shaped("Y", Y, (m, m))
-    Z = np.zeros((n, n), dtype=np.complex128) if Z is None else _shaped("Z", Z, (n, n))
+    Y = scale_pow2(_shaped("Y", np.zeros((m, m)) if Y is None else Y, (m, m)), 2 * f.exp)
+    Z = scale_pow2(_shaped("Z", np.zeros((n, n)) if Z is None else Z, (n, n)), 2 * f.exp)
     left_ann = eye_m - P @ As            # annihilated by A~ on the left
     right_ann = eye_n - As @ P           # annihilates A~ on the right
     B = P @ Am + left_ann @ Y
@@ -1189,4 +1229,5 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
             and mats_close(C @ As, Am, tol, scale=scale)
             and mats_close(As @ D @ As, Am, tol, scale=scale)):
         raise MinkinvError("internal inconsistency: Bjerhammar witnesses failed to verify")
-    return B, C, D
+    k = -2 * f.exp
+    return _witness("B", B, k), _witness("C", C, k), _witness("D", D, k - f.exp)

@@ -19,6 +19,7 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _rank_from_spectrum,
     _shaped,
     as_matrix,
     fro,
@@ -26,12 +27,12 @@ from .dense_core import (
     moore_penrose,
     one_inverse_sample,
     rank_of,
+    scale_pow2,
 )
 from .errors import (
     Inconsistent,
     Infeasible,
     MinkinvError,
-    NotExistent,
     NotSquare,
     RankMismatch,
     SingularParam,
@@ -41,6 +42,8 @@ from .minkowski import (
     _factor,
     _hs_blocks,
     _inverse_of,
+    _normalized,
+    _require_existence,
     apply_metric_left,
     apply_metric_right,
     mink_adjoint,
@@ -119,12 +122,13 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     return GeneralSolution(particular=A1 @ D @ B1, _A=A, _A1=A1, _B=B, _B1=B1)
 
 
-def _equivalence_decomposition(A, r: int):
-    """Nonsingular P, Q with A = P [[I_r, 0], [0, 0]] Q for A of rank r, from the SVD."""
+def _equivalence_decomposition(A, tol: Tolerance):
+    """(r, P, Q): r = rank(A) and nonsingular P, Q with A = P [[I_r, 0], [0, 0]] Q, from one SVD."""
     U, s, Vh = np.linalg.svd(A)
+    r = _rank_from_spectrum(s, A.shape, tol).rank
     d = np.ones(A.shape[0], dtype=np.complex128)
     d[:r] = s[:r]
-    return U * d, Vh   # U @ diag(d)
+    return r, U * d, Vh   # U @ diag(d)
 
 
 def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
@@ -145,8 +149,8 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     B = as_matrix(B)
     m, n = A.shape
     l, h = B.shape
-    r = rank_of(A, tol)
-    r1 = rank_of(B, tol)
+    r, P, Q = _equivalence_decomposition(A, tol)
+    r1, P1, Q1 = _equivalence_decomposition(B, tol)
     if r != r1:
         raise RankMismatch(f"rank(A)={r} and rank(B)={r1} must be equal")
     if r == 0:
@@ -154,9 +158,6 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     X1 = _shaped("X1", X1, (r, r))
     if rank_of(X1, tol) < r:
         raise SingularParam("X1 is numerically singular")
-
-    P, Q = _equivalence_decomposition(A, r)
-    P1, Q1 = _equivalence_decomposition(B, r)
 
     def blk(shape, given, name):
         if given is None or min(shape) == 0:
@@ -204,15 +205,13 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     X = I - A^m A and Y = I - A A^m are the ~-self-adjoint idempotents
     annihilated by A with ranks n - r and m - r, and Z = A^m is the unique
     matrix making rank([[A, I-Y], [I-X, Z]]) = rank(A).  All stated
-    conditions are verified before returning.  Existence and A^m come from
-    the one factorization of the Minkowski-inverse gate, as in
-    :func:`~minkinv.minkowski.mink_inverse`.
+    conditions are verified before returning, on 2^-e A, whose Z is scaled
+    back by 2^-e.  Existence and A^m come from the one factorization of the
+    Minkowski-inverse gate, as in :func:`~minkinv.minkowski.mink_inverse`.
     """
-    A = as_matrix(A)
+    f, A = _normalized(A, tol)
+    _require_existence(f)
     m, n = A.shape
-    f = _factor(A, tol)
-    if not f.exists:
-        raise NotExistent("the characterization requires an existent Minkowski inverse")
     r = f.r
     Am = _inverse_of(f)
     X = np.eye(n, dtype=np.complex128) - Am @ A
@@ -232,7 +231,7 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     bordered = np.block([[A, np.eye(m) - Y], [np.eye(n) - X, Am]])
     if rank_of(bordered, tol, floor=tol.eq_bound(fro(bordered))) != r:
         raise MinkinvError("internal inconsistency: bordered rank differs from rank(A)")
-    return X, Y, Am
+    return X, Y, scale_pow2(Am, -f.exp)
 
 
 def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAULT_TOL):
@@ -252,16 +251,15 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     while keeping N(T*) = N([K L]); Y1 (n-by-r) and Y2 (n-by-(n-r)) sweep the
     stated free parameters.  For every choice, ``rank_equation_solve`` on
     (A, B, C) returns A^m.  Existence is decided by the one-SVD gate of
-    :func:`~minkinv.minkowski.mink_inverse`, whose SVD also gives the HS form.
+    :func:`~minkinv.minkowski.mink_inverse`, whose SVD of 2^-e A gives the HS
+    form; on it, 2^2e Y1 and 2^2e Y2 give 2^e B and 2^-e C, scaled back.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
-    f = _factor(A, tol)
-    if not f.exists:
-        raise NotExistent("the construction requires an existent Minkowski inverse")
+    f = _require_existence(_factor(A, tol))
     n = A.shape[0]
-    hs, _, G1, KL, Delta, Sigma = _hs_blocks(f.B / f.s, np.ldexp(f.s, f.exp), f.C)  # A = 2^e B C
+    hs, _, G1, KL, Delta, Sigma = _hs_blocks(f)
     r = hs.r
     U = hs.U
 
@@ -272,8 +270,12 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
         if rank_of(X1free, tol) < r:
             raise SingularParam("X1free is numerically singular")
         J = KL.conj().T @ X1free
-    Y1 = np.zeros((n, r), dtype=np.complex128) if Y1 is None else _shaped("Y1", Y1, (n, r))
-    Y2 = np.zeros((n, n - r), dtype=np.complex128) if Y2 is None else _shaped("Y2", Y2, (n, n - r))
+
+    def free(name, Y, shape):        # 2^2e Y, the parameter of the normalized construction
+        Y = np.zeros(shape, dtype=np.complex128) if Y is None else _shaped(name, Y, shape)
+        return scale_pow2(Y, 2 * f.exp)
+
+    Y1, Y2 = free("Y1", Y1, (n, r)), free("Y2", Y2, (n, n - r))
 
     T = J @ Sigma @ KL
     Tp = moore_penrose(T, tol)
@@ -287,4 +289,4 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     Bfull[:r, r:] = B2
     B = U @ Bfull @ apply_metric_right(U.conj().T)
     C = apply_metric_left(U) @ T @ U.conj().T
-    return B, C
+    return scale_pow2(B, -f.exp), scale_pow2(C, f.exp)

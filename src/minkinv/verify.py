@@ -20,6 +20,7 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _rank_from_spectrum,
     fro,
     rank_of,
     scale_pow2,
@@ -102,7 +103,7 @@ def _well_margined(A, sa, r, tol):
     """Whether the rank-r draw A, with singular values ``sa``, has its Gram margins.
 
     A~A and AA~ must keep sigma_r above _GRAM_MARGIN times sigma_1(A)^2,
-    and A, A~A and AA~ must all have numerical rank r.
+    and A, A~A and AA~ must all have numerical rank r on those spectra.
     """
     As = mk.mink_adjoint(A)
     s2 = sa[0] * sa[0]
@@ -111,7 +112,9 @@ def _well_margined(A, sa, r, tol):
     s_aas = np.linalg.svd(A @ As, compute_uv=False)
     if s_asa[r - 1] < _GRAM_MARGIN * s2 or s_aas[r - 1] < _GRAM_MARGIN * s2:
         return False
-    return rank_of(A, tol) == rank_of(As @ A, tol, scale=s2) == rank_of(A @ As, tol, scale=s2) == r
+    m, n = A.shape
+    spectra = ((sa, (m, n), None), (s_asa, (n, n), s2), (s_aas, (m, m), s2))
+    return all(_rank_from_spectrum(s, shape, tol, scale).rank == r for s, shape, scale in spectra)
 
 
 def _draw_isotropic(rng, m, n):

@@ -237,27 +237,3 @@ def test_projector_rank_mismatch(rng):
     B = np.zeros((2, 4))
     with pytest.raises(mi.RankMismatch):
         mi.projector_onto_along(A, B)
-
-
-def test_inv_shift_identity_zero_cases(rng):
-    A = np.zeros((3, 2))
-    B = cgauss(rng, 2, 3)
-    d, s = mi.inv_shift_identity(A, B)
-    assert_allclose(d, np.eye(3), atol=1e-14)
-    assert_allclose(s, np.eye(3), atol=1e-14)
-    d, s = mi.inv_shift_identity(cgauss(rng, 3, 2), np.zeros((2, 3)))
-    assert_allclose(d, np.eye(3), atol=1e-14)
-
-
-def test_inv_shift_identity_agreement(rng):
-    A = cgauss(rng, 4, 3)
-    B = cgauss(rng, 3, 4)
-    B = 0.5 * B / (np.linalg.norm(A) * np.linalg.norm(B))
-    d, s = mi.inv_shift_identity(A, B)
-    assert np.linalg.norm(d - s) / np.linalg.norm(d) < 1e-10
-
-
-def test_inv_shift_identity_singular():
-    A = np.eye(3)
-    with pytest.raises(mi.Singular):
-        mi.inv_shift_identity(A, np.eye(3))

@@ -197,6 +197,7 @@ def test_remembered_factors_are_read_only():
 def test_public_results_do_not_alias_the_remembered_factors():
     A = existent(6, 6, 3, seed=36)
     for name, call in entry_points(A) + [("diagnose_existence", mi.diagnose_existence),
+                                         ("full_rank_factorization", mi.full_rank_factorization),
                                          ("hs_decomposition", mi.hs_decomposition)]:
         out = call(A)
         f = _factor(A)

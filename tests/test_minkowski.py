@@ -492,6 +492,30 @@ def test_sylvester_witnesses_at_every_scale(k):
     assert np.linalg.norm(mi.mink_adjoint(An) @ Xn - ref) < 1e-9 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("k", [-200, -160, -110, -104, 104, 110, 160, 200])
+def test_witnesses_are_right_or_refused_beyond_the_double_range(k):
+    # the witnesses scale as |A|^-2 (D as |A|^-3): where they leave the double
+    # range, MinkinvError names them instead of returning zeros, infs or NaNs
+    A = 10.0 ** k * A55
+    As = mi.mink_adjoint(A)
+    ref = mi.mink_inverse(A)
+    identities = {
+        mi.bjerhammar_witnesses: lambda B, C, D: [As @ B, C @ As, As @ D @ As],
+        mi.factorization_witnesses: lambda X, Y: [mi.mink_adjoint(X @ A), mi.mink_adjoint(A @ Y)],
+        # X keeps its |A|^-2 part only for small |A| (see the docstring)
+        mi.sylvester_witnesses: lambda X, Y: [As @ X] if k < 0 else [],
+    }
+    for call, recovered in identities.items():
+        with np.errstate(all="ignore"):
+            try:
+                witnesses = call(A)
+            except mi.MinkinvError:
+                continue
+        assert all(np.all(np.isfinite(W)) for W in witnesses), call.__name__
+        for W in recovered(*witnesses):
+            assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref), call.__name__
+
+
 # ---------------------------------------------------------------------------
 # decision procedure and Bjerhammar witnesses
 # ---------------------------------------------------------------------------

@@ -82,13 +82,13 @@ def test_xayb_random_instance(rng):
 
 
 def test_xayb_lapack_counts(monkeypatch, rng):
-    # rank(A), rank(B), rank(X1) and the two equivalence SVDs, which reuse the ranks;
+    # the equivalence SVDs of A and B, which also give their ranks, and rank(X1);
     # X1^-1, P^-1 and Q^-1
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
     B = cgauss(rng, 3, 2) @ cgauss(rng, 2, 6)
     X1 = cgauss(rng, 2, 2)
     assert lapack_counts(monkeypatch, lambda A: mi.solve_xay_b(A, B, X1), A) == {
-        "svd": 5, "inv": 3, "solve": 0, "eigvalsh": 0, "qr": 0}
+        "svd": 3, "inv": 3, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_xayb_rank_mismatch(rng):
@@ -204,7 +204,7 @@ def test_solvers_gate_on_one_factorization(monkeypatch):
 
 
 def test_bc_parameterization_requires_existence():
-    with pytest.raises(mi.NotExistent, match="the construction requires"):
+    with pytest.raises(mi.NotExistent, match="Minkowski inverse does not exist"):
         mi.bc_parameterization(isotropic(4, 4, seed=5))
 
 
@@ -245,6 +245,28 @@ def test_bc_parameterization_uniqueness(rng):
     E /= np.linalg.norm(E)
     worse = np.block([[A, B], [C, ref + 1e-3 * E]])
     assert mi.rank_of(worse, floor=floor) > rA
+
+
+def _rel_err(W, ref):
+    """||W - ref|| / ||ref||, taken on W / max|ref| so that no norm overflows."""
+    s = np.abs(ref).max()
+    return np.linalg.norm((W - ref) / s) / np.linalg.norm(ref / s)
+
+
+@pytest.mark.parametrize("k", [-200, -154, 154, 200])
+def test_characterization_and_bc_beyond_the_products_range(k):
+    # both run on 2^-e A: the raw bordered matrix's norm overflows from 1e154 and
+    # underflows from 1e-155, and the raw construction's B overflowed there
+    A = 10.0 ** k * A55
+    ref = mi.mink_inverse(A)
+    X0, Y0, _ = mi.mink_rank_characterization(A55)
+    X, Y, Z = mi.mink_rank_characterization(A)
+    assert _rel_err(Z, ref) <= 1e-12
+    assert _rel_err(X, X0) <= 1e-12 and _rel_err(Y, Y0) <= 1e-12
+    B, C = mi.bc_parameterization(A)
+    assert np.all(np.isfinite(B)) and np.all(np.isfinite(C))
+    X = (C @ mi.moore_penrose(A)) @ B       # the unique solution C A+ B of the rank equation
+    assert _rel_err(X, ref) <= 1e-8
 
 
 def test_bc_parameterization_requires_square():

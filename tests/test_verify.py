@@ -209,9 +209,9 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     # the routes' own products and the diagnosis's seven product ranks, and
     # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary;
     # the group, Zlobec and diagnosis products are factored on their 30x30
-    # cores, so the work (m n min(m, n) per SVD) is about half of 21 full SVDs
+    # cores, so the work (m n min(m, n) per SVD) is about 60% of 19 full SVDs
     counts = lapack_counts(monkeypatch, mi.cross_check, A)
-    assert counts == {"svd": 21, "inv": 10, "solve": 0, "eigvalsh": 0, "qr": 1}
+    assert counts == {"svd": 19, "inv": 10, "solve": 0, "eigvalsh": 0, "qr": 1}
     assert counts.work <= 1_600_000
     counts = lapack_counts(monkeypatch, mi.diagnose_existence, A)
     assert counts == {"svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
@@ -235,6 +235,22 @@ def test_compute_then_certify_factors_once(monkeypatch):
     A = existent(50, 50, 30, seed=1)
     assert lapack_counts(monkeypatch, lambda A: mi.check_candidate(A, mi.mink_inverse(A)), A) == {
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+
+
+def test_factorizations_are_views_of_the_gate(monkeypatch):
+    # after mink_inverse on the same A, FRF takes no LAPACK call and HS one QR
+    A = existent(50, 50, 30, seed=1)
+    assert lapack_counts(monkeypatch, lambda A: (mi.mink_inverse(A), mi.full_rank_factorization(A),
+                                                 mi.hs_decomposition(A)), A) == {
+        "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 1}
+
+
+def test_generate_lapack_counts(monkeypatch):
+    # an accepted first draw: sigma(A), the ranks of the two factor Grams, and
+    # sigma(A~A) and sigma(AA~), whose spectra also give the three ranks
+    spec = mi.GenSpec(rows=50, cols=50, rank=30, kind=mi.GenKind.EXISTENT, seed=1)
+    assert lapack_counts(monkeypatch, mi.generate, spec) == {
+        "svd": 5, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_witness_lapack_counts(monkeypatch):
