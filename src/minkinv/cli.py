@@ -180,9 +180,8 @@ def _cmd_check(args) -> int:
     print(f"identity tests: on-range={'ok' if moore.acts_identity_on_adjoint_range else 'FAIL'} "
           f"null-kill={'ok' if moore.annihilates_adjoint_nullspace else 'FAIL'} "
           f"range-containment={'ok' if moore.range_within_adjoint_range else 'FAIL'}")
-    verdict = moore.is_inverse and report.verdict
-    print(f"X is the Minkowski inverse: {'yes' if verdict else 'no'}")
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+    print(f"X is the Minkowski inverse: {'yes' if moore.is_inverse else 'no'}")
+    return EXIT_OK if moore.is_inverse else EXIT_NEGATIVE
 
 
 def _cmd_gen(args) -> int:

@@ -63,7 +63,6 @@ from .dense_core import (
     numerical_rank,
     pow2_exponent,
     rank_of,
-    rel_residual,
     scale_pow2,
 )
 from .errors import (
@@ -595,6 +594,19 @@ class InverseComputation:
     gap: float | None = None
 
 
+def _dual_gap(X, X2, tol: Tolerance, force: bool, what: str):
+    """(X, gap) with gap = ||X2 - X|| / max(1, ||X||), X2 a route's second form of X.
+
+    Unless ``force``, a gap beyond the equality bound at ||X|| raises
+    MinkinvError as an internal inconsistency, "<what> by <gap>".
+    """
+    d, nX = fro(X2 - X), fro(X)
+    gap = d / max(1.0, nX)
+    if not (force or d <= tol.eq_bound(nX)):
+        raise MinkinvError(f"internal inconsistency: {what} by {gap:.3e}")
+    return X, gap
+
+
 def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputation:
     """The public entry point of route ``key`` of :data:`_ALGORITHMS`.
 
@@ -664,8 +676,7 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
     n = A.shape[0]
     hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f)
-    r = hs.r
-    U = hs.U
+    r, U = hs.r, hs.U
     G2 = UGU[:r, r:]
     G3 = UGU[r:, :r]
     G4 = UGU[r:, r:]
@@ -675,9 +686,7 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     blk = np.zeros((n, n), dtype=np.complex128)
     blk[:r, :r] = hs.K.conj().T @ core_inv
     blk[r:, :r] = hs.L.conj().T @ core_inv
-    GU = apply_metric_left(U)
-    UG = apply_metric_right(U.conj().T)
-    X = GU @ blk @ UG
+    X = apply_metric_left(U) @ blk @ apply_metric_right(U.conj().T)
 
     # expanded form over the same block split
     t_top = G1 @ hs.K.conj().T + G2 @ hs.L.conj().T
@@ -689,11 +698,7 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     expanded[:r, r:] = t_top @ core_inv @ G2
     expanded[r:, :r] = t_bot @ sd_inv
     expanded[r:, r:] = t_bot @ core_inv @ G2
-    X2 = U @ expanded @ U.conj().T
-    gap = rel_residual(X2, X)
-    if not force and not mats_close(X2, X, tol, scale=fro(X)):
-        raise MinkinvError(f"internal inconsistency: expanded form differs by {gap:.3e}")
-    return X, gap
+    return _dual_gap(X, U @ expanded @ U.conj().T, tol, force, "expanded form differs")
 
 
 def _hs_blocks(f: _Factored):
@@ -788,10 +793,7 @@ def _group(f: _Factored, A, tol: Tolerance, force: bool):
 
     X1 = grp(As @ A, apply_metric_left(Vr), Vr) @ As
     X2 = As @ grp(A @ As, Ur, apply_metric_left(Ur))
-    gap = rel_residual(X2, X1)
-    if not force and not mats_close(X2, X1, tol, scale=fro(X1)):
-        raise MinkinvError(f"internal inconsistency: dual group forms differ by {gap:.3e}")
-    return X1, gap
+    return _dual_gap(X1, X2, tol, force, "dual group forms differ")
 
 
 def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
@@ -819,12 +821,8 @@ def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
                                tol, force, scale=anchor, err=Singular, what="resolvent")
     right = _inv_or_forced_pinv(A @ As + np.eye(m, dtype=np.complex128) - A @ A1,
                                 tol, force, scale=anchor, err=Singular, what="dual resolvent")
-    X = mink_adjoint(A @ left)
-    X2 = mink_adjoint(right @ A)
-    gap = rel_residual(X2, X)
-    if not force and not mats_close(X2, X, tol, scale=fro(X)):
-        raise MinkinvError(f"internal inconsistency: dual resolvent forms differ by {gap:.3e}")
-    return X, gap
+    return _dual_gap(mink_adjoint(A @ left), mink_adjoint(right @ A), tol, force,
+                     "dual resolvent forms differ")
 
 
 def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -1104,21 +1102,33 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     Q mixes |A|^2 with 1, so it is formed as Q' on the gate's normalized
     2^-e A: Q is AA~ on R(A) and I on N(A~), so AA^m Q^-1 = 2^-2e AA^m Q'^-1.
     Q' is provably nonsingular when the inverse exists; Singular is raised
-    as an internal inconsistency otherwise.  Far from unit scale, X rounds
-    away its |A|^-2 part or its O(1) part -Y, and from about |A| = 1e154 or
-    1e-154 on, MinkinvError names X.
+    as an internal inconsistency otherwise.  A^m comes from the gate's
+    factorization in closed form, as in :func:`mink_inverse`.
+
+    X adds the |A|^-2 part to the O(1) part -Y, so for |A| > 1 rounding
+    takes the |A|^-2 part away, and for |A| from about 1e-154 down that
+    part leaves the double range.  So A~X = A^m is checked on the returned
+    X, at the equality bound of ``check_candidate`` on the normalized
+    scale, and MinkinvError names X where it fails: from |A| of about 1e3
+    to 1e4 up on generic input, and from about 1e-154 down.
     """
     f, A = _normalized(A, tol)
     _require_existence(f)
-    Z, Y = _sylvester(f, A, tol)
-    return _witness("X", Z, -2 * f.exp) - Y, Y
+    Am = _inverse_of(f)
+    Z, Y = _sylvester(f, A, Am, tol)
+    X = _witness("X", Z, -2 * f.exp) - Y
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):   # 2^e A~X vs 2^e A^m
+        right = mats_close(scale_pow2(mink_adjoint(A) @ X, 2 * f.exp), Am, tol)
+    if not right:
+        raise MinkinvError("witness X loses its |A|^-2 part to rounding at this scale of A")
+    return X, Y
 
 
-def _sylvester(f: _Factored, A, tol: Tolerance):
-    """(P Q'^-1, I - P) of :func:`sylvester_witnesses` on the normalized A factored by ``f``."""
+def _sylvester(f: _Factored, A, Am, tol: Tolerance):
+    """(P Q'^-1, I - P) of :func:`sylvester_witnesses` on the normalized A, P = A Am."""
     m = A.shape[0]
     eye = np.eye(m, dtype=np.complex128)
-    P = A @ _frf(f, tol) if f.r else np.zeros_like(eye)
+    P = A @ Am
     Q = A @ mink_adjoint(A) + eye - P
     if rank_of(Q, tol, scale=max(1.0, f.s1 ** 2)) < m:
         raise Singular("shifted Gram Q is numerically singular despite a passing diagnosis")

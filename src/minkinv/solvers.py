@@ -26,6 +26,7 @@ from .dense_core import (
     mats_close,
     moore_penrose,
     one_inverse_sample,
+    pow2_exponent,
     rank_of,
     scale_pow2,
 )
@@ -44,6 +45,7 @@ from .minkowski import (
     _inverse_of,
     _normalized,
     _require_existence,
+    _witness,
     apply_metric_left,
     apply_metric_right,
     mink_adjoint,
@@ -123,12 +125,16 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
 
 
 def _equivalence_decomposition(A, tol: Tolerance):
-    """(r, P, Q): r = rank(A) and nonsingular P, Q with A = P [[I_r, 0], [0, 0]] Q, from one SVD."""
+    """(r, U, d, Vh): r = rank(A) and A = P [[I_r, 0], [0, 0]] Q with P = U diag(d), Q = Vh.
+
+    From one SVD A = U diag(s) Vh: d holds the r leading singular values,
+    then ones, so P^-1 = (U / d)* and Q^-1 = Q* need no inversion.
+    """
     U, s, Vh = np.linalg.svd(A)
     r = _rank_from_spectrum(s, A.shape, tol).rank
     d = np.ones(A.shape[0], dtype=np.complex128)
     d[:r] = s[:r]
-    return r, U * d, Vh   # U @ diag(d)
+    return r, U, d, Vh
 
 
 def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
@@ -143,14 +149,19 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
 
     for a caller-supplied nonsingular r-by-r block X1 and optional free
     blocks X2 (r x m-r), X4 (l-r x m-r), Y3 (n-r x r), Y4 (n-r x h-r),
-    defaulting to zero.
+    defaulting to zero.  P^-1 and Q^-1 come from the SVD of A, so X1 is the
+    only matrix inverted.  X adds parts of size |B| / |A| (from X1), |B|
+    (X2) and 1 (X4), so X A Y = B is checked on the returned pair,
+    normalized by the powers of two of A and B, and MinkinvError is raised
+    where it fails: where X leaves the double range, or rounding takes one
+    of its parts away.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     m, n = A.shape
     l, h = B.shape
-    r, P, Q = _equivalence_decomposition(A, tol)
-    r1, P1, Q1 = _equivalence_decomposition(B, tol)
+    r, U, d, Vh = _equivalence_decomposition(A, tol)
+    r1, U1, d1, Vh1 = _equivalence_decomposition(B, tol)
     if r != r1:
         raise RankMismatch(f"rank(A)={r} and rank(B)={r1} must be equal")
     if r == 0:
@@ -173,9 +184,21 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     Yblk[r:, :r] = blk((n - r, r), Y3, "Y3")
     Yblk[r:, r:] = blk((n - r, h - r), Y4, "Y4")
 
-    X = P1 @ Xblk @ np.linalg.inv(P)
-    Y = np.linalg.inv(Q) @ Yblk @ Q1
+    X = (U1 * d1) @ Xblk @ (U / d).conj().T
+    Y = Vh.conj().T @ Yblk @ Vh1
+    a, b = pow2_exponent(A), pow2_exponent(B)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        right = mats_close(scale_pow2(X, a - b) @ scale_pow2(A, -a) @ Y, scale_pow2(B, -b), tol)
+    if not right:
+        raise MinkinvError("X A Y differs from B: X leaves the double range or rounds a part away")
     return X, Y
+
+
+def _require_bordered_rank(A, B, C, X, r: int, tol: Tolerance) -> None:
+    """MinkinvError unless rank([[A, B], [C, X]]) = r, cut off at the equality bound of its norm."""
+    bordered = np.block([[A, B], [C, X]])
+    if rank_of(bordered, tol, floor=tol.eq_bound(fro(bordered))) != r:
+        raise MinkinvError("internal inconsistency: bordered rank differs from rank(A)")
 
 
 def rank_equation_solve(inst: RankEquationInstance, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -184,19 +207,25 @@ def rank_equation_solve(inst: RankEquationInstance, tol: Tolerance = DEFAULT_TOL
     Feasibility is R(B) within R(A) and R(C*) within R(A*), decided by rank
     tests; the unique solution is X = C A+ B, and the assembled bordered
     matrix is verified to have numerical rank equal to rank(A).
+
+    Each block is normalized by its own power of two (:func:`pow2_exponent`):
+    A by the gate's 2^e, whose factorization gives rank(A) and A+, B by 2^b
+    and C by 2^c.  The bordered matrix of (2^-e A, 2^-b B, 2^-c C) is a
+    power-of-two row and column scaling of the raw one, with the solution
+    2^(e-b-c) X, so its rank in exact arithmetic is that of the raw one, and
+    no norm of it overflows or underflows.  X is scaled back by 2^(b+c-e),
+    and MinkinvError names it where it leaves the double range.
     """
-    A, B, C = inst.A, inst.B, inst.C
-    rA = rank_of(A, tol)
-    if rank_of(np.hstack([A, B]), tol) != rA:
+    f, A = _normalized(inst.A, tol)
+    b, c = pow2_exponent(inst.B), pow2_exponent(inst.C)
+    B, C = scale_pow2(inst.B, -b), scale_pow2(inst.C, -c)
+    if rank_of(np.hstack([A, B]), tol) != f.r:
         raise Infeasible("R(B) is not contained in R(A)")
-    if rank_of(np.vstack([A, C]), tol) != rA:
+    if rank_of(np.vstack([A, C]), tol) != f.r:
         raise Infeasible("R(C*) is not contained in R(A*)")
-    X = C @ moore_penrose(A, tol) @ B
-    bordered = np.block([[A, B], [C, X]])
-    floor = tol.eq_bound(fro(bordered))
-    if rank_of(bordered, tol, floor=floor) != rA:
-        raise MinkinvError("internal inconsistency: bordered rank differs from rank(A)")
-    return X
+    X = C @ f.pinv_A @ B
+    _require_bordered_rank(A, B, C, X, f.r, tol)
+    return _witness("X", X, b + c - f.exp)
 
 
 def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
@@ -228,9 +257,7 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
         if rank_of(P, tol, floor=tol.eq_bound(max(1.0, fro(P)))) != want:
             raise MinkinvError(f"internal inconsistency: rank({side}) != expected")
 
-    bordered = np.block([[A, np.eye(m) - Y], [np.eye(n) - X, Am]])
-    if rank_of(bordered, tol, floor=tol.eq_bound(fro(bordered))) != r:
-        raise MinkinvError("internal inconsistency: bordered rank differs from rank(A)")
+    _require_bordered_rank(A, np.eye(m) - Y, np.eye(n) - X, Am, r, tol)
     return X, Y, scale_pow2(Am, -f.exp)
 
 
@@ -260,8 +287,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     f = _require_existence(_factor(A, tol))
     n = A.shape[0]
     hs, _, G1, KL, Delta, Sigma = _hs_blocks(f)
-    r = hs.r
-    U = hs.U
+    r, U = hs.r, hs.U
 
     if X1free is None:
         J = KL.conj().T

@@ -22,7 +22,6 @@ from .dense_core import (
     Tolerance,
     _rank_from_spectrum,
     fro,
-    rank_of,
     scale_pow2,
 )
 from .errors import MinkinvError, NotExistent, RetryExhausted
@@ -89,11 +88,7 @@ def _draw_existent(rng, m, n, r, tol):
         C = _cgauss(rng, r, n)
         A = B @ C
         sa = np.linalg.svd(A, compute_uv=False)
-        if sa[r - 1] < _KAPPA_A * sa[0]:
-            continue
-        if rank_of(mk.mink_adjoint(B) @ B, tol) != r or rank_of(C @ mk.mink_adjoint(C), tol) != r:
-            continue
-        if _well_margined(A, sa, r, tol):
+        if sa[r - 1] >= _KAPPA_A * sa[0] and _well_margined(A, sa, r, tol):
             return A
     raise RetryExhausted(f"no well-margined existent draw in {_MAX_DRAWS} tries "
                          f"for {m}x{n} rank {r}")

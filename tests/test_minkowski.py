@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import minkinv as mi
 from minkinv import fixtures
 from minkinv.dense_core import scale_pow2
-from conftest import cgauss, existent, block_existent, isotropic
+from conftest import cgauss, existent, block_existent, isotropic, lapack_counts
 
 A55 = fixtures.existent_5x5()
 AM55 = fixtures.existent_5x5_minkinv()
@@ -455,16 +455,27 @@ def test_sylvester_witnesses_identities():
     assert np.linalg.norm(As @ X - ref) / np.linalg.norm(ref) < 1e-8
 
 
+def test_sylvester_witnesses_lapack_counts(monkeypatch):
+    # the gate's SVD, which also gives A^m, and the rank of Q'; Q'^-1
+    assert lapack_counts(monkeypatch, mi.sylvester_witnesses, A55) == {
+        "svd": 2, "inv": 1, "solve": 0, "eigvalsh": 0, "qr": 0}
+
+
 def _sylvester_parts(A):
     """(e, P Q'^-1, Y) of sylvester_witnesses on the normalized 2^-e A."""
     f, An = mi.minkowski._normalized(A, mi.DEFAULT_TOL)
-    Z, Y = mi.minkowski._sylvester(f, An, mi.DEFAULT_TOL)
+    Z, Y = mi.minkowski._sylvester(f, An, mi.minkowski._inverse_of(f), mi.DEFAULT_TOL)
     return f.exp, Z, Y
 
 
 @pytest.mark.parametrize("j", [-332, -27, 27, 332])
 def test_sylvester_witnesses_power_of_two_covariant(j):
-    # X = 2^-2e P Q'^-1 - Y: the |A|^-2 part scales by 2^-2j exactly and Y not at all
+    # X = 2^-2e P Q'^-1 - Y: the |A|^-2 part scales by 2^-2j exactly and Y not at all;
+    # for j > 0 rounding takes that part away, and the check of A~X = A^m names X
+    if j > 0:
+        with pytest.raises(mi.MinkinvError, match="witness X"):
+            mi.sylvester_witnesses(2.0 ** j * A55)
+        return
     e, Z, Y0 = _sylvester_parts(A55)
     X, Y = mi.sylvester_witnesses(2.0 ** j * A55)
     assert Y.tobytes() == Y0.tobytes()
@@ -473,8 +484,13 @@ def test_sylvester_witnesses_power_of_two_covariant(j):
 
 @pytest.mark.parametrize("k", [-100, -8, 8, 100])
 def test_sylvester_witnesses_at_every_scale(k):
-    # Q = AA~ + I - AA^m mixes |A|^2 with 1; it used to be ranked unnormalized and raise Singular
+    # Q = AA~ + I - AA^m mixes |A|^2 with 1; it used to be ranked unnormalized and raise Singular.
+    # For |A| > 1, X = 2^-2e P Q'^-1 - Y rounds its |A|^-2 part away, so it is refused
     A = 10.0 ** k * A55
+    if k > 0:
+        with pytest.raises(mi.MinkinvError, match="witness X"):
+            mi.sylvester_witnesses(A)
+        return
     X, Y = mi.sylvester_witnesses(A)
     e, Z, Yn = _sylvester_parts(A)
     assert Y.tobytes() == Yn.tobytes()
@@ -502,8 +518,7 @@ def test_witnesses_are_right_or_refused_beyond_the_double_range(k):
     identities = {
         mi.bjerhammar_witnesses: lambda B, C, D: [As @ B, C @ As, As @ D @ As],
         mi.factorization_witnesses: lambda X, Y: [mi.mink_adjoint(X @ A), mi.mink_adjoint(A @ Y)],
-        # X keeps its |A|^-2 part only for small |A| (see the docstring)
-        mi.sylvester_witnesses: lambda X, Y: [As @ X] if k < 0 else [],
+        mi.sylvester_witnesses: lambda X, Y: [As @ X],
     }
     for call, recovered in identities.items():
         with np.errstate(all="ignore"):

@@ -1,0 +1,126 @@
+"""Right or raise at every scale, for every export that returns matrices.
+
+Each row recovers A^m from what its export returns on A, by the export's own
+identity.  On ``existent_5x5() * 10^k`` and on its Minkowski adjoint, over the
+whole double range, every recovered matrix must equal ``mink_inverse(A)``
+within 1e-8 relative, or the export must raise MinkinvError; at unit scale it
+must not raise.  The names come
+from ``__all__``, so a new export fails this module until it gets a row here
+or a commented entry in ``EXEMPT``.
+"""
+
+import numpy as np
+import pytest
+
+import minkinv as mi
+from minkinv import fixtures, minkowski, solvers
+from minkinv.dense_core import pow2_exponent, scale_pow2
+
+A55 = fixtures.existent_5x5()
+SCALES = [0, 4, -4, 8, -8, 16, -16, 100, -100, 154, -154, 200, -200]
+
+
+def _frf_inverse(A, Am):
+    """C~ (CC~)^-1 (B~B)^-1 B~ of the returned A = B C, with B normalized by its power of two."""
+    F = mi.full_rank_factorization(A)
+    b = pow2_exponent(F.B)
+    B = scale_pow2(F.B, -b)
+    Bs, Cs = mi.mink_adjoint(B), mi.mink_adjoint(F.C)
+    X = Cs @ np.linalg.inv(F.C @ Cs) @ np.linalg.inv(Bs @ B) @ Bs
+    return [scale_pow2(X, -b)]
+
+
+def _hs_inverse(A, Am):
+    """G U [[K* (G1 Sigma Delta)^-1, 0], [L* (G1 Sigma Delta)^-1, 0]] U* G of the returned HS form."""
+    H = mi.hs_decomposition(A)
+    r, U = H.r, H.U
+    UGU = U.conj().T @ minkowski.apply_metric_left(U)
+    KL = np.hstack([H.K, H.L])
+    core = np.linalg.inv(UGU[:r, :r] @ np.diag(H.sigma) @ KL @ UGU @ KL.conj().T)
+    blk = np.zeros(U.shape, dtype=np.complex128)
+    blk[:, :r] = KL.conj().T @ core
+    return [minkowski.apply_metric_left(U) @ blk @ minkowski.apply_metric_right(U.conj().T)]
+
+
+def _witnesses(call, recover):
+    return lambda A, Am: recover(A, *call(A))
+
+
+_adj = mi.mink_adjoint
+
+
+# export -> recover(A, Am): the matrices that must equal Am = mink_inverse(A)
+RECOVER = {
+    "mink_inverse": lambda A, Am: [mi.mink_inverse(A)],
+    "mink_inverse_frf": lambda A, Am: [mi.mink_inverse_frf(A).result],
+    "mink_inverse_hs": lambda A, Am: [mi.mink_inverse_hs(A).result],
+    "mink_inverse_zlobec": lambda A, Am: [mi.mink_inverse_zlobec(A).result],
+    "mink_inverse_zlobec2": lambda A, Am: [mi.mink_inverse_zlobec2(A).result],
+    "mink_inverse_group": lambda A, Am: [mi.mink_inverse_group(A).result],
+    "mink_inverse_resolvent": lambda A, Am: [mi.mink_inverse_resolvent(A).result],
+    "mink_inverse_block": lambda A, Am: [mi.mink_inverse_block(A, 3).result],
+    # A X13 and X14 A are the projectors A A^m and A^m A for every family member
+    "one_three_m": lambda A, Am: [Am @ (A @ mi.one_three_m(A))],
+    "one_four_m": lambda A, Am: [(mi.one_four_m(A) @ A) @ Am],
+    "compose_13m_14m": lambda A, Am: [mi.compose_13m_14m(A, mi.one_three_m(A), mi.one_four_m(A))],
+    "factorization_witnesses": _witnesses(mi.factorization_witnesses,
+                                          lambda A, X, Y: [_adj(X @ A), _adj(A @ Y)]),
+    "sylvester_witnesses": _witnesses(mi.sylvester_witnesses, lambda A, X, Y: [_adj(A) @ X]),
+    "bjerhammar_witnesses": _witnesses(
+        mi.bjerhammar_witnesses, lambda A, B, C, D: [_adj(A) @ B, C @ _adj(A), _adj(A) @ D @ _adj(A)]),
+    "full_rank_factorization": _frf_inverse,
+    "hs_decomposition": _hs_inverse,
+    # A^m is a {1}-inverse, so WA = WB = A^m samples A1 = B1 = A^m, and A1 A B1 = A^m
+    "solve_axb_d": lambda A, Am: [mi.solve_axb_d(A, A, A, WA=Am, WB=Am).particular],
+    "solve_xay_b": _witnesses(lambda A: mi.solve_xay_b(A, mi.mink_inverse(A), np.eye(3)),
+                              lambda A, X, Y: [(X @ A) @ Y]),
+    "rank_equation_solve": lambda A, Am: [mi.rank_equation_solve(
+        mi.RankEquationInstance(A, *mi.bc_parameterization(A)))],
+    "mink_rank_characterization": lambda A, Am: [mi.mink_rank_characterization(A)[2]],
+    # the unique solution C A+ B of the rank equation, in an order whose products stay in range
+    "bc_parameterization": _witnesses(mi.bc_parameterization,
+                                      lambda A, B, C: [(C @ mi.moore_penrose(A)) @ B]),
+}
+
+# exports without a row, and why
+EXEMPT = {
+    # sign flips of the input: exact at every scale (test_minkowski)
+    "metric_signs", "apply_metric_left", "apply_metric_right", "mink_adjoint",
+    # verdicts and residuals, not matrices; their scale tests live with their modules
+    "diagnose_existence", "moore_style_check", "defining_residuals",
+    # result and input types
+    "ExistenceDiagnosis", "InverseComputation", "MooreStyleReport",
+    "RankEquationInstance", "GeneralSolution",
+}
+
+
+def _rel_err(W, ref):
+    """||W - ref|| / ||ref||, taken on W / max|ref| so that no norm overflows."""
+    s = np.abs(ref).max()
+    return np.linalg.norm((W - ref) / s) / np.linalg.norm(ref / s)
+
+
+def test_every_export_has_a_row_or_an_exemption():
+    exports = set(minkowski.__all__) | set(solvers.__all__)
+    assert exports == set(RECOVER) | EXEMPT
+    assert not set(RECOVER) & EXEMPT
+
+
+@pytest.mark.parametrize("name", sorted(RECOVER))
+def test_right_or_raise_at_every_scale(name):
+    wrong = []
+    for base, label in ((A55, "A"), (mi.mink_adjoint(A55), "A~")):
+        for k in SCALES:
+            A = 10.0 ** k * base
+            Am = mi.mink_inverse(A)
+            with np.errstate(all="ignore"):
+                try:
+                    recovered = RECOVER[name](A, Am)
+                except mi.MinkinvError:
+                    if k == 0:
+                        raise
+                    continue
+                errs = [_rel_err(W, Am) for W in recovered]
+            if not all(e <= 1e-8 for e in errs):
+                wrong.append((label, k, max(errs)))
+    assert not wrong, wrong

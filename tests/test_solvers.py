@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import minkinv as mi
 from minkinv import fixtures
+from minkinv.dense_core import scale_pow2
 from conftest import cgauss, existent, isotropic, lapack_counts
 
 A55 = fixtures.existent_5x5()
@@ -82,13 +83,13 @@ def test_xayb_random_instance(rng):
 
 
 def test_xayb_lapack_counts(monkeypatch, rng):
-    # the equivalence SVDs of A and B, which also give their ranks, and rank(X1);
-    # X1^-1, P^-1 and Q^-1
+    # the equivalence SVDs of A and B, which also give their ranks, P^-1 and Q^-1,
+    # and rank(X1); X1^-1
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
     B = cgauss(rng, 3, 2) @ cgauss(rng, 2, 6)
     X1 = cgauss(rng, 2, 2)
     assert lapack_counts(monkeypatch, lambda A: mi.solve_xay_b(A, B, X1), A) == {
-        "svd": 3, "inv": 3, "solve": 0, "eigvalsh": 0, "qr": 0}
+        "svd": 3, "inv": 1, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_xayb_rank_mismatch(rng):
@@ -131,6 +132,41 @@ def test_rank_equation_characterization_instance():
     inst = mi.RankEquationInstance(A=A55, B=np.eye(5) - Y, C=np.eye(5) - X)
     Z = mi.rank_equation_solve(inst)
     assert np.max(np.abs(Z - AM55)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [-200, -154, 153, 154, 200])
+def test_rank_equation_solve_beyond_the_products_range(k):
+    # the raw bordered matrix's norm overflows from 1e154 and underflows from 1e-154,
+    # so its rank floor must be taken on blocks normalized by their own powers of two
+    A = 10.0 ** k * A55
+    B, C = mi.bc_parameterization(A)
+    X = mi.rank_equation_solve(mi.RankEquationInstance(A=A, B=B, C=C))
+    assert _rel_err(X, mi.mink_inverse(A)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [-600, -27, 27, 600])
+def test_rank_equation_solve_power_of_two_covariant(j):
+    # 2^j A normalizes to the same 2^-e A, so its solution C (2^j A)+ B is 2^-j X bit for bit
+    B, C = mi.bc_parameterization(A55)
+    X = mi.rank_equation_solve(mi.RankEquationInstance(A=A55, B=B, C=C))
+    Xj = mi.rank_equation_solve(mi.RankEquationInstance(A=2.0 ** j * A55, B=B, C=C))
+    assert Xj.tobytes() == scale_pow2(X, -j).tobytes()
+
+
+def test_rank_equation_lapack_counts(monkeypatch):
+    # the gate's SVD of A, which gives rank(A) and A+, and the ranks of [A B], [A; C]
+    # and the bordered matrix; right after bc_parameterization(A) the gate's SVD is remembered
+    B, C = mi.bc_parameterization(A55)
+
+    def solve(A):
+        return mi.rank_equation_solve(mi.RankEquationInstance(A=A, B=B, C=C))
+
+    assert lapack_counts(monkeypatch, solve, A55) == {
+        "svd": 4, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    bc = lapack_counts(monkeypatch, mi.bc_parameterization, A55)
+    both = lapack_counts(monkeypatch, lambda A: (mi.bc_parameterization(A), solve(A)), A55)
+    assert {name: both[name] - bc[name] for name in both} == {
+        "svd": 3, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_rank_equation_shape_validation(rng):

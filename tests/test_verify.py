@@ -246,11 +246,11 @@ def test_factorizations_are_views_of_the_gate(monkeypatch):
 
 
 def test_generate_lapack_counts(monkeypatch):
-    # an accepted first draw: sigma(A), the ranks of the two factor Grams, and
-    # sigma(A~A) and sigma(AA~), whose spectra also give the three ranks
+    # an accepted first draw: sigma(A), and sigma(A~A) and sigma(AA~), whose
+    # spectra also give the three ranks
     spec = mi.GenSpec(rows=50, cols=50, rank=30, kind=mi.GenKind.EXISTENT, seed=1)
     assert lapack_counts(monkeypatch, mi.generate, spec) == {
-        "svd": 5, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+        "svd": 3, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
 
 
 def test_witness_lapack_counts(monkeypatch):
