@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(metric diag(1, -1, ..., -1)).")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("adjoint", parents=[tolp],
-                       help="write the Minkowski adjoint A~ of a matrix file")
+    p = sub.add_parser("adjoint", help="write the Minkowski adjoint A~ of a matrix file")
     p.add_argument("input")
     p.add_argument("output")
 
@@ -155,7 +154,7 @@ def _cmd_inverse(args) -> int:
         if args.seed is not None:
             rng = np.random.default_rng(np.random.PCG64(args.seed + i))
             params[name] = verify._cgauss(rng, *shape)
-    comp = getattr(mk, algo.entry)(A, tol=tol, force=args.force, **params)
+    comp = mk._run(args.algo, A, tol, args.force, **params)
 
     write_matrix(args.output, comp.result)
     e1, e2, e3, e4 = comp.residuals
@@ -235,25 +234,18 @@ _HANDLERS = {
 }
 
 
+# the exit code of each failure, first match wins (FormatError is a MinkinvError)
+_EXITS = ((FormatError, EXIT_FORMAT), (OSError, EXIT_IO), (RetryExhausted, EXIT_RETRY),
+          (NotExistent, EXIT_NEGATIVE), ((MinkinvError, ValueError), EXIT_PRECONDITION))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FormatError as exc:
+    except (OSError, MinkinvError, ValueError) as exc:
         print(f"minkinv: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"minkinv: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RetryExhausted as exc:
-        print(f"minkinv: {exc}", file=sys.stderr)
-        return EXIT_RETRY
-    except NotExistent as exc:
-        print(f"minkinv: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (MinkinvError, ValueError) as exc:
-        print(f"minkinv: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for kind, code in _EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -102,11 +102,6 @@ def mats_close(M, N, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     return fro(np.asarray(M) - np.asarray(N)) <= tol.eq_bound(ref)
 
 
-def rel_residual(M, ref) -> float:
-    """||M - ref||_F / max(1, ||ref||_F)."""
-    return fro(np.asarray(M) - np.asarray(ref)) / max(1.0, fro(ref))
-
-
 def pow2_exponent(A) -> int:
     """The exponent e of the power of two 2**e just above max |a_ij| (0 for zero A).
 
@@ -120,8 +115,13 @@ def pow2_exponent(A) -> int:
 def scale_pow2(M, k: int) -> np.ndarray:
     """M * 2**k, exact for every entry that stays in the normal range.
 
-    Works for any integer k, also where 2**k itself is not a finite double.
+    Works for any integer k, also where 2**k itself is not a finite double,
+    and for real as well as complex M.
     """
+    if not np.iscomplexobj(M):
+        return np.ldexp(M, k)
+    if M.flags.c_contiguous:             # one pass over the interleaved real and imaginary parts
+        return np.ldexp(M.view(M.real.dtype), k).view(M.dtype)
     out = np.empty_like(M)
     out.real = np.ldexp(M.real, k)
     out.imag = np.ldexp(M.imag, k)

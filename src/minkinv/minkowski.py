@@ -20,14 +20,14 @@ evidence is asked for.  The metric is a rank-one update of -I,
 G = 2 e1 e1* - I, so each Gram is Sigma (2 u u* - I) Sigma up to sign flips,
 with u the first row of a singular basis: the gate ranks it by an O(r)
 inertia count, and :func:`mink_inverse` inverts it by Sherman-Morrison,
-so neither forms a Gram.  The algorithm then evaluates its formula on 2^-e A
-and scales the result back by 2^-e, which is exact, so it holds at every
-scale of the double range; its residuals are those of the normalized pair,
-which equal the residuals of (A, result).  Each formula lives in a private
-core that takes the factorization and 2^-e A, so a caller that runs several
-algorithms on one matrix (``verify.cross_check``) factors it once.  The
-cores are listed once, in the table ``_ALGORITHMS``, which the public
-``mink_inverse_*`` functions, ``cross_check`` and ``minkinv inverse`` share.
+so neither forms a Gram.  The algorithm evaluates its formula on 2^-e A,
+whose residuals equal those of (A, result), and :func:`_rescaled` scales
+the result back by 2^-e: exactly while it stays in the normal range, and
+else MinkinvError names it (A^m, of size |A|^-1, leaves from about
+|A| = 2^1022 up and 2^-1022 down).  Each formula is a private core on the
+factorization and 2^-e A, listed once in ``_ALGORITHMS`` and run by
+:func:`_route`, which the public ``mink_inverse_*`` functions,
+``cross_check`` (factoring A once for all) and ``minkinv inverse`` share.
 
 The products that the diagnosis ranks and the Zlobec and group routes
 invert have their column and row spaces among R(U_r), G R(U_r), R(V_r) and
@@ -130,23 +130,38 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     Returns (eq1, eq2, eq3m, eq4m) with
     eq1 = ||AXA - A|| / ||A||, eq2 = ||XAX - X|| / ||X||,
     eq3m = ||(AX)~ - AX|| / max(1, ||AX||) and eq4m analogously,
-    all in Frobenius norm.
+    all in Frobenius norm, taken on the normalized pair (2^-e A, 2^e X) of
+    :func:`pow2_exponent`, whose norms stay in range; ||2^e X|| beyond it reads inf.
     """
     A = as_matrix(A)
-    return _relative_residuals(*_residual_norms(A, _shaped("candidate", X, A.shape[::-1])))
+    e = pow2_exponent(A)
+    X = _candidate(X, A, e)
+    return _relative_residuals(*_residual_norms(scale_pow2(A, -e), X))
+
+
+def _candidate(X, A, e: int) -> np.ndarray:
+    """2^e X of a candidate X for A, unchecked: an X beyond the double range keeps its infs."""
+    X = _shaped("candidate", X, A.shape[::-1])
+    with np.errstate(over="ignore"):
+        return scale_pow2(X, e)
 
 
 def _residual_norms(A, X):
     """The four defining-equation differences and their reference norms, each product once.
 
     Returns ((||AXA - A||, ||XAX - X||, ||(AX)~ - AX||, ||(XA)~ - XA||),
-    (||A||, ||X||, ||AX||, ||XA||)) in Frobenius norm.
+    (||A||, ||X||, ||AX||, ||XA||)) in Frobenius norm; an X whose norm
+    overflows forms no product, and reads infinite differences at unit norms.
     """
+    with np.errstate(over="ignore"):
+        nX = fro(X)
+    if not np.isfinite(nX):
+        return (float("inf"),) * 4, (1.0,) * 4
     AX = A @ X
     XA = X @ A
     diffs = (fro(AX @ A - A), fro(XA @ X - X),
              fro(mink_adjoint(AX) - AX), fro(mink_adjoint(XA) - XA))
-    return diffs, (fro(A), fro(X), fro(AX), fro(XA))
+    return diffs, (fro(A), nX, fro(AX), fro(XA))
 
 
 def _relative_residuals(diffs, norms) -> tuple[float, float, float, float]:
@@ -182,14 +197,8 @@ class ExistenceDiagnosis:
     criteria_agree: bool = True
 
     def ranks(self) -> dict:
-        return {
-            "rank_A": self.rank_A,
-            "rank_AAs": self.rank_AAs,
-            "rank_AsA": self.rank_AsA,
-            "rank_AsAAs": self.rank_AsAAs,
-            "ind_AAs": self.ind_AAs,
-            "ind_AsA": self.ind_AsA,
-        }
+        names = ("rank_A", "rank_AAs", "rank_AsA", "rank_AsAAs", "ind_AAs", "ind_AsA")
+        return {name: getattr(self, name) for name in names}
 
 
 def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
@@ -482,13 +491,28 @@ def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     return f, scale_pow2(A, -f.exp)
 
 
+def _rescaled(name: str, W, k: int) -> np.ndarray:
+    """2^k W, or MinkinvError naming ``name`` when 2^k W leaves the double range.
+
+    The one scaling of a result out of, or of a caller's matrix into, the
+    frame of 2^-e A.  2^k W has left the range when it is not finite, or
+    when scaling it back misses W by more than eps ||W||.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = scale_pow2(W, k)
+        back = scale_pow2(out, -k)
+        back -= W
+        nW = fro(W)                      # if finite, an overflow in out fails kept
+        kept = fro(back) <= EPS * nW
+    if not (kept and (nW < np.inf or np.isfinite(out).all())):
+        raise MinkinvError(f"{name} lies outside the double range at this scale of A")
+    return out
+
+
 def _audit_pair(A, X, tol: Tolerance):
     """:func:`_audited` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
     f, A = _normalized(A, tol)
-    X = _shaped("candidate", X, A.shape[::-1])
-    with np.errstate(over="ignore"):
-        X = scale_pow2(X, f.exp)
-    return _audited(f, A, X, tol)
+    return _audited(f, A, _candidate(X, A, f.exp), tol)
 
 
 def _audited(f: _Factored, A, X, tol: Tolerance):
@@ -502,10 +526,9 @@ def _audited(f: _Factored, A, X, tol: Tolerance):
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
-    if not np.isfinite(nX):
-        inf = float("inf")
-        return f, A, X, nX, (False, False, inf, inf), ((inf,) * 4, (1.0,) * 4)
-    return f, A, X, nX, _space_tests(f, X, nX, tol), _residual_norms(A, X)
+    inf = float("inf")
+    space = _space_tests(f, X, nX, tol) if np.isfinite(nX) else (False, False, inf, inf)
+    return f, A, X, nX, space, _residual_norms(A, X)
 
 
 def _eqs_within(diffs, norms, tol: Tolerance) -> bool:
@@ -608,17 +631,30 @@ def _dual_gap(X, X2, tol: Tolerance, force: bool, what: str):
 
 
 def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputation:
-    """The public entry point of route ``key`` of :data:`_ALGORITHMS`.
+    """Route ``key`` of :data:`_ALGORITHMS` on A, for its entry point and ``minkinv inverse``.
 
-    Factors A once, checks the route's preconditions, gates when the route
-    is ``gated``, runs the core on 2^-e A and scales X back to A^m = 2^-e X.
-    The residuals are those of the normalized pair, which equal the
-    residuals of (A, result).
+    Rejects negative exponents, factors A once and runs :func:`_route` on
+    2^-e A.  The residuals are those of the normalized pair, which equal
+    the residuals of (A, result).
     """
-    algo = _ALGORITHMS[key]
     if params.get("k", 0) < 0 or params.get("l", 0) < 0:
         raise ValueError("exponents must be nonnegative")
     f, A = _normalized(A, tol)
+    X, result, gap = _route(key, f, A, tol, force, **params)
+    algo = _ALGORITHMS[key]
+    options = ",".join(f"{o}={params[o]}" for o in algo.options)
+    return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
+                              result=result, residuals=_relative_residuals(*_residual_norms(A, X)),
+                              gap=gap)
+
+
+def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
+    """(X, result, gap) of route ``key`` on the normalized A that ``f`` factored.
+
+    The route's preconditions, its gate when ``gated``, its core for X and the result
+    2^-e X by :func:`_rescaled`, for ``_run`` and ``verify.cross_check``.
+    """
+    algo = _ALGORITHMS[key]
     m, n = A.shape
     if algo.square and m != n:
         raise NotSquare(f"this route needs a square matrix, got {A.shape}")
@@ -634,10 +670,7 @@ def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputati
     if algo.gated:
         _require_existence(f, force)
     X, gap = algo.core(f, A, tol, force, **params)
-    options = ",".join(f"{o}={params[o]}" for o in algo.options)
-    return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
-                              result=scale_pow2(X, -f.exp),
-                              residuals=_relative_residuals(*_residual_norms(A, X)), gap=gap)
+    return X, _rescaled(f"{algo.name} result", X, -f.exp), gap
 
 
 def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -645,13 +678,12 @@ def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> In
 
     Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one compact SVD of
     the normalized matrix 2^-e A (see :func:`pow2_exponent`), then scales the
-    result by 2^-e, so it is bit-for-bit covariant under powers of two.  The
-    same factorization is the existence gate: NotExistent unless both r-by-r
-    Grams B~B and CC~ are nonsingular, which is the rank-triple criterion of
-    :func:`diagnose_existence`.  ``force`` evaluates the formula anyway,
-    pseudo-inverting the singular Grams, to demonstrate the breakdown.
-    Raises ZeroMatrix when the numerical rank is 0.  The residuals are those
-    of the normalized pair, which equal the residuals of (A, result).
+    result by 2^-e (see :func:`_rescaled`), so it is bit-for-bit covariant
+    under powers of two.  The same factorization is the existence gate:
+    NotExistent unless both r-by-r Grams B~B and CC~ are nonsingular, which
+    is the rank-triple criterion of :func:`diagnose_existence`.  ``force``
+    evaluates the formula anyway, pseudo-inverting the singular Grams, to
+    demonstrate the breakdown.  Raises ZeroMatrix when the numerical rank is 0.
     """
     return _run("frf", A, tol, force)
 
@@ -862,35 +894,38 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     count and inverted by Sherman-Morrison from the SVD alone, so the SVD is
     its only LAPACK call; ``mink_inverse_frf`` evaluates the same formula
     with formed and inverted Grams.  Scaling by 2^e is exact, so
-    ``mink_inverse(2**j * A) == mink_inverse(A) / 2**j`` bit for bit.  The
-    zero matrix maps to the zero matrix (every defining equation holds
-    trivially for X = 0).
+    ``mink_inverse(2**j * A) == mink_inverse(A) / 2**j`` bit for bit while
+    A^m stays in the normal range; beyond it MinkinvError names A^m (see
+    :func:`_rescaled`).  The zero matrix maps to the zero matrix (every
+    defining equation holds trivially for X = 0).
     """
     f = _require_existence(_factor(as_matrix(A), tol))
-    return scale_pow2(_inverse_of(f), -f.exp)
+    return _rescaled("A^m", _inverse_of(f), -f.exp)
 
 
 def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL) -> FullRankFactorization:
     """A = B C with B = 2^e U_r Sigma_r and C = V_r* from the gate's SVD of 2^-e A.
 
-    Raises ZeroMatrix when the numerical rank is 0.
+    Raises ZeroMatrix when the numerical rank is 0, and MinkinvError naming
+    B where B leaves the double range.
     """
     f = _factor(as_matrix(A), tol)
     if f.r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
-    return FullRankFactorization(B=scale_pow2(f.B, f.exp), C=f.C.copy(), r=f.r)
+    return FullRankFactorization(B=_rescaled("B", f.B, f.exp), C=f.C.copy(), r=f.r)
 
 
 def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
     """Hartwig-Spindelbock form of a square A, from the gate's SVD of 2^-e A.
 
-    Raises NotSquare for rectangular input and ZeroMatrix for rank 0.
+    Raises NotSquare for rectangular input, ZeroMatrix for rank 0, and
+    MinkinvError naming sigma where 2^e sigma leaves the double range.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
     f = _factor(A, tol)
-    return _hs_from_svd(f.Ur, np.ldexp(f.s, f.exp), f.C)
+    return _hs_from_svd(f.Ur, _rescaled("sigma", f.s, f.exp), f.C)
 
 
 # ---------------------------------------------------------------------------
@@ -909,10 +944,11 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Existence and scale come from the factorization of the algorithms' gate
     (see the module docstring): rank(A) is its rank r and rank(A~A) the rank
     of its Gram B~B, the member is evaluated on the factors B, C of 2^-e A,
-    with 2^e Y in place of Y, and scaled back by 2^-e.
+    with 2^e Y in place of Y, and scaled back by 2^-e; MinkinvError names Y
+    or X where either scaling leaves the double range.
     """
     f, A = _normalized(A, tol)
-    return scale_pow2(_member_13m(f, A, Y), -f.exp)
+    return _rescaled("X", _member_13m(f, A, Y), -f.exp)
 
 
 def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
@@ -927,7 +963,7 @@ def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
     X = f.C.conj().T @ np.linalg.inv(Bs @ f.B) @ Bs
     if Y is None:
         return X
-    Y = scale_pow2(_shaped("Y", Y, X.shape), f.exp)
+    Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp)
     return X + (np.eye(X.shape[0], dtype=np.complex128) - X @ A) @ Y
 
 
@@ -942,7 +978,7 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     with rank(AA~) the rank of its Gram CC~.
     """
     f, A = _normalized(A, tol)
-    return scale_pow2(_member_14m(f, A, Z), -f.exp)
+    return _rescaled("X", _member_14m(f, A, Z), -f.exp)
 
 
 def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
@@ -957,7 +993,7 @@ def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
     X = Cs @ np.linalg.inv(f.C @ Cs) @ f.pinv_B
     if Z is None:
         return X
-    Z = scale_pow2(_shaped("Z", Z, X.shape), f.exp)
+    Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp)
     return X + Z @ (np.eye(X.shape[1], dtype=np.complex128) - A @ X)
 
 
@@ -969,14 +1005,15 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     family members were supplied.  Gated like every algorithm (see the
     module docstring); the witnesses are validated and multiplied as the
     normalized pair (2^-e A, 2^e X13, 2^e X14), and the product is scaled
-    back by 2^-e.
+    back by 2^-e; MinkinvError names the matrix whose scaling leaves the
+    double range.
     """
     f, A = _normalized(A, tol)
     X13 = as_matrix(X13)
     X14 = as_matrix(X14)
     _require_existence(f)
-    X = _compose(A, scale_pow2(X13, f.exp), scale_pow2(X14, f.exp), tol)
-    return scale_pow2(X, -f.exp)
+    X = _compose(A, _rescaled("X13", X13, f.exp), _rescaled("X14", X14, f.exp), tol)
+    return _rescaled("A^m", X, -f.exp)
 
 
 def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
@@ -992,18 +1029,8 @@ def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
 
 
 def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):
-    """(X, None) of compose on the members Y and Z select, on the normalized A factored by ``f``."""
+    """(X, None) of compose on the members Y and Z select, on the normalized A (no ``force``)."""
     return _compose(A, _member_13m(f, A, Y), _member_14m(f, A, Z), tol), None
-
-
-def _compose_inverse(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL,
-                     force: bool = False) -> InverseComputation:
-    """The CLI's compose: :func:`compose_13m_14m` of the family members Y and Z select.
-
-    One factorization gives both members, on 2^-e A, and A^m exists when they do.
-    ``force`` does not apply; it is accepted so that every entry takes the same call.
-    """
-    return _run("compose", A, tol, force, Y=Y, Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,18 +1042,16 @@ class _Algorithm:
     """One independent route to A^m.
 
     ``core(f, A, tol, force, **params) -> (X, gap)`` runs on the normalized A
-    that ``f`` factored.  ``name`` labels the results, ``entry`` names the
-    function of this module that the CLI calls (looked up at call time).
-    ``options`` are the entry's integer options ("r" is the rank, which
-    cross_check does not know); ``free(m, n)`` maps its free parameters to
-    their shapes, in the order the CLI seeds them.  A ``gated`` route refuses
-    at the gate, before its core runs, unless forced; compose is not gated,
-    so ``_run`` and ``cross_check`` leave its refusal, forced or not, to its
-    {1,3m}/{1,4m} members.
+    that ``f`` factored, and :func:`_route` runs it.  ``name`` labels the
+    results.  ``options`` are the route's integer options ("r" is the rank,
+    which cross_check does not know); ``free(m, n)`` maps its free
+    parameters to their shapes, in the order the CLI seeds them.  A
+    ``gated`` route refuses at the gate, before its core runs, unless
+    forced; compose is not gated, so :func:`_route` leaves its refusal,
+    forced or not, to its {1,3m}/{1,4m} members.
     """
 
     name: str
-    entry: str
     core: Callable
     square: bool = False
     options: tuple[str, ...] = ()
@@ -1034,22 +1059,21 @@ class _Algorithm:
     gated: bool = True
 
 
-# Keyed by the CLI's --algo name, in the order of its choices.  The routes
-# share the gate's factorization and no other product, so that cross_check
-# compares independent computations; zlobec, zlobec2 and group also take the
-# gate's singular bases, on which they factor their own products.
+# Keyed by the CLI's --algo name, which ``_run`` takes, in the order of its
+# choices.  The routes share the gate's factorization and no other product, so
+# that cross_check compares independent computations; zlobec, zlobec2 and
+# group also take the gate's singular bases, on which they factor their own products.
 _ALGORITHMS = {
-    "frf": _Algorithm("frf", "mink_inverse_frf", lambda f, A, tol, force: (_frf(f, tol), None)),
-    "hs": _Algorithm("hs", "mink_inverse_hs", _hs, square=True),
-    "zlobec": _Algorithm("zlobec", "mink_inverse_zlobec", _zlobec, options=("k", "l"),
+    "frf": _Algorithm("frf", lambda f, A, tol, force: (_frf(f, tol), None)),
+    "hs": _Algorithm("hs", _hs, square=True),
+    "zlobec": _Algorithm("zlobec", _zlobec, options=("k", "l"),
                          free=lambda m, n: {"W": (m, n)}),
-    "zlobec2": _Algorithm("zlobec2", "mink_inverse_zlobec2", _zlobec2, options=("k", "l"),
+    "zlobec2": _Algorithm("zlobec2", _zlobec2, options=("k", "l"),
                           free=lambda m, n: {"W1": (m, m), "W2": (n, n)}),
-    "group": _Algorithm("group", "mink_inverse_group", _group),
-    "resolvent": _Algorithm("resolvent", "mink_inverse_resolvent", _resolvent,
-                            free=lambda m, n: {"W": (n, m)}),
-    "block": _Algorithm("block", "mink_inverse_block", _block, options=("r",)),
-    "compose": _Algorithm("compose13m14m", "_compose_inverse", _compose_core, gated=False,
+    "group": _Algorithm("group", _group),
+    "resolvent": _Algorithm("resolvent", _resolvent, free=lambda m, n: {"W": (n, m)}),
+    "block": _Algorithm("block", _block, options=("r",)),
+    "compose": _Algorithm("compose13m14m", _compose_core, gated=False,
                           free=lambda m, n: {"Y": (n, m), "Z": (n, m)}),
 }
 
@@ -1057,20 +1081,6 @@ _ALGORITHMS = {
 # ---------------------------------------------------------------------------
 # witness constructions and decision procedures
 # ---------------------------------------------------------------------------
-
-def _witness(name: str, W, k: int) -> np.ndarray:
-    """2^k W, or MinkinvError naming the witness when 2^k W leaves the double range.
-
-    It has left it when scaling back misses W by more than eps ||W||: an
-    entry overflowed, or underflowed with more than rounding noise.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        out = scale_pow2(W, k)
-        lost = fro(scale_pow2(out, -k) - W)
-    if not lost <= EPS * fro(W):
-        raise MinkinvError(f"witness {name} lies outside the double range at this scale of A")
-    return out
-
 
 def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     """Witnesses (X, Y) with A = X AA~A = AA~A Y and A^m = (XA)~ = (AY)~.
@@ -1091,7 +1101,7 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     scale = fro(A)
     if not mats_close(X @ M, A, tol, scale=scale) or not mats_close(M @ Y, A, tol, scale=scale):
         raise MinkinvError("internal inconsistency: factorization witnesses failed to verify")
-    return _witness("X", X, -2 * f.exp), _witness("Y", Y, -2 * f.exp)
+    return _rescaled("witness X", X, -2 * f.exp), _rescaled("witness Y", Y, -2 * f.exp)
 
 
 def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
@@ -1116,9 +1126,12 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     _require_existence(f)
     Am = _inverse_of(f)
     Z, Y = _sylvester(f, A, Am, tol)
-    X = _witness("X", Z, -2 * f.exp) - Y
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):   # 2^e A~X vs 2^e A^m
-        right = mats_close(scale_pow2(mink_adjoint(A) @ X, 2 * f.exp), Am, tol)
+    X = _rescaled("witness X", Z, -2 * f.exp) - Y
+    try:                                 # 2^e A~X vs 2^e A^m
+        with np.errstate(over="ignore"):
+            right = mats_close(_rescaled("A~X", mink_adjoint(A) @ X, 2 * f.exp), Am, tol)
+    except MinkinvError:                 # 2^e A~X overflows: X lost its |A|^-2 part
+        right = False
     if not right:
         raise MinkinvError("witness X loses its |A|^-2 part to rounding at this scale of A")
     return X, Y
@@ -1227,8 +1240,8 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     P = mink_adjoint(f.pinv_A)           # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    Y = scale_pow2(_shaped("Y", np.zeros((m, m)) if Y is None else Y, (m, m)), 2 * f.exp)
-    Z = scale_pow2(_shaped("Z", np.zeros((n, n)) if Z is None else Z, (n, n)), 2 * f.exp)
+    Y = _rescaled("Y", _shaped("Y", np.zeros((m, m)) if Y is None else Y, (m, m)), 2 * f.exp)
+    Z = _rescaled("Z", _shaped("Z", np.zeros((n, n)) if Z is None else Z, (n, n)), 2 * f.exp)
     left_ann = eye_m - P @ As            # annihilated by A~ on the left
     right_ann = eye_n - As @ P           # annihilates A~ on the right
     B = P @ Am + left_ann @ Y
@@ -1240,4 +1253,5 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
             and mats_close(As @ D @ As, Am, tol, scale=scale)):
         raise MinkinvError("internal inconsistency: Bjerhammar witnesses failed to verify")
     k = -2 * f.exp
-    return _witness("B", B, k), _witness("C", C, k), _witness("D", D, k - f.exp)
+    return (_rescaled("witness B", B, k), _rescaled("witness C", C, k),
+            _rescaled("witness D", D, k - f.exp))

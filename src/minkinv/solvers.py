@@ -45,7 +45,7 @@ from .minkowski import (
     _inverse_of,
     _normalized,
     _require_existence,
-    _witness,
+    _rescaled,
     apply_metric_left,
     apply_metric_right,
     mink_adjoint,
@@ -109,7 +109,9 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     {1}-inverses of A and B are sampled via ``one_inverse_sample`` with the
     free parameters WA and WB (None takes the pseudoinverses).  The equation
     is consistent iff A A1 D B1 B = D, in which case the particular solution
-    is A1 D B1.
+    is A1 D B1.  That equality, at max(1, ||D||), is decided divided by the
+    power of two 2^d of D (:func:`pow2_exponent`), so no norm overflows; a
+    particular solution beyond the double range raises MinkinvError.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -117,11 +119,16 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     A1 = one_inverse_sample(A, WA, tol)
     B1 = one_inverse_sample(B, WB, tol)
     recon = A @ A1 @ D @ B1 @ B
-    if not mats_close(recon, D, tol, scale=max(fro(D), 1.0)):
-        raise Inconsistent(
-            f"A A(1) D B(1) B differs from D by {fro(recon - D):.3e}; no solution exists"
-        )
-    return GeneralSolution(particular=A1 @ D @ B1, _A=A, _A1=A1, _B=B, _B1=B1)
+    d = pow2_exponent(D)
+    with np.errstate(over="ignore", invalid="ignore"):      # 2^-d is inf for subnormal D
+        diff, unit = fro(scale_pow2(recon - D, -d)), np.ldexp(1.0, -d)
+        if not diff <= unit * tol.eq_atol + tol.eq_rtol * max(unit, fro(scale_pow2(D, -d))):
+            raise Inconsistent(f"A A(1) D B(1) B differs from D by {np.ldexp(diff, d):.3e}; "
+                               "no solution exists")
+        X = A1 @ D @ B1
+    if not np.isfinite(X).all():
+        raise MinkinvError("particular solution A(1) D B(1) lies outside the double range")
+    return GeneralSolution(particular=X, _A=A, _A1=A1, _B=B, _B1=B1)
 
 
 def _equivalence_decomposition(A, tol: Tolerance):
@@ -225,7 +232,7 @@ def rank_equation_solve(inst: RankEquationInstance, tol: Tolerance = DEFAULT_TOL
         raise Infeasible("R(C*) is not contained in R(A*)")
     X = C @ f.pinv_A @ B
     _require_bordered_rank(A, B, C, X, f.r, tol)
-    return _witness("X", X, b + c - f.exp)
+    return _rescaled("witness X", X, b + c - f.exp)
 
 
 def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
@@ -235,8 +242,8 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     annihilated by A with ranks n - r and m - r, and Z = A^m is the unique
     matrix making rank([[A, I-Y], [I-X, Z]]) = rank(A).  All stated
     conditions are verified before returning, on 2^-e A, whose Z is scaled
-    back by 2^-e.  Existence and A^m come from the one factorization of the
-    Minkowski-inverse gate, as in :func:`~minkinv.minkowski.mink_inverse`.
+    back by 2^-e, or MinkinvError names Z.  Existence and A^m come from the
+    gate's one factorization, as in :func:`~minkinv.minkowski.mink_inverse`.
     """
     f, A = _normalized(A, tol)
     _require_existence(f)
@@ -258,7 +265,7 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
             raise MinkinvError(f"internal inconsistency: rank({side}) != expected")
 
     _require_bordered_rank(A, np.eye(m) - Y, np.eye(n) - X, Am, r, tol)
-    return X, Y, scale_pow2(Am, -f.exp)
+    return X, Y, _rescaled("Z", Am, -f.exp)
 
 
 def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAULT_TOL):
@@ -280,6 +287,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     (A, B, C) returns A^m.  Existence is decided by the one-SVD gate of
     :func:`~minkinv.minkowski.mink_inverse`, whose SVD of 2^-e A gives the HS
     form; on it, 2^2e Y1 and 2^2e Y2 give 2^e B and 2^-e C, scaled back.
+    MinkinvError names the matrix whose scaling leaves the double range.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -299,7 +307,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
 
     def free(name, Y, shape):        # 2^2e Y, the parameter of the normalized construction
         Y = np.zeros(shape, dtype=np.complex128) if Y is None else _shaped(name, Y, shape)
-        return scale_pow2(Y, 2 * f.exp)
+        return _rescaled(name, Y, 2 * f.exp)
 
     Y1, Y2 = free("Y1", Y1, (n, r)), free("Y2", Y2, (n, n - r))
 
@@ -315,4 +323,4 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     Bfull[:r, r:] = B2
     B = U @ Bfull @ apply_metric_right(U.conj().T)
     C = apply_metric_left(U) @ T @ U.conj().T
-    return scale_pow2(B, -f.exp), scale_pow2(C, f.exp)
+    return _rescaled("B", B, -f.exp), _rescaled("C", C, f.exp)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .dense_core import (
     Tolerance,
     _rank_from_spectrum,
     fro,
-    scale_pow2,
 )
 from .errors import MinkinvError, NotExistent, RetryExhausted
 from . import minkowski as mk
@@ -284,13 +284,12 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     which refuses on its Grams and computes on 2^-e A, to the {1,3m}/{1,4m}
     bases of compose, and to every audit, which tests the range and null
     space of each result on its orthonormal bases, so the audits take no SVD
-    of their own.  The pairwise gaps are taken on the normalized results,
-    and each outcome's ``result`` is scaled back by 2^-e.  Scaling by a power of
-    two is exact, so the report does not depend on the scale of A, and each
-    outcome's ``result`` is, bit for bit, what the algorithm's public entry
-    point returns on A.  The algorithms are the routes of the table
-    ``minkowski._ALGORITHMS``, each at its default parameters: all but the
-    block route, which needs the rank, and HS only when A is square.
+    of their own.  Each route runs through ``minkowski._route``, as its
+    public entry point does, so its ``result`` is that entry point's bit for
+    bit, and a route whose result leaves the double range fails, as the
+    entry point raises.  The gaps are taken on the normalized results.  The
+    routes are those of ``minkowski._ALGORITHMS`` at default parameters:
+    all but the block route, which needs the rank, and HS only when A is square.
 
     The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
     once, for the report's ``diagnosis`` and the choice between the existent,
@@ -314,43 +313,28 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
 
     run_forced = force and not diag.exists
     computed = []                    # normalized results of the "ok" outcomes
-    for algo in mk._ALGORITHMS.values():
+    for key, algo in mk._ALGORITHMS.items():
         if "r" in algo.options or (algo.square and A.shape[0] != A.shape[1]):
             continue
         try:
-            if algo.gated:
-                mk._require_existence(f, run_forced)
-            X = algo.core(f, A, tol, run_forced)[0]
+            X, result, _ = mk._route(key, f, A, tol, run_forced)
             outcomes.append(AlgorithmOutcome(name=algo.name, status="ok",
-                                             result=scale_pow2(X, -f.exp), check=audit(X)))
+                                             result=result, check=audit(X)))
             computed.append(X)
         except NotExistent as exc:
             outcomes.append(AlgorithmOutcome(name=algo.name, status="refused", detail=str(exc)))
         except MinkinvError as exc:
             outcomes.append(AlgorithmOutcome(name=algo.name, status="failed", detail=str(exc)))
 
+    max_gap = None
     if diag.exists:
-        gaps = []
-        for i in range(len(computed)):
-            for j in range(i + 1, len(computed)):
-                denom = max(1.0, fro(computed[i]))
-                gaps.append(fro(computed[i] - computed[j]) / denom)
-        max_gap = max(gaps) if gaps else 0.0
-        all_ok = (
-            len(computed) == len(outcomes)
-            and all(o.check.verdict for o in outcomes)
-            and max_gap <= tol.eq_bound(1.0)
-        )
-        return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,
-                                max_gap=max_gap, verdict=bool(all_ok), forced=force)
-
-    if not force:
+        max_gap = max((fro(X - Y) / max(1.0, fro(X)) for X, Y in combinations(computed, 2)),
+                      default=0.0)
+        verdict = (len(computed) == len(outcomes) and all(o.check.verdict for o in outcomes)
+                   and max_gap <= tol.eq_bound(1.0))
+    elif not force:
         verdict = all(o.status == "refused" for o in outcomes)
-        return CrossCheckReport(exists=False, diagnosis=diag, outcomes=outcomes,
-                                max_gap=None, verdict=bool(verdict), forced=False)
-
-    # forced: every formula that produced output must fail its check
-    verdict = all(o.check is not None and not o.check.verdict
-                  for o in outcomes if o.status == "ok")
-    return CrossCheckReport(exists=False, diagnosis=diag, outcomes=outcomes,
-                            max_gap=None, verdict=bool(verdict), forced=True)
+    else:                            # every formula that produced output must fail its check
+        verdict = all(not o.check.verdict for o in outcomes if o.status == "ok")
+    return CrossCheckReport(exists=diag.exists, diagnosis=diag, outcomes=outcomes,
+                            max_gap=max_gap, verdict=bool(verdict), forced=force)

@@ -130,6 +130,15 @@ def test_adjoint_command(tmp_path, capsys):
     assert np.array_equal(out, np.array([[0, -1], [-1, 0]], dtype=complex))
 
 
+def test_adjoint_takes_no_tolerances(tmp_path, capsys):
+    # the adjoint is sign flips: it has no rank test or residual to tune
+    with pytest.raises(SystemExit) as exc:
+        main(["adjoint", fixture_path("existent_5x5.json"), str(tmp_path / "o.json"),
+              "--eq-atol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eq-atol 1" in capsys.readouterr().err
+
+
 def test_adjoint_regression(tmp_path):
     dst = tmp_path / "adj.json"
     assert main(["adjoint", fixture_path("existent_5x5.json"), str(dst)]) == 0

@@ -60,6 +60,22 @@ def test_metric_application_bit_equivalent(rng):
     assert np.array_equal(mi.minkowski.apply_metric_right(M), M @ metric(4))
 
 
+@pytest.mark.parametrize("j", [1022, -1022, 600, -600])
+def test_defining_residuals_at_the_range_ends(j):
+    # the norms of the raw pair overflowed: eq1 read NaN at 2^1022 and eq2 at 2^-600
+    res = mi.defining_residuals(2.0 ** j * A55, 2.0 ** -j * X55)
+    ref = mi.defining_residuals(A55, X55)
+    assert np.all(np.isfinite(res))
+    assert_allclose(res, ref, rtol=1e-14, atol=1e-15)
+    if j != 1022:                 # 2^-j X stays normal: the normalized pair is the unscaled one
+        assert res == ref
+
+
+def test_defining_residuals_of_an_overflowing_candidate():
+    # 2^e X overflows for X near the largest double, and every residual reads inf
+    assert mi.defining_residuals(A55, 1e308 / np.abs(X55).max() * X55) == (np.inf,) * 4
+
+
 # ---------------------------------------------------------------------------
 # existence diagnostics
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each row recovers A^m from what its export returns on A, by the export's own
 identity.  On ``existent_5x5() * 10^k`` and on its Minkowski adjoint, over the
 whole double range, every recovered matrix must equal ``mink_inverse(A)``
 within 1e-8 relative, or the export must raise MinkinvError; at unit scale it
-must not raise.  The names come
+must not raise.  At the ends of the range, on ``existent_5x5() * 2^j``, the
+reference is the exact ``2^-j mink_inverse(existent_5x5())``, and where A^m
+lies more than a factor of two beyond the largest double every export must
+raise.  The names come
 from ``__all__``, so a new export fails this module until it gets a row here
 or a commented entry in ``EXEMPT``.
 """
@@ -18,6 +21,7 @@ from minkinv.dense_core import pow2_exponent, scale_pow2
 
 A55 = fixtures.existent_5x5()
 SCALES = [0, 4, -4, 8, -8, 16, -16, 100, -100, 154, -154, 200, -200]
+POW2 = [1000, -1000, 1023, -1023, -1070]     # 2^-1070 A is subnormal
 
 
 def _frf_inverse(A, Am):
@@ -40,6 +44,12 @@ def _hs_inverse(A, Am):
     blk = np.zeros(U.shape, dtype=np.complex128)
     blk[:, :r] = KL.conj().T @ core
     return [minkowski.apply_metric_left(U) @ blk @ minkowski.apply_metric_right(U.conj().T)]
+
+
+def _pinv(A):
+    """moore_penrose(A) taken on 2^-e A, so that no singular value of A overflows."""
+    e = pow2_exponent(A)
+    return scale_pow2(mi.moore_penrose(scale_pow2(A, -e)), -e)
 
 
 def _witnesses(call, recover):
@@ -70,8 +80,10 @@ RECOVER = {
         mi.bjerhammar_witnesses, lambda A, B, C, D: [_adj(A) @ B, C @ _adj(A), _adj(A) @ D @ _adj(A)]),
     "full_rank_factorization": _frf_inverse,
     "hs_decomposition": _hs_inverse,
-    # A^m is a {1}-inverse, so WA = WB = A^m samples A1 = B1 = A^m, and A1 A B1 = A^m
-    "solve_axb_d": lambda A, Am: [mi.solve_axb_d(A, A, A, WA=Am, WB=Am).particular],
+    # A^m is a {1}-inverse, so WA = WB = A^m samples A1 = B1 = A^m, and A1 A B1 = A^m;
+    # it is taken from mink_inverse, which raises where A^m leaves the double range
+    "solve_axb_d": lambda A, Am: [mi.solve_axb_d(A, A, A, WA=mi.mink_inverse(A),
+                                                 WB=mi.mink_inverse(A)).particular],
     "solve_xay_b": _witnesses(lambda A: mi.solve_xay_b(A, mi.mink_inverse(A), np.eye(3)),
                               lambda A, X, Y: [(X @ A) @ Y]),
     "rank_equation_solve": lambda A, Am: [mi.rank_equation_solve(
@@ -79,7 +91,7 @@ RECOVER = {
     "mink_rank_characterization": lambda A, Am: [mi.mink_rank_characterization(A)[2]],
     # the unique solution C A+ B of the rank equation, in an order whose products stay in range
     "bc_parameterization": _witnesses(mi.bc_parameterization,
-                                      lambda A, B, C: [(C @ mi.moore_penrose(A)) @ B]),
+                                      lambda A, B, C: [(C @ _pinv(A)) @ B]),
 }
 
 # exports without a row, and why
@@ -124,3 +136,61 @@ def test_right_or_raise_at_every_scale(name):
             if not all(e <= 1e-8 for e in errs):
                 wrong.append((label, k, max(errs)))
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize("name", sorted(RECOVER))
+def test_right_or_raise_at_the_range_ends(name):
+    # Each recovered W is compared as 2^j W with A0^m = mink_inverse(base).  At j = -1023 the
+    # largest entry of A^m = 2^1023 A0^m is 2^1024, one rounding past the largest double: an
+    # export may still return in-range results there while the row's own forming of A^m
+    # overflows, so where A^m overflows by less than a factor of two a non-finite recovery
+    # is not compared.  Beyond that factor every row must raise.
+    wrong = []
+    for base, label in ((A55, "A"), (mi.mink_adjoint(A55), "A~")):
+        A0m = mi.mink_inverse(base)
+        for j in POW2:
+            A = 2.0 ** j * base
+            with np.errstate(all="ignore"):
+                Am = scale_pow2(A0m, -j)
+                edge = not np.isfinite(Am).all() and np.isfinite(scale_pow2(A0m, -j - 1)).all()
+                try:
+                    recovered = RECOVER[name](A, Am)
+                except mi.MinkinvError:
+                    continue
+                errs = [_rel_err(scale_pow2(W, j), A0m) for W in recovered
+                        if np.isfinite(W).all() or not edge]
+            if not all(e <= 1e-8 for e in errs):
+                wrong.append((label, j, max(errs)))
+    assert not wrong, wrong
+
+
+_ROUTES = {
+    "mink_inverse": mi.mink_inverse,
+    "mink_inverse_frf": mi.mink_inverse_frf,
+    "mink_inverse_hs": mi.mink_inverse_hs,
+    "mink_inverse_zlobec": mi.mink_inverse_zlobec,
+    "mink_inverse_zlobec2": mi.mink_inverse_zlobec2,
+    "mink_inverse_group": mi.mink_inverse_group,
+    "mink_inverse_resolvent": mi.mink_inverse_resolvent,
+    "mink_inverse_block": lambda A: mi.mink_inverse_block(A, 3),
+    "one_three_m": mi.one_three_m,
+    "one_four_m": mi.one_four_m,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+def test_subnormal_input_raises_naming_the_result(name):
+    # A^m of existent_5x5() * 2^-1070 is about 2^1070: it used to come back as inf
+    with pytest.raises(mi.MinkinvError, match="lies outside the double range at this scale of A$"):
+        _ROUTES[name](2.0 ** -1070 * A55)
+
+
+@pytest.mark.parametrize("j", [0, *POW2])
+def test_cross_check_never_passes_a_non_finite_result(j):
+    for base in (A55, mi.mink_adjoint(A55)):
+        report = mi.cross_check(2.0 ** j * base)
+        finite = all(np.isfinite(o.result).all() for o in report.outcomes if o.result is not None)
+        assert finite or not report.verdict
+        if j == -1070:                # every result overflows: each route fails, naming it
+            assert not report.verdict
+            assert {o.status for o in report.outcomes} == {"failed"}

@@ -33,6 +33,22 @@ def test_axbd_inconsistent(rng):
         mi.solve_axb_d(A, B, D)
 
 
+@pytest.mark.parametrize("k", [0, 100, 150, 154, 155, 200])
+def test_axbd_inconsistent_at_every_scale(k):
+    # ||D|| overflowed from about 1e154 on, and the bound with it, so the equation passed
+    D = cgauss(np.random.default_rng(5), 5, 5)   # rank 5, while A A(1) D B(1) B has rank 3
+    A = 10.0 ** k * A55
+    with pytest.raises(mi.Inconsistent, match="no solution exists$"):
+        mi.solve_axb_d(A, A, 10.0 ** k * D)
+
+
+def test_axbd_particular_beyond_the_double_range():
+    # consistent, but A(1) D B(1) = 1e350 I-sized: raised, not returned as inf
+    A = 1e-200 * np.eye(3)
+    with pytest.raises(mi.MinkinvError, match="lies outside the double range$"):
+        mi.solve_axb_d(A, A, 1e-50 * np.ones((3, 3)))
+
+
 def test_axbd_general_solution_sweep(rng):
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
     B = cgauss(rng, 6, 2) @ cgauss(rng, 2, 7)
