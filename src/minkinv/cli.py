@@ -234,18 +234,25 @@ _HANDLERS = {
 }
 
 
-# the exit code of each failure, first match wins (FormatError is a MinkinvError)
-_EXITS = ((FormatError, EXIT_FORMAT), (OSError, EXIT_IO), (RetryExhausted, EXIT_RETRY),
-          (NotExistent, EXIT_NEGATIVE), ((MinkinvError, ValueError), EXIT_PRECONDITION))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, MinkinvError, ValueError) as exc:
+    except FormatError as exc:
         print(f"minkinv: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXITS if isinstance(exc, kind))
+        return EXIT_FORMAT
+    except OSError as exc:
+        print(f"minkinv: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RetryExhausted as exc:
+        print(f"minkinv: {exc}", file=sys.stderr)
+        return EXIT_RETRY
+    except NotExistent as exc:
+        print(f"minkinv: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except (MinkinvError, ValueError) as exc:
+        print(f"minkinv: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

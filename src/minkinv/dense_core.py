@@ -120,8 +120,6 @@ def scale_pow2(M, k: int) -> np.ndarray:
     """
     if not np.iscomplexobj(M):
         return np.ldexp(M, k)
-    if M.flags.c_contiguous:             # one pass over the interleaved real and imaginary parts
-        return np.ldexp(M.view(M.real.dtype), k).view(M.dtype)
     out = np.empty_like(M)
     out.real = np.ldexp(M.real, k)
     out.imag = np.ldexp(M.imag, k)

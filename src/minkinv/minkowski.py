@@ -197,8 +197,14 @@ class ExistenceDiagnosis:
     criteria_agree: bool = True
 
     def ranks(self) -> dict:
-        names = ("rank_A", "rank_AAs", "rank_AsA", "rank_AsAAs", "ind_AAs", "ind_AsA")
-        return {name: getattr(self, name) for name in names}
+        return {
+            "rank_A": self.rank_A,
+            "rank_AAs": self.rank_AAs,
+            "rank_AsA": self.rank_AsA,
+            "rank_AsAAs": self.rank_AsAAs,
+            "ind_AAs": self.ind_AAs,
+            "ind_AsA": self.ind_AsA,
+        }
 
 
 def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
@@ -491,20 +497,23 @@ def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     return f, scale_pow2(A, -f.exp)
 
 
-def _rescaled(name: str, W, k: int) -> np.ndarray:
+def _rescaled(name: str, W, k: int, param: bool = False) -> np.ndarray:
     """2^k W, or MinkinvError naming ``name`` when 2^k W leaves the double range.
 
     The one scaling of a result out of, or of a caller's matrix into, the
     frame of 2^-e A.  2^k W has left the range when it is not finite, or
-    when scaling it back misses W by more than eps ||W||.
+    when scaling it back misses W by more than eps ||W||.  A caller's free
+    parameter (``param``) only has to stay finite: where it underflows, its
+    share of the result is below about 2^-1022 relative.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out = scale_pow2(W, k)
-        back = scale_pow2(out, -k)
-        back -= W
-        nW = fro(W)                      # if finite, an overflow in out fails kept
-        kept = fro(back) <= EPS * nW
-    if not (kept and (nW < np.inf or np.isfinite(out).all())):
+        ok = np.isfinite(out).all()
+        if ok and not param:
+            back = scale_pow2(out, -k)
+            back -= W
+            ok = fro(back) <= EPS * fro(W)
+    if not ok:
         raise MinkinvError(f"{name} lies outside the double range at this scale of A")
     return out
 
@@ -526,8 +535,7 @@ def _audited(f: _Factored, A, X, tol: Tolerance):
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
-    inf = float("inf")
-    space = _space_tests(f, X, nX, tol) if np.isfinite(nX) else (False, False, inf, inf)
+    space = _space_tests(f, X, nX, tol) if np.isfinite(nX) else (False, False, np.inf, np.inf)
     return f, A, X, nX, space, _residual_norms(A, X)
 
 
@@ -963,7 +971,7 @@ def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
     X = f.C.conj().T @ np.linalg.inv(Bs @ f.B) @ Bs
     if Y is None:
         return X
-    Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp)
+    Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp, param=True)
     return X + (np.eye(X.shape[0], dtype=np.complex128) - X @ A) @ Y
 
 
@@ -993,7 +1001,7 @@ def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
     X = Cs @ np.linalg.inv(f.C @ Cs) @ f.pinv_B
     if Z is None:
         return X
-    Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp)
+    Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp, param=True)
     return X + Z @ (np.eye(X.shape[1], dtype=np.complex128) - A @ X)
 
 
@@ -1240,8 +1248,9 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     P = mink_adjoint(f.pinv_A)           # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    Y = _rescaled("Y", _shaped("Y", np.zeros((m, m)) if Y is None else Y, (m, m)), 2 * f.exp)
-    Z = _rescaled("Z", _shaped("Z", np.zeros((n, n)) if Z is None else Z, (n, n)), 2 * f.exp)
+    k = -2 * f.exp                       # B and C scale back by 2^k, D by 2^(k - e)
+    Y = _rescaled("Y", _shaped("Y", np.zeros((m, m)) if Y is None else Y, (m, m)), -k, True)
+    Z = _rescaled("Z", _shaped("Z", np.zeros((n, n)) if Z is None else Z, (n, n)), -k, True)
     left_ann = eye_m - P @ As            # annihilated by A~ on the left
     right_ann = eye_n - As @ P           # annihilates A~ on the right
     B = P @ Am + left_ann @ Y
@@ -1252,6 +1261,5 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
             and mats_close(C @ As, Am, tol, scale=scale)
             and mats_close(As @ D @ As, Am, tol, scale=scale)):
         raise MinkinvError("internal inconsistency: Bjerhammar witnesses failed to verify")
-    k = -2 * f.exp
     return (_rescaled("witness B", B, k), _rescaled("witness C", C, k),
             _rescaled("witness D", D, k - f.exp))

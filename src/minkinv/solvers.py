@@ -110,8 +110,9 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     free parameters WA and WB (None takes the pseudoinverses).  The equation
     is consistent iff A A1 D B1 B = D, in which case the particular solution
     is A1 D B1.  That equality, at max(1, ||D||), is decided divided by the
-    power of two 2^d of D (:func:`pow2_exponent`), so no norm overflows; a
-    particular solution beyond the double range raises MinkinvError.
+    power of two 2^d of D (:func:`pow2_exponent`, d >= 0), so no norm
+    overflows; a particular solution beyond the double range raises
+    MinkinvError.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -119,8 +120,8 @@ def solve_axb_d(A, B, D, WA=None, WB=None, tol: Tolerance = DEFAULT_TOL) -> Gene
     A1 = one_inverse_sample(A, WA, tol)
     B1 = one_inverse_sample(B, WB, tol)
     recon = A @ A1 @ D @ B1 @ B
-    d = pow2_exponent(D)
-    with np.errstate(over="ignore", invalid="ignore"):      # 2^-d is inf for subnormal D
+    d = max(pow2_exponent(D), 0)
+    with np.errstate(over="ignore", invalid="ignore"):      # recon and X are checked here
         diff, unit = fro(scale_pow2(recon - D, -d)), np.ldexp(1.0, -d)
         if not diff <= unit * tol.eq_atol + tol.eq_rtol * max(unit, fro(scale_pow2(D, -d))):
             raise Inconsistent(f"A A(1) D B(1) B differs from D by {np.ldexp(diff, d):.3e}; "
@@ -307,7 +308,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
 
     def free(name, Y, shape):        # 2^2e Y, the parameter of the normalized construction
         Y = np.zeros(shape, dtype=np.complex128) if Y is None else _shaped(name, Y, shape)
-        return _rescaled(name, Y, 2 * f.exp)
+        return _rescaled(name, Y, 2 * f.exp, param=True)
 
     Y1, Y2 = free("Y1", Y1, (n, r)), free("Y2", Y2, (n, n - r))
 

@@ -115,8 +115,7 @@ def _well_margined(A, sa, r, tol):
 def _draw_isotropic(rng, m, n):
     # x = (1, 1, 0, ..., 0) satisfies x~x = 0, so A = x c* has A~A = 0
     x = np.zeros((m, 1), dtype=np.complex128)
-    x[0, 0] = 1.0
-    x[1, 0] = 1.0
+    x[:2] = 1.0
     c = _cgauss(rng, n, 1)
     while fro(c) == 0.0:
         c = _cgauss(rng, n, 1)
@@ -131,11 +130,7 @@ def _draw_block_existent(rng, m, n, r, tol):
             continue
         A2 = _cgauss(rng, r, n - r)
         A3 = _cgauss(rng, m - r, r)
-        A = np.zeros((m, n), dtype=np.complex128)
-        A[:r, :r] = A1
-        A[:r, r:] = A2
-        A[r:, :r] = A3
-        A[r:, r:] = A3 @ np.linalg.inv(A1) @ A2
+        A = np.block([[A1, A2], [A3, A3 @ np.linalg.inv(A1) @ A2]])
         if _well_margined(A, np.linalg.svd(A, compute_uv=False), r, tol):
             return A
     raise RetryExhausted(f"no well-margined block-existent draw in {_MAX_DRAWS} tries "
@@ -278,23 +273,15 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     formulas are evaluated anyway and the verdict is true when every output
     that could be computed *fails* its check (the breakdown is observable).
 
-    A is normalized and factored once: one compact SVD of 2^-e A, with 2^e
-    the power of two of :func:`~minkinv.dense_core.pow2_exponent`, is the
-    algorithms' gate.  That one factorization is passed to every algorithm,
-    which refuses on its Grams and computes on 2^-e A, to the {1,3m}/{1,4m}
-    bases of compose, and to every audit, which tests the range and null
-    space of each result on its orthonormal bases, so the audits take no SVD
-    of their own.  Each route runs through ``minkowski._route``, as its
-    public entry point does, so its ``result`` is that entry point's bit for
-    bit, and a route whose result leaves the double range fails, as the
-    entry point raises.  The gaps are taken on the normalized results.  The
-    routes are those of ``minkowski._ALGORITHMS`` at default parameters:
-    all but the block route, which needs the rank, and HS only when A is square.
-
-    The five-criterion :func:`~minkinv.minkowski.diagnose_existence` runs
-    once, for the report's ``diagnosis`` and the choice between the existent,
-    refusing and forced verdicts; the factorization gives it rank(A), sigma_1,
-    A+ A and the bases on whose r-by-r cores it ranks the products.
+    A is normalized and factored once, by the algorithms' gate (see
+    :mod:`~minkinv.minkowski`), and that factorization serves every route,
+    every audit and the one five-criterion diagnosis.  The routes are those
+    of ``minkowski._ALGORITHMS`` at default parameters, but the block route,
+    which needs the rank, and HS only on square A.  Each runs through
+    ``minkowski._route``, as its entry point does, so its ``result`` is that
+    entry point's bit for bit, and a route whose result leaves the double
+    range fails, as the entry point raises.  Gaps are taken on the
+    normalized results.
     """
     f, A = mk._normalized(A, tol)
     diag = mk._diagnose(f, A, tol)

@@ -49,6 +49,13 @@ def test_axbd_particular_beyond_the_double_range():
         mi.solve_axb_d(A, A, 1e-50 * np.ones((3, 3)))
 
 
+def test_axbd_subnormal_d_without_absolute_tolerance():
+    # |D| <= 1 is compared unscaled, so eq_atol = 0 meets no 2^-d that overflows
+    D = 1e-310 * np.ones((3, 3))
+    sol = mi.solve_axb_d(np.eye(3), np.eye(3), D, tol=mi.Tolerance(eq_atol=0.0))
+    assert sol.particular.tobytes() == D.astype(np.complex128).tobytes()
+
+
 def test_axbd_general_solution_sweep(rng):
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 5)
     B = cgauss(rng, 6, 2) @ cgauss(rng, 2, 7)
@@ -319,6 +326,19 @@ def test_characterization_and_bc_beyond_the_products_range(k):
     assert np.all(np.isfinite(B)) and np.all(np.isfinite(C))
     X = (C @ mi.moore_penrose(A)) @ B       # the unique solution C A+ B of the rank equation
     assert _rel_err(X, ref) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [-160, -200, -300])
+def test_bc_parameterization_with_underflowing_free_parameters(k):
+    # the construction takes 2^2e Y1 and 2^2e Y2, which underflow here for Y1 and Y2 of unit size;
+    # their share of B is about |A|^2 relative, so B and C are those of Y1 = Y2 = 0
+    A = 10.0 ** k * A55
+    B0, C0 = mi.bc_parameterization(A)
+    B, C = mi.bc_parameterization(A, None, np.full((5, 3), 0.3), np.full((5, 2), 0.3))
+    assert C.tobytes() == C0.tobytes()
+    assert _rel_err(B, B0) <= 1e-15
+    X = (C @ mi.moore_penrose(A)) @ B
+    assert _rel_err(X, mi.mink_inverse(A)) <= 1e-8
 
 
 def test_bc_parameterization_requires_square():
