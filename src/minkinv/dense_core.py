@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexNotOne, RankMismatch, ShapeMismatch, ZeroMatrix
+from .errors import IndexNotOne, MinkinvError, RankMismatch, ShapeMismatch, ZeroMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -126,6 +126,27 @@ def scale_pow2(M, k: int) -> np.ndarray:
     return out
 
 
+def _rescaled(name: str, W, k: int, param: bool = False) -> np.ndarray:
+    """2^k W, or MinkinvError naming ``name`` when 2^k W leaves the double range.
+
+    The one scaling of a result out of, or of a caller's matrix into, the
+    frame of 2^-e A.  2^k W has left the range when it is not finite, or
+    when scaling it back misses W by more than eps ||W||.  A caller's free
+    parameter (``param``) only has to stay finite: where it underflows, its
+    share of the result is below about 2^-1022 relative.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = scale_pow2(W, k)
+        ok = np.isfinite(out).all()
+        if ok and not param:
+            back = scale_pow2(out, -k)
+            back -= W
+            ok = fro(back) <= EPS * fro(W)
+    if not ok:
+        raise MinkinvError(f"{name} lies outside the double range at this scale of A")
+    return out
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Numerical rank plus the evidence used to decide it.
@@ -196,6 +217,35 @@ def moore_penrose(A, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     inv = np.zeros_like(s)
     inv[:r] = 1.0 / s[:r]
     return (Vh.conj().T * inv) @ U.conj().T
+
+
+def _nonsingular(M, what: str, err, tol: Tolerance = DEFAULT_TOL,
+                 scale: float | None = None, force: bool = False) -> bool:
+    """Whether the square M has full rank at the cutoff of :func:`numerical_rank`.
+
+    The package's one refusal of a numerically singular matrix: a rank-deficient
+    M raises ``err`` with "<what> is numerically singular (rank k of n, cond~c)",
+    unless ``force``, under which it returns False.  ``scale`` is the caller's
+    anchor of :func:`numerical_rank`.
+    """
+    rep = numerical_rank(M, tol, scale=scale)
+    n = M.shape[0]
+    if rep.rank < n and not force:
+        s = rep.singular_values
+        cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
+        raise err(f"{what} is numerically singular (rank {rep.rank} of {n}, cond~{cond:.2e})")
+    return rep.rank == n
+
+
+def _inverse(M, what: str, err, tol: Tolerance = DEFAULT_TOL,
+             scale: float | None = None, force: bool = False) -> np.ndarray:
+    """M^-1 after :func:`_nonsingular`; a singular M under ``force`` is pseudo-inverted.
+
+    Forcing keeps a breakdown observable in the result instead of refusing it.
+    """
+    if _nonsingular(M, what, err, tol, scale, force):
+        return np.linalg.inv(M)
+    return moore_penrose(M, tol, scale=scale)
 
 
 def one_inverse_sample(A, W=None, tol: Tolerance = DEFAULT_TOL,

@@ -45,24 +45,24 @@ import numpy as np
 
 from .dense_core import (
     DEFAULT_TOL,
-    EPS,
     FullRankFactorization,
     HSDecomposition,
     Tolerance,
     _core_svd,
     _group_of_svd,
     _hs_from_svd,
+    _inverse,
+    _nonsingular,
     _one_inverse,
     _rank_from_spectrum,
+    _rescaled,
     _shaped,
     as_matrix,
     fro,
     index_of,
     mats_close,
     moore_penrose,
-    numerical_rank,
     pow2_exponent,
-    rank_of,
     scale_pow2,
 )
 from .errors import (
@@ -304,27 +304,10 @@ def _index(M, rank1: int, rank2: int, tol: Tolerance, scale: float) -> int:
     return index_of(M, tol, scale=scale)
 
 
-def _inv_or_forced_pinv(M, tol: Tolerance, force: bool, scale, err, what):
-    """Invert M, or pseudo-invert it under force so breakdowns stay observable."""
-    rep = numerical_rank(M, tol, scale=scale)
-    if rep.rank < M.shape[0]:
-        if not force:
-            raise err(_singular_message(what, rep, f"rank {rep.rank} of {M.shape[0]}, "))
-        return moore_penrose(M, tol, scale=scale)
-    return np.linalg.inv(M)
-
-
 def _core_pinv(M, L, R, tol: Tolerance, scale: float) -> np.ndarray:
     """pinv(M) = R pinv(L* M R) L*, truncated at M's cutoff (see ``dense_core._core_svd``)."""
     rep, U, Vh = _core_svd(M, L, R, tol, scale)
     return (Vh.conj().T / rep.singular_values[:rep.rank]) @ U.conj().T
-
-
-def _singular_message(what: str, rep, evidence: str = "") -> str:
-    """'<what> is numerically singular (<evidence>cond~c)', c from the spectrum in ``rep``."""
-    s = rep.singular_values
-    cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-    return f"{what} is numerically singular ({evidence}cond~{cond:.2e})"
 
 
 # ---------------------------------------------------------------------------
@@ -497,27 +480,6 @@ def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     return f, scale_pow2(A, -f.exp)
 
 
-def _rescaled(name: str, W, k: int, param: bool = False) -> np.ndarray:
-    """2^k W, or MinkinvError naming ``name`` when 2^k W leaves the double range.
-
-    The one scaling of a result out of, or of a caller's matrix into, the
-    frame of 2^-e A.  2^k W has left the range when it is not finite, or
-    when scaling it back misses W by more than eps ||W||.  A caller's free
-    parameter (``param``) only has to stay finite: where it underflows, its
-    share of the result is below about 2^-1022 relative.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = scale_pow2(W, k)
-        ok = np.isfinite(out).all()
-        if ok and not param:
-            back = scale_pow2(out, -k)
-            back -= W
-            ok = fro(back) <= EPS * fro(W)
-    if not ok:
-        raise MinkinvError(f"{name} lies outside the double range at this scale of A")
-    return out
-
-
 def _audit_pair(A, X, tol: Tolerance):
     """:func:`_audited` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
     f, A = _normalized(A, tol)
@@ -672,9 +634,7 @@ def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
             raise RankMismatch(f"r must be within 1..{min(m, n)}, got {r}")
         if f.r != r:
             raise RankMismatch(f"rank(A)={f.r} does not match the requested r={r}")
-        rep = numerical_rank(A[:r, :r], tol)
-        if rep.rank < r:
-            raise BlockSingular(_singular_message(f"leading {r}x{r} block", rep))
+        _nonsingular(A[:r, :r], f"leading {r}x{r} block", BlockSingular, tol)
     if algo.gated:
         _require_existence(f, force)
     X, gap = algo.core(f, A, tol, force, **params)
@@ -720,9 +680,8 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     G2 = UGU[:r, r:]
     G3 = UGU[r:, :r]
     G4 = UGU[r:, r:]
-    core_inv = _inv_or_forced_pinv(G1 @ Sigma @ Delta, tol, force,
-                                   scale=hs.sigma[0],
-                                   err=NotExistent, what="G1 Sigma Delta")
+    core_inv = _inverse(G1 @ Sigma @ Delta, "G1 Sigma Delta", NotExistent, tol,
+                        hs.sigma[0], force)
     blk = np.zeros((n, n), dtype=np.complex128)
     blk[:r, :r] = hs.K.conj().T @ core_inv
     blk[r:, :r] = hs.L.conj().T @ core_inv
@@ -731,8 +690,7 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     # expanded form over the same block split
     t_top = G1 @ hs.K.conj().T + G2 @ hs.L.conj().T
     t_bot = G3 @ hs.K.conj().T + G4 @ hs.L.conj().T
-    sd_inv = _inv_or_forced_pinv(Sigma @ Delta, tol, force, scale=hs.sigma[0],
-                                 err=NotExistent, what="Sigma Delta")
+    sd_inv = _inverse(Sigma @ Delta, "Sigma Delta", NotExistent, tol, hs.sigma[0], force)
     expanded = np.zeros((n, n), dtype=np.complex128)
     expanded[:r, :r] = t_top @ sd_inv
     expanded[:r, r:] = t_top @ core_inv @ G2
@@ -857,10 +815,10 @@ def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
     As = mink_adjoint(A)
     A1 = _one_inverse(A, f.pinv_A, W)
     anchor = max(1.0, f.s1 ** 2)
-    left = _inv_or_forced_pinv(As @ A + np.eye(n, dtype=np.complex128) - A1 @ A,
-                               tol, force, scale=anchor, err=Singular, what="resolvent")
-    right = _inv_or_forced_pinv(A @ As + np.eye(m, dtype=np.complex128) - A @ A1,
-                                tol, force, scale=anchor, err=Singular, what="dual resolvent")
+    left = _inverse(As @ A + np.eye(n, dtype=np.complex128) - A1 @ A,
+                    "resolvent", Singular, tol, anchor, force)
+    right = _inverse(A @ As + np.eye(m, dtype=np.complex128) - A @ A1,
+                     "dual resolvent", Singular, tol, anchor, force)
     return _dual_gap(mink_adjoint(A @ left), mink_adjoint(right @ A), tol, force,
                      "dual resolvent forms differ")
 
@@ -886,8 +844,7 @@ def _block(f: _Factored, A, tol: Tolerance, force: bool, r: int):
     """(X, None) of :func:`mink_inverse_block` on the normalized A factored by ``f``."""
     P = mink_adjoint(A[:r, :])   # n x r
     S = mink_adjoint(A[:, :r])   # r x m
-    mid_inv = _inv_or_forced_pinv(S @ A @ P, tol, force, scale=f.s1 ** 3,
-                                  err=Singular, what="bordered core")
+    mid_inv = _inverse(S @ A @ P, "bordered core", Singular, tol, f.s1 ** 3, force)
     return P @ mid_inv @ S, None
 
 
@@ -1151,9 +1108,7 @@ def _sylvester(f: _Factored, A, Am, tol: Tolerance):
     eye = np.eye(m, dtype=np.complex128)
     P = A @ Am
     Q = A @ mink_adjoint(A) + eye - P
-    if rank_of(Q, tol, scale=max(1.0, f.s1 ** 2)) < m:
-        raise Singular("shifted Gram Q is numerically singular despite a passing diagnosis")
-    return P @ np.linalg.inv(Q), eye - P
+    return P @ _inverse(Q, "shifted Gram Q", Singular, tol, max(1.0, f.s1 ** 2)), eye - P
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ import numpy as np
 from .dense_core import (
     DEFAULT_TOL,
     Tolerance,
+    _inverse,
+    _nonsingular,
     _rank_from_spectrum,
+    _rescaled,
     _shaped,
     as_matrix,
     fro,
@@ -45,7 +48,6 @@ from .minkowski import (
     _inverse_of,
     _normalized,
     _require_existence,
-    _rescaled,
     apply_metric_left,
     apply_metric_right,
     mink_adjoint,
@@ -175,8 +177,7 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     if r == 0:
         raise ZeroMatrix("equivalence construction needs rank >= 1")
     X1 = _shaped("X1", X1, (r, r))
-    if rank_of(X1, tol) < r:
-        raise SingularParam("X1 is numerically singular")
+    X1inv = _inverse(X1, "X1", SingularParam, tol)
 
     def blk(shape, given, name):
         if given is None or min(shape) == 0:
@@ -188,7 +189,7 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     Xblk[:r, r:] = blk((r, m - r), X2, "X2")
     Xblk[r:, r:] = blk((l - r, m - r), X4, "X4")
     Yblk = np.zeros((n, h), dtype=np.complex128)
-    Yblk[:r, :r] = np.linalg.inv(X1)
+    Yblk[:r, :r] = X1inv
     Yblk[r:, :r] = blk((n - r, r), Y3, "Y3")
     Yblk[r:, r:] = blk((n - r, h - r), Y4, "Y4")
 
@@ -302,8 +303,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
         J = KL.conj().T
     else:
         X1free = _shaped("X1free", X1free, (r, r))
-        if rank_of(X1free, tol) < r:
-            raise SingularParam("X1free is numerically singular")
+        _nonsingular(X1free, "X1free", SingularParam, tol)
         J = KL.conj().T @ X1free
 
     def free(name, Y, shape):        # 2^2e Y, the parameter of the normalized construction

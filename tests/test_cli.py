@@ -271,7 +271,8 @@ _COMPOSE = "rank(A~A)=1 != rank(A)=2 (or rank 0)"
     (["--algo", "zlobec2"], 1, _GATE),
     (["--algo", "group"], 1, _GATE),
     (["--algo", "resolvent"], 1, _GATE),
-    (["--algo", "block", "--r", "2"], 4, "leading 2x2 block is numerically singular (cond~inf)"),
+    (["--algo", "block", "--r", "2"], 4,
+     "leading 2x2 block is numerically singular (rank 1 of 2, cond~inf)"),
     (["--algo", "compose"], 1, _COMPOSE),
     (["--algo", "compose", "--force"], 1, _COMPOSE),   # compose refuses through its members
 ], ids=["default", "frf", "hs", "zlobec", "zlobec2", "group", "resolvent", "block", "compose",
