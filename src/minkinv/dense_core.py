@@ -188,8 +188,12 @@ def _rank_from_spectrum(s, shape, tol: Tolerance, scale: float | None = None,
 
     The one cutoff convention of :func:`numerical_rank`, for callers that
     already hold the spectrum from a factorization they need anyway.
+    MinkinvError when sigma_max is not finite: the spectrum of a matrix that
+    large cannot be ranked.
     """
     smax = float(s[0]) if s.size else 0.0
+    if not np.isfinite(smax):
+        raise MinkinvError("the singular values lie outside the double range at this scale")
     anchor = max(smax, scale if scale is not None else 0.0)
     cutoff = tol.rank_rtol * max(shape) * anchor
     cutoff = max(cutoff, floor)
@@ -209,13 +213,17 @@ def moore_penrose(A, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     Unlike ``numpy.linalg.pinv`` this truncates with the same cutoff as
     :func:`numerical_rank`, including the optional ``scale`` anchor; that
     keeps pseudo-inverses of cancellation-prone products (A~AA~ and friends)
-    from inverting noise directions.
+    from inverting noise directions.  MinkinvError where 1/sigma_r is not
+    finite, since the pseudoinverse then leaves the double range.
     """
     A = as_matrix(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     r = _rank_from_spectrum(s, A.shape, tol, scale).rank
     inv = np.zeros_like(s)
-    inv[:r] = 1.0 / s[:r]
+    with np.errstate(over="ignore"):
+        inv[:r] = 1.0 / s[:r]
+    if r and not np.isfinite(inv[r - 1]):
+        raise MinkinvError("the pseudoinverse lies outside the double range at this scale")
     return (Vh.conj().T * inv) @ U.conj().T
 
 
@@ -268,9 +276,13 @@ def _one_inverse(A, Ap, W) -> np.ndarray:
     return Ap + W - Ap @ A @ W @ A @ Ap
 
 
-def _require_square(M):
+def _normalized_square(M, scale: float | None):
+    """(2^-e M, 2^-e scale, e) of a square M, with 2^e the power of two of :func:`pow2_exponent`."""
+    M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"square matrix required, got {M.shape}")
+    e = pow2_exponent(M)
+    return scale_pow2(M, -e), None if scale is None else float(np.ldexp(scale, -e)), e
 
 
 def index_of(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> int:
@@ -278,10 +290,11 @@ def index_of(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> int
 
     Computed by successive powers with rank stabilization; the result is at
     most n.  ``scale`` anchors the rank cutoff of M and is raised to the
-    matching power for each M^t.
+    matching power for each M^t.  The powers are taken of 2^-e M, with 2^e
+    the power of two of :func:`pow2_exponent` and the anchor scaled alike,
+    which has the same index and whose powers stay in range.
     """
-    M = as_matrix(M)
-    _require_square(M)
+    M, scale, _ = _normalized_square(M, scale)
     n = M.shape[0]
     prev = n  # rank(M^0) = rank(I)
     P = np.eye(n, dtype=np.complex128)
@@ -311,13 +324,14 @@ def group_inverse(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     factors of one compact SVD (see :func:`_group_of_svd`).  The
     precondition rank(M^2) = rank(M) is checked on the r-by-r core of that
     SVD and IndexNotOne raised otherwise.  The zero matrix returns the zero
-    matrix.
+    matrix.  It is computed on 2^-e M as :func:`index_of` is, and
+    (2^-e M)# = 2^e M# is scaled back by :func:`_rescaled`, which raises
+    MinkinvError where M# leaves the double range.
     """
-    M = as_matrix(M)
-    _require_square(M)
+    M, scale, e = _normalized_square(M, scale)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     r = _rank_from_spectrum(s, M.shape, tol, scale).rank
-    return _group_of_svd(U[:, :r], s[:r], Vh[:r], M.shape, tol, scale)
+    return _rescaled("M#", _group_of_svd(U[:, :r], s[:r], Vh[:r], M.shape, tol, scale), -e)
 
 
 def _group_of_svd(U, s, Vh, shape, tol: Tolerance, scale: float | None = None,
@@ -412,11 +426,14 @@ def projector_onto_along(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Computes P = A (B A)+ B, valid when rank(BA) = rank(A) = rank(B) (which
     guarantees R(A) and N(B) are complementary); raises RankMismatch
     otherwise.  With B = A* this is the orthogonal projector onto R(A).
+    P does not change when A or B is scaled, so it is computed from A and B
+    each divided by its power of two (:func:`pow2_exponent`).
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if B.shape[1] != A.shape[0]:
         raise ShapeMismatch(f"need B cols == A rows, got {B.shape} and {A.shape}")
+    A, B = scale_pow2(A, -pow2_exponent(A)), scale_pow2(B, -pow2_exponent(B))
     anchor = sigma_max(B) * sigma_max(A)
     rA = rank_of(A, tol)
     rB = rank_of(B, tol)

@@ -193,10 +193,10 @@ def solve_xay_b(A, B, X1, X2=None, X4=None, Y3=None, Y4=None,
     Yblk[r:, :r] = blk((n - r, r), Y3, "Y3")
     Yblk[r:, r:] = blk((n - r, h - r), Y4, "Y4")
 
-    X = (U1 * d1) @ Xblk @ (U / d).conj().T
-    Y = Vh.conj().T @ Yblk @ Vh1
     a, b = pow2_exponent(A), pow2_exponent(B)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):    # X is checked here
+        X = (U1 * d1) @ Xblk @ (U / d).conj().T
+        Y = Vh.conj().T @ Yblk @ Vh1
         right = mats_close(scale_pow2(X, a - b) @ scale_pow2(A, -a) @ Y, scale_pow2(B, -b), tol)
     if not right:
         raise MinkinvError("X A Y differs from B: X leaves the double range or rounds a part away")

@@ -237,3 +237,18 @@ def test_projector_rank_mismatch(rng):
     B = np.zeros((2, 4))
     with pytest.raises(mi.RankMismatch):
         mi.projector_onto_along(A, B)
+
+
+@pytest.mark.parametrize("call, err, message", [
+    (lambda: mi.mink_inverse_block(fixtures.nonexistent_5x4(), 2), mi.BlockSingular,
+     "leading 2x2 block is numerically singular (rank 1 of 2, cond~inf)"),
+    (lambda: mi.solve_xay_b(fixtures.existent_5x5(), fixtures.existent_5x5(), np.diag([1, 1, 0])),
+     mi.SingularParam, "X1 is numerically singular (rank 2 of 3, cond~inf)"),
+    (lambda: mi.bc_parameterization(fixtures.existent_5x5(), [[1, 2, 0], [2, 4, 0], [0, 0, 1]]),
+     mi.SingularParam, "X1free is numerically singular (rank 2 of 3, cond~"),
+], ids=["leading block", "X1", "X1free"])
+def test_refusal_names_the_matrix_with_its_rank_and_condition(call, err, message):
+    with pytest.raises(err) as info:
+        call()
+    assert str(info.value).startswith(message)
+    assert str(info.value).endswith(")")

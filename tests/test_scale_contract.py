@@ -10,14 +10,21 @@ lies more than a factor of two beyond the largest double every export must
 raise.  The names come
 from ``__all__``, so a new export fails this module until it gets a row here
 or a commented entry in ``EXEMPT``.
+
+The exports of ``dense_core`` do not return A^m.  Each of their rows in
+``COVARIANT`` states how its values scale with its input, and at every scale
+they must equal the unit-scale values scaled alike, or raise MinkinvError
+itself: a subclass there (IndexNotOne, RankMismatch, Inconsistent, ...) is a
+false verdict on a matrix that has the property.
 """
 
 import numpy as np
 import pytest
 
 import minkinv as mi
-from minkinv import fixtures, minkowski, solvers
+from minkinv import dense_core, errors, fixtures, minkowski, solvers
 from minkinv.dense_core import pow2_exponent, scale_pow2
+from conftest import existent
 
 A55 = fixtures.existent_5x5()
 SCALES = [0, 4, -4, 8, -8, 16, -16, 100, -100, 154, -154, 200, -200]
@@ -112,11 +119,20 @@ def _rel_err(W, ref):
     return np.linalg.norm((W - ref) / s) / np.linalg.norm(ref / s)
 
 
+def _core_exports():
+    """The names of the ``minkinv`` namespace that ``dense_core`` defines."""
+    return {name for name, v in vars(mi).items()
+            if not name.startswith("_") and vars(dense_core).get(name) is v} - set(vars(errors))
+
+
 def test_every_export_has_a_row_or_an_exemption():
     exports = set(minkowski.__all__) | set(solvers.__all__)
     assert exports == set(RECOVER) | EXEMPT
     assert not set(RECOVER) & EXEMPT
     assert FORMS_AM <= set(RECOVER)
+    core = _core_exports()
+    assert core == set(COVARIANT) - exports | CORE_EXEMPT
+    assert not set(COVARIANT) & CORE_EXEMPT
 
 
 @pytest.mark.parametrize("name", sorted(RECOVER))
@@ -202,3 +218,85 @@ def test_cross_check_never_passes_a_non_finite_result(j):
         if j == -1070:                # every result overflows: each route fails, naming it
             assert not report.verdict
             assert {o.status for o in report.outcomes} == {"failed"}
+
+
+# export -> (d, values(M, W)): values(c M, W / c) = c^d values(M, W) for every c > 0.  M is a
+# square index-one matrix and W a parameter that scales like an inverse of M.
+COVARIANT = {
+    "numerical_rank": (0, lambda M, W: [mi.numerical_rank(M).rank]),
+    "rank_of": (0, lambda M, W: [mi.rank_of(M)]),
+    "index_of": (0, lambda M, W: [mi.index_of(M)]),
+    "moore_penrose": (-1, lambda M, W: [mi.moore_penrose(M)]),
+    "one_inverse_sample": (-1, lambda M, W: [mi.one_inverse_sample(M), mi.one_inverse_sample(M, W)]),
+    "group_inverse": (-1, lambda M, W: [mi.group_inverse(M)]),
+    "projector_onto_along": (0, lambda M, W: [mi.projector_onto_along(M, mi.mink_adjoint(M))]),
+    # with the default WA = WB = None the particular solution of M X M = M is M+
+    "solve_axb_d": (-1, lambda M, W: [mi.solve_axb_d(M, M, M).particular]),
+}
+
+# dense_core names without a row, and why
+CORE_EXEMPT = {
+    # constants and result types
+    "EPS", "DEFAULT_TOL", "Tolerance", "RankReport", "FullRankFactorization", "HSDecomposition",
+    # the input validator: returns its input
+    "as_matrix",
+    # scalars and a verdict on the caller's matrices, taken without normalizing them
+    "fro", "sigma_max", "mats_close",
+}
+
+G55 = mi.mink_adjoint(A55) @ A55
+G55 = scale_pow2(G55, -pow2_exponent(G55))     # largest entry in [1/2, 1), so 2^1023 G55 is finite
+W55 = np.full(G55.shape, 2.0 ** -8)             # 2^1060 W55 is finite
+CORE_POW2 = [0, 600, -600, 1000, -1000, 1023, -1060]
+
+
+def _agree(got, ref, back):
+    """Whether integers equal their reference, and each matrix back(W) its reference within 1e-8."""
+    return all(g == r if np.isscalar(r) else _rel_err(back(g), r) <= 1e-8
+               for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("name", sorted(COVARIANT))
+def test_core_export_right_or_raise_at_the_range_ends(name):
+    # The reference at 2^j M is the unit-scale value times 2^(d j), compared as 2^(-d j) W.
+    # sigma_max of 2^1023 A55 overflows, that of 2^1023 G55 does not.
+    d, values = COVARIANT[name]
+    wrong = []
+    for M in (A55, G55):
+        ref = values(M, W55)
+        for j in CORE_POW2:
+            with np.errstate(all="ignore"):
+                try:
+                    got = values(scale_pow2(M, j), scale_pow2(W55, -j))
+                except mi.MinkinvError as e:    # only the range refusal, never a false verdict
+                    if j == 0 or type(e) is not mi.MinkinvError:
+                        raise
+                    continue
+                if not _agree(got, ref, lambda W: scale_pow2(W, -d * j)):
+                    wrong.append(j)
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("name", sorted(COVARIANT))
+def test_core_export_right_or_raise_on_grams_of_scaled_draws(name):
+    # A~A of a draw scaled by 10^k is about c = 10^2k times that of the unit draw
+    d, values = COVARIANT[name]
+    wrong = []
+    for seed in (1, 2, 3):
+        A0 = existent(6, 5, 3, seed)
+        G0 = mi.mink_adjoint(A0) @ A0
+        W0 = np.full(G0.shape, 0.25)
+        ref = values(G0, W0)
+        for k in (100, -100):
+            A = existent(6, 5, 3, seed, scale=10.0 ** k)
+            c = 10.0 ** (2 * k)
+            with np.errstate(all="ignore"):
+                try:
+                    got = values(mi.mink_adjoint(A) @ A, W0 / c)
+                except mi.MinkinvError as e:
+                    if type(e) is not mi.MinkinvError:
+                        raise
+                    continue
+                if not _agree(got, ref, lambda W: W * c ** -d):
+                    wrong.append((seed, k))
+    assert not wrong, wrong
