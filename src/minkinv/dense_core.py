@@ -20,6 +20,11 @@ matrices (products, residual projectors):
 A product whose column and row spaces lie in known r-dimensional subspaces
 is ranked, pseudo-inverted or group-inverted from the SVD of its r-by-r core
 (``_core_svd``, ``_group_of_svd``), with the cutoff of the product itself.
+
+Every module refuses a numerically singular matrix through ``_nonsingular``
+(or inverts through ``_inverse`` on it) and scales by a power of two through
+the checked ``_rescaled``.  The exports are right or raise MinkinvError at
+every scale of the double range.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ G = 2 e1 e1* - I, so each Gram is Sigma (2 u u* - I) Sigma up to sign flips,
 with u the first row of a singular basis: the gate ranks it by an O(r)
 inertia count, and :func:`mink_inverse` inverts it by Sherman-Morrison,
 so neither forms a Gram.  The algorithm evaluates its formula on 2^-e A,
-whose residuals equal those of (A, result), and :func:`_rescaled` scales
-the result back by 2^-e: exactly while it stays in the normal range, and
-else MinkinvError names it (A^m, of size |A|^-1, leaves from about
+whose residuals equal those of (A, result), and ``dense_core._rescaled``
+scales the result back by 2^-e: exactly while it stays in the normal range,
+and else MinkinvError names it (A^m, of size |A|^-1, leaves from about
 |A| = 2^1022 up and 2^-1022 down).  Each formula is a private core on the
 factorization and 2^-e A, listed once in ``_ALGORITHMS`` and run by
 :func:`_route`, which the public ``mink_inverse_*`` functions,
@@ -33,6 +33,9 @@ The products that the diagnosis ranks and the Zlobec and group routes
 invert have their column and row spaces among R(U_r), G R(U_r), R(V_r) and
 G R(V_r) of that SVD, so each is formed from A and then factored on its
 r-by-r core (``dense_core._core_svd``), not by an m-by-m or n-by-n SVD.
+Every singular-matrix refusal, and the forced pseudo-inverse that replaces
+it, is ``dense_core._nonsingular`` / ``_inverse``; the gate's inertia count
+ranks the metric Grams of the FRF route and of the {1,3m}/{1,4m} bases.
 """
 
 from __future__ import annotations

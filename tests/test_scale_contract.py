@@ -262,7 +262,7 @@ def test_core_export_right_or_raise_at_the_range_ends(name):
     # sigma_max of 2^1023 A55 overflows, that of 2^1023 G55 does not.
     d, values = COVARIANT[name]
     wrong = []
-    for M in (A55, G55):
+    for label, M in (("A", A55), ("A~A", G55)):
         ref = values(M, W55)
         for j in CORE_POW2:
             with np.errstate(all="ignore"):
@@ -273,7 +273,7 @@ def test_core_export_right_or_raise_at_the_range_ends(name):
                         raise
                     continue
                 if not _agree(got, ref, lambda W: scale_pow2(W, -d * j)):
-                    wrong.append(j)
+                    wrong.append((label, j))
     assert not wrong, wrong
 
 
