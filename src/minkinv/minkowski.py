@@ -11,7 +11,7 @@ light cone, i.e. when rank(AA~) or rank(A~A) drops below rank(A).  Several
 independent algorithms for A^m are provided; on any existent input they agree
 up to rounding, which is what the verify module cross-checks.
 
-Every algorithm gates on one factorization: a compact SVD of the normalized
+Every algorithm gates on one factorization: an SVD of the normalized
 matrix 2^-e A, with 2^e the power of two of :func:`pow2_exponent`, gives
 A = 2^e B C, and NotExistent is raised unless both r-by-r metric Grams B~B
 and CC~ are nonsingular.  That is the rank-triple criterion of
@@ -40,8 +40,7 @@ ranks the metric Grams of the FRF route and of the {1,3m}/{1,4m} bases.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -262,7 +261,7 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
 
     rank_AAs = rank(AAs, Ur, GUr, s2)
     rank_AsA = rank(AsA, GVr, Vr, s2)
-    rank_AsAAs = rank(As @ A @ As, GVr, GUr, s2 * sA)
+    rank_AsAAs = rank(AsA @ As, GVr, GUr, s2 * sA)
     rank2_AsA = rank(AsA @ AsA, GVr, Vr, s2 * s2)
     rank2_AAs = rank(AAs @ AAs, Ur, GUr, s2 * s2)
     ind_AAs = _index(AAs, rank_AAs, rank2_AAs, tol, s2)
@@ -319,14 +318,18 @@ def _core_pinv(M, L, R, tol: Tolerance, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Factored:
-    """One compact SVD of the normalized matrix: 2^-exp A = B C.
+    """One SVD of the normalized matrix: 2^-exp A = B C.
 
     ``sv`` is the full singular spectrum of 2^-exp A; ``s1`` is its largest
     value and ``s`` its leading r values, so U_r = B / s.
-    B = U_r Sigma_r and C = V_r* are owned copies, so a refusal that keeps
-    this value alive pins (m + n) r + min(m, n) entries, not the SVD's
-    workspace.  G U_r and G V_r = G C* are orthonormal bases of N(A~)^perp
-    and R(A~), on which the audits test candidates (see :func:`_space_tests`);
+    B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
+    pins (m + n) r + min(m, n) entries, not the SVD's workspace.  When the
+    gate passes, ``Wr`` = V_c* G ((n - r)-by-n) and ``Wn`` = G U_c
+    (m-by-(m - r)), with U_c and V_c the trailing columns of the full U and
+    V, hold orthonormal bases Wr* of R(A~)^perp and Wn of N(A~), on
+    which the audits test candidates (see :func:`_space_tests`); a refusal
+    raised after the gate passed also pins these n (n - r) + m (m - r)
+    entries.  A refused factorization keeps neither (both None).
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
@@ -348,6 +351,8 @@ class _Factored:
     d_v: float
     rank_BsB: int
     rank_CCs: int
+    Wr: np.ndarray | None = None
+    Wn: np.ndarray | None = None
 
     @property
     def r(self) -> int:
@@ -418,45 +423,52 @@ def _gram_rank(w, d: float, s2, cut: float) -> int:
     return int(over) + int(np.sum(s2 > cut)) - 1 + int(under)
 
 
-_last = (None, None)   # ((tol, shape, SHA-256 of the bytes of A), _Factored) of the last _factor
+_last = (None, None, None)   # (tol, private copy of A, _Factored) of the last _factor
 
 
 def _forget_factor() -> None:
     """Drop the remembered factorization, so that the next :func:`_factor` is cold."""
     global _last
-    _last = (None, None)
+    _last = (None, None, None)
 
 
 def _factor(A, tol: Tolerance) -> _Factored:
-    """Normalize A by a power of two, take one compact SVD, rank the two Grams.
+    """Normalize A by a power of two, take one full SVD, rank the two Grams.
 
     The Grams are not formed: their light-cone margins come from the
     projections of e1 on the singular bases, and their ranks from an O(r)
     inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
+    It is a full SVD so that, when the gate passes, the trailing singular
+    vectors give the audits' complement bases ``Wr`` and ``Wn``.
 
-    The last result is remembered, keyed on ``tol``, the shape of A and a
-    digest of its bytes: a later call on bit-identical A (-0.0 is not 0.0)
-    returns the same ``_Factored``, with read-only arrays, and takes no LAPACK call.
+    The last result is remembered with ``tol`` and a private copy of A: a
+    later call with an equal ``tol`` on A of the same shape and bits (-0.0
+    is not 0.0), compared as int64 words, returns the same ``_Factored``,
+    with read-only arrays, and takes no LAPACK call.
     """
     global _last
-    key = (tol, A.shape, hashlib.sha256(np.ascontiguousarray(A)).digest())
-    last_key, last_f = _last
-    if last_key == key:
+    A = np.ascontiguousarray(A)
+    last_tol, last_A, last_f = _last
+    if last_tol == tol and last_A.shape == A.shape and np.array_equal(
+            last_A.view(np.int64), A.view(np.int64)):
         return last_f
     exp = pow2_exponent(A)
-    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
+    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=True)
     r = _rank_from_spectrum(sv, A.shape, tol).rank
     Ur = U[:, :r]
     B = Ur * sv[:r]
     C = Vh[:r].copy()
-    for a in (sv, B, C):
-        a.flags.writeable = False
     u, v = Ur[0].conj(), C[:, 0]                 # U_r* e1, V_r* e1
     d_u, d_v = (_cone_margin(Ur, u), _cone_margin(C.conj().T, v)) if r else (-1.0, -1.0)
     s2, cut = sv[:r] ** 2, tol.rank_rtol * max(A.shape) * float(sv[0]) ** 2
     ranks = (_gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut)) if r else (0, 0)
     f = _Factored(exp, sv, B, C, d_u, d_v, *ranks)
-    _last = (key, f)
+    if f.exists:
+        f = replace(f, Wr=apply_metric_right(Vh[r:]), Wn=apply_metric_left(U[:, r:]))
+    for a in (sv, B, C, f.Wr, f.Wn):
+        if a is not None:
+            a.flags.writeable = False
+    _last = (tol, A.copy(), f)
     return f
 
 
@@ -512,23 +524,33 @@ def _eqs_within(diffs, norms, tol: Tolerance) -> bool:
 def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
 
-    With 2^-e A = U_r Sigma V_r* factored by ``f``, R(A~) = G R(V_r) has the
-    orthonormal basis Qr = G V_r = G C*, and N(A~) = G N(A*) is the
-    orthogonal complement of G R(U_r), whose orthonormal basis is
-    Qn = G U_r.  So X maps into R(A~) iff X = Qr Qr* X, and X kills N(A~)
-    iff X = X Qn Qn*.  Each test passes when ||X - Qr Qr* X||, or
-    ||X - X Qn Qn*||, is within the equality bound at ||X||; a residual
-    whose basis spans the whole space is 0.  The residuals are returned
-    relative to max(1, ||X||).
+    With 2^-e A = U Sigma V* factored by ``f``, R(A~) = G R(V_r) and
+    N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing columns
+    of U and V.  So X maps into R(A~) iff its component in the complement
+    G R(V_c) vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes
+    when its residual is within the equality bound at ||X||; a residual
+    whose complement is empty is 0.  The residuals are returned relative
+    to max(1, ||X||).  There are two paths, selected by ``f.exists``:
+
+    * the gate passed: ``f`` keeps the complement bases Wr = V_c* G and
+      Wn = G U_c, and the residuals are ||Wr X|| and ||X Wn||, one product
+      of width n - r and one of width m - r;
+    * the gate refused (a forced route's audit, or an audit of a candidate
+      for A without an inverse): ``f`` keeps no complements, and the
+      residuals are ||X - Qr Qr* X|| and ||X - X Qn Qn*||, projections on
+      the orthonormal bases Qr = G V_r of R(A~) and Qn = G U_r of N(A~)^perp.
     """
     m, n = f.B.shape[0], f.C.shape[1]
-    d_range = d_null = 0.0
-    if f.r < n:
-        Qr = apply_metric_left(f.Vr)
-        d_range = fro(X - Qr @ (Qr.conj().T @ X))
-    if f.r < m:
-        Qn = apply_metric_left(f.Ur)
-        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
+    if f.exists:
+        d_range, d_null = fro(f.Wr @ X), fro(X @ f.Wn)
+    else:
+        d_range = d_null = 0.0
+        if f.r < n:
+            Qr = apply_metric_left(f.Vr)
+            d_range = fro(X - Qr @ (Qr.conj().T @ X))
+        if f.r < m:
+            Qn = apply_metric_left(f.Ur)
+            d_null = fro(X - (X @ Qn) @ Qn.conj().T)
     bound = tol.eq_bound(nX)
     scale = max(1.0, nX)
     return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
@@ -647,7 +669,7 @@ def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
 def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
     """Minkowski inverse via a full-rank factorization A = B C.
 
-    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one compact SVD of
+    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one SVD of
     the normalized matrix 2^-e A (see :func:`pow2_exponent`), then scales the
     result by 2^-e (see :func:`_rescaled`), so it is bit-for-bit covariant
     under powers of two.  The same factorization is the existence gate:
@@ -855,7 +877,7 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The Minkowski inverse A^m, or NotExistent.
 
     Canonical entry point used by the rest of the package.  It factors A
-    once: one compact SVD of the normalized matrix 2^-e A gives A = 2^e B C,
+    once: one SVD of the normalized matrix 2^-e A gives A = 2^e B C,
     the rank-r Grams B~B and CC~ decide existence (the rank-triple criterion
     of :func:`diagnose_existence`, without its other four criteria), and
     A^m = 2^-e C~ (CC~)^-1 (B~B)^-1 B~.  The Grams are ranked by an inertia
@@ -1147,9 +1169,10 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     normalized pair (2^-e A, 2^e X) of :func:`pow2_exponent`, which has the
     same answer, so the verdict does not depend on the scale of A.
     ``exists`` comes from the factor-once gate's factorization of 2^-e A
-    (see the module docstring), whose orthonormal bases G U_r and G V_r
-    also decide the two space tests as projection residuals (see
-    :func:`_space_tests`); it is the only SVD the check takes.
+    (see the module docstring), whose singular bases also decide the two
+    space tests (see :func:`_space_tests`: complement bases where the gate
+    passed, projections where it refused); it is the only SVD the check
+    takes.
     Verdict-producing: never raises on a failing candidate; one with
     ||2^e X|| beyond the double range fails every test with infinite
     residuals.

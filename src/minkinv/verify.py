@@ -169,9 +169,10 @@ class CheckReport:
 
     eq1..eq4m are the relative residuals of the defining equations.
     ``range_ok`` decides R(X) = R(A~) and ``null_ok`` decides N(X) = N(A~)
-    by projection on one factorization of A; ``residual_range`` and
-    ``residual_null`` are the projection residuals relative to max(1, ||X||)
-    (see ``minkowski._space_tests``).  ``verdict`` is the conjunction.
+    on the singular bases of one factorization of A; ``residual_range`` and
+    ``residual_null`` are the parts of X outside those spaces, relative to
+    max(1, ||X||) (see ``minkowski._space_tests``).  ``verdict`` is the
+    conjunction.
     """
 
     eq1: float
@@ -191,14 +192,17 @@ class CheckReport:
 def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Full audit of a candidate X against the defining equations of A^m.
 
-    The audit runs on the normalized pair (2^-e A, 2^e X) of one compact SVD
+    The audit runs on the normalized pair (2^-e A, 2^e X) of one SVD
     of 2^-e A (the factor-once gate of :mod:`~minkinv.minkowski`), with 2^e
     the power of two of :func:`~minkinv.dense_core.pow2_exponent`.  X is A^m
     exactly when 2^e X is (2^-e A)^m, and the relative residuals are the
     same, so the verdict does not depend on the scale of A.  That SVD is the
     only one the audit takes: its bases decide the range and null-space
-    tests as projection residuals (see :func:`_audit`).  A candidate with
-    ||2^e X|| beyond the double range fails with infinite residuals.
+    tests (see :func:`_audit`).  Where the gate passes, the factorization
+    keeps the complement bases of R(A~) and N(A~)^perp for this, so a
+    refusal raised later pins them with it; where it refuses, the tests
+    project on the leading bases.  A candidate with ||2^e X|| beyond the
+    double range fails with infinite residuals.
     """
     return _audit(*mk._audit_pair(A, X, tol), tol)
 
@@ -207,7 +211,7 @@ def _audit(f, A, X, nX: float, space, eqs, tol: Tolerance) -> CheckReport:
     """:func:`check_candidate` of the normalized pair (A, X), from ``minkowski._audited``.
 
     ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
-    N(X) by projection.  Equations (1) and (2) make X a {1,2}-inverse of A,
+    N(X) on the gate's singular bases.  Equations (1) and (2) make X a {1,2}-inverse of A,
     so rank(X) = rank(A~), and the two inclusions are then the equalities
     R(X) = R(A~) and N(X) = N(A~).  An X whose norm overflows arrives with
     failing space tests and infinite differences, so every residual reads
@@ -230,7 +234,7 @@ def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.Mo
 
     Both auditors run on the same normalized pair and decide their space
     tests on the same orthonormal bases, so one SVD of A, one pair of
-    projection residuals and one set of defining-equation norms serve both.
+    space residuals and one set of defining-equation norms serve both.
     """
     audited = mk._audit_pair(A, X, tol)
     return _audit(*audited, tol), mk._moore_style(*audited, tol)

@@ -6,6 +6,11 @@ rank([X; A~]), all cut off at the equality bound of the stacked block's
 norm.  ``check_candidate`` decides the same inclusions as projection
 residuals on one factorization of A; the tests require both to reach the
 same verdict.
+
+``reference_space_tests`` is the projection form of those space tests on
+the leading singular bases of the gate's factorization.  ``_space_tests``
+keeps it for refused factorizations and takes the complement bases when
+the gate passes; the tests require both forms to agree.
 """
 
 from typing import NamedTuple
@@ -53,3 +58,24 @@ def reference_audit(A, X, tol: Tolerance = DEFAULT_TOL) -> RankAudit:
     null_ok = rank_of(col, tol, floor=floor_col) == rAs == rX
     return RankAudit(*eqs, bool(range_ok), bool(null_ok),
                      bool(eqs_ok and range_ok and null_ok))
+
+
+def reference_space_tests(f, X, nX: float, tol: Tolerance = DEFAULT_TOL):
+    """(range_ok, null_ok, residual_range, residual_null) of ``mk._space_tests``, by projection.
+
+    With Qr = G V_r and Qn = G U_r from the factorization ``f`` of the
+    normalized A, the residuals are ||X - Qr Qr* X|| and ||X - X Qn Qn*||
+    (0 where the basis spans the whole space), tested against the equality
+    bound at ``nX`` = ||X|| and returned relative to max(1, ||X||).
+    """
+    m, n = f.B.shape[0], f.C.shape[1]
+    d_range = d_null = 0.0
+    if f.r < n:
+        Qr = mk.apply_metric_left(f.Vr)
+        d_range = fro(X - Qr @ (Qr.conj().T @ X))
+    if f.r < m:
+        Qn = mk.apply_metric_left(f.Ur)
+        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
+    bound = tol.eq_bound(nX)
+    scale = max(1.0, nX)
+    return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import minkinv as mi
-from minkinv import minkowski, verify
+from minkinv import fixtures, minkowski, verify
 from conftest import existent, isotropic, light_cone
 
 
@@ -25,10 +25,16 @@ def _cold_factor(A, tol=mi.DEFAULT_TOL):
     return _factor(A, tol)
 
 
+def _kept(f):
+    """The arrays a factorization keeps: sv, B, C and, when the gate passed, Wr and Wn."""
+    return [a for a in (f.sv, f.B, f.C, f.Wr, f.Wn) if a is not None]
+
+
 def _same_factors(f, g):
-    return ((f.exp, f.rank_BsB, f.rank_CCs) == (g.exp, g.rank_BsB, g.rank_CCs)
+    return ((f.exp, f.rank_BsB, f.rank_CCs, f.Wr is None, f.Wn is None)
+            == (g.exp, g.rank_BsB, g.rank_CCs, g.Wr is None, g.Wn is None)
             and all(a.shape == b.shape and a.tobytes() == b.tobytes()
-                    for a, b in ((f.sv, g.sv), (f.B, g.B), (f.C, g.C))))
+                    for a, b in zip(_kept(f), _kept(g))))
 
 
 def _arrays_in(value):
@@ -189,13 +195,33 @@ def test_factor_memo_takes_a_transposed_matrix():
 
 def test_remembered_factors_are_read_only():
     f = _factor(existent(6, 6, 3, seed=35))
-    for a in (f.sv, f.B, f.C):
+    assert f.Wr is not None and f.Wn is not None
+    for a in _kept(f):
         with pytest.raises(ValueError):
             a[0] = 0
 
 
+@pytest.mark.parametrize("A", [isotropic(6, 4, seed=37), isotropic(5, 5, seed=38),
+                               fixtures.nonexistent_5x4(), light_cone(1e-9), existent(7, 5, 3, seed=39),
+                               existent(4, 7, 4, seed=40), np.zeros((3, 4))])
+def test_complements_are_kept_exactly_when_the_gate_passes(A):
+    f = _cold_factor(A)
+    if not f.exists:
+        assert f.Wr is None and f.Wn is None
+        return
+    m, n = A.shape
+    Wr, Wn = f.Wr, f.Wn
+    assert Wr.shape == (n - f.r, n) and Wn.shape == (m, m - f.r)
+    # orthonormal, and orthogonal to G V_r and G U_r
+    G_Vr, G_Ur = minkowski.apply_metric_left(f.Vr), minkowski.apply_metric_left(f.Ur)
+    for Q, P in ((Wr.conj().T, G_Vr), (Wn, G_Ur)):
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-13
+        assert np.linalg.norm(Q.conj().T @ P) < 1e-13
+
+
 def test_public_results_do_not_alias_the_remembered_factors():
     A = existent(6, 6, 3, seed=36)
+    assert _factor(A).Wr is not None
     for name, call in entry_points(A) + [("diagnose_existence", mi.diagnose_existence),
                                          ("full_rank_factorization", mi.full_rank_factorization),
                                          ("hs_decomposition", mi.hs_decomposition)]:
@@ -203,4 +229,4 @@ def test_public_results_do_not_alias_the_remembered_factors():
         f = _factor(A)
         for a in _arrays_in(out):
             assert a.flags.writeable, name
-            assert not any(np.shares_memory(a, b) for b in (f.sv, f.B, f.C)), name
+            assert not any(np.shares_memory(a, b) for b in _kept(f)), name

@@ -7,7 +7,7 @@ import minkinv as mi
 from minkinv import fixtures, verify
 from minkinv.cli import main
 from conftest import cgauss, existent, block_existent, isotropic, lapack_counts, light_cone
-from reference_audit import reference_audit
+from reference_audit import reference_audit, reference_space_tests
 
 A55 = fixtures.existent_5x5()
 AM55 = fixtures.existent_5x5_minkinv()
@@ -452,3 +452,30 @@ def test_cross_check_audits_match_the_rank_reference(A, force):
     for o in mi.cross_check(A, force=force).outcomes:
         if o.check is not None:
             assert o.check.verdict == reference_audit(A, o.result).verdict, o.name
+
+
+def _space_inputs():
+    """Square, tall and wide draws, full column and row rank, rank 0, isotropic, light-cone."""
+    inputs = [existent(8, 8, 5, seed=71), existent(9, 6, 4, seed=72), existent(5, 9, 3, seed=73),
+              existent(9, 5, 5, seed=74), existent(5, 9, 5, seed=75), np.zeros((4, 3)),
+              isotropic(6, 4, seed=76), isotropic(5, 5, seed=77), A52]
+    for k in range(1, 10):
+        inputs += [light_cone(10.0 ** -k), mi.mink_adjoint(light_cone(10.0 ** -k))]
+    return inputs
+
+
+def test_space_tests_match_the_projection_reference():
+    # the complement bases (gate passed) and the projection (gate refused)
+    # against the projection formula on the gate's leading bases
+    rng = np.random.default_rng(78)
+    paths = set()
+    for A in (scale * A1 for A1 in _space_inputs() for scale in (1.0, 1e-8, 1e8)):
+        for X in (mi.mink_inverse_frf(A, force=True).result if np.any(A) else A.T,
+                  mi.moore_penrose(A), cgauss(rng, *A.shape[::-1])):
+            f, _, X, nX, space, _ = mi.minkowski._audit_pair(A, X, mi.DEFAULT_TOL)
+            ref = reference_space_tests(f, X, nX)
+            paths.add(f.exists)
+            assert space[:2] == ref[:2]
+            # residuals relative to max(1, ||X||), so this is 1e-12 max(1, ||X||) absolute
+            assert abs(space[2] - ref[2]) <= 1e-12 and abs(space[3] - ref[3]) <= 1e-12
+    assert paths == {True, False}
