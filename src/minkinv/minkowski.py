@@ -11,7 +11,7 @@ light cone, i.e. when rank(AA~) or rank(A~A) drops below rank(A).  Several
 independent algorithms for A^m are provided; on any existent input they agree
 up to rounding, which is what the verify module cross-checks.
 
-Every algorithm gates on one factorization: an SVD of the normalized
+Every algorithm gates on one factorization: a compact SVD of the normalized
 matrix 2^-e A, with 2^e the power of two of :func:`pow2_exponent`, gives
 A = 2^e B C, and NotExistent is raised unless both r-by-r metric Grams B~B
 and CC~ are nonsingular.  That is the rank-triple criterion of
@@ -318,18 +318,19 @@ def _core_pinv(M, L, R, tol: Tolerance, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Factored:
-    """One SVD of the normalized matrix: 2^-exp A = B C.
+    """One compact SVD of the normalized matrix: 2^-exp A = B C.
 
     ``sv`` is the full singular spectrum of 2^-exp A; ``s1`` is its largest
     value and ``s`` its leading r values, so U_r = B / s.
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
     pins (m + n) r + min(m, n) entries, not the SVD's workspace.  When the
-    gate passes, ``Wr`` = V_c* G ((n - r)-by-n) and ``Wn`` = G U_c
-    (m-by-(m - r)), with U_c and V_c the trailing columns of the full U and
-    V, hold orthonormal bases Wr* of R(A~)^perp and Wn of N(A~), on
-    which the audits test candidates (see :func:`_space_tests`); a refusal
-    raised after the gate passed also pins these n (n - r) + m (m - r)
-    entries.  A refused factorization keeps neither (both None).
+    gate passes, the factorization also keeps the complement bases that the
+    compact SVD holds in full, with U_c and V_c the trailing singular
+    vectors: ``Wr`` = V_c* G ((n - r)-by-n) when n <= m, and ``Wn`` = G U_c
+    (m-by-(m - r)) when m <= n.  Wr* and Wn are orthonormal bases of
+    R(A~)^perp and N(A~), on which the audits test candidates (see
+    :func:`_space_tests`); a refusal raised after the gate passed also pins
+    them.  A missing complement, and both of a refused factorization, is None.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
@@ -433,13 +434,16 @@ def _forget_factor() -> None:
 
 
 def _factor(A, tol: Tolerance) -> _Factored:
-    """Normalize A by a power of two, take one full SVD, rank the two Grams.
+    """Normalize A by a power of two, take one compact SVD, rank the two Grams.
 
     The Grams are not formed: their light-cone margins come from the
     projections of e1 on the singular bases, and their ranks from an O(r)
     inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
-    It is a full SVD so that, when the gate passes, the trailing singular
-    vectors give the audits' complement bases ``Wr`` and ``Wn``.
+    When the gate passes, the trailing singular vectors of the square
+    factor, V when n <= m and U when m <= n, give the audits' complement
+    bases ``Wr`` and ``Wn``.  A full SVD would give both, but on a
+    non-square A forming the extra columns costs more than the complement
+    saves.
 
     The last result is remembered with ``tol`` and a private copy of A: a
     later call with an equal ``tol`` on A of the same shape and bits (-0.0
@@ -453,7 +457,7 @@ def _factor(A, tol: Tolerance) -> _Factored:
             last_A.view(np.int64), A.view(np.int64)):
         return last_f
     exp = pow2_exponent(A)
-    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=True)
+    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
     r = _rank_from_spectrum(sv, A.shape, tol).rank
     Ur = U[:, :r]
     B = Ur * sv[:r]
@@ -464,7 +468,9 @@ def _factor(A, tol: Tolerance) -> _Factored:
     ranks = (_gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut)) if r else (0, 0)
     f = _Factored(exp, sv, B, C, d_u, d_v, *ranks)
     if f.exists:
-        f = replace(f, Wr=apply_metric_right(Vh[r:]), Wn=apply_metric_left(U[:, r:]))
+        m, n = A.shape
+        f = replace(f, Wr=apply_metric_right(Vh[r:]) if n <= m else None,
+                    Wn=apply_metric_left(U[:, r:]) if m <= n else None)
     for a in (sv, B, C, f.Wr, f.Wn):
         if a is not None:
             a.flags.writeable = False
@@ -525,32 +531,34 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
 
     With 2^-e A = U Sigma V* factored by ``f``, R(A~) = G R(V_r) and
-    N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing columns
-    of U and V.  So X maps into R(A~) iff its component in the complement
-    G R(V_c) vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes
-    when its residual is within the equality bound at ||X||; a residual
-    whose complement is empty is 0.  The residuals are returned relative
-    to max(1, ||X||).  There are two paths, selected by ``f.exists``:
+    N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing singular
+    vectors.  So X maps into R(A~) iff its part in the complement G R(V_c)
+    vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes when its
+    residual is within the equality bound at ||X||; a residual whose
+    complement is empty is 0.  The residuals are returned relative to
+    max(1, ||X||).  Each test takes one of two paths:
 
-    * the gate passed: ``f`` keeps the complement bases Wr = V_c* G and
-      Wn = G U_c, and the residuals are ||Wr X|| and ||X Wn||, one product
-      of width n - r and one of width m - r;
-    * the gate refused (a forced route's audit, or an audit of a candidate
-      for A without an inverse): ``f`` keeps no complements, and the
-      residuals are ||X - Qr Qr* X|| and ||X - X Qn Qn*||, projections on
-      the orthonormal bases Qr = G V_r of R(A~) and Qn = G U_r of N(A~)^perp.
+    * ``f`` keeps the complement (the gate passed, and the compact SVD holds
+      it; see :class:`_Factored`): the residual is ||Wr X||, or ||X Wn||,
+      one product of width n - r, or m - r;
+    * otherwise (a refused factorization, as in a forced route's audit or
+      an audit of a candidate for A without an inverse, or the longer side
+      of a non-square A): the residual is ||X - Qr Qr* X||, or
+      ||X - X Qn Qn*||, a projection on the orthonormal basis Qr = G V_r of
+      R(A~), or Qn = G U_r of N(A~)^perp, two products of width r.
     """
     m, n = f.B.shape[0], f.C.shape[1]
-    if f.exists:
-        d_range, d_null = fro(f.Wr @ X), fro(X @ f.Wn)
-    else:
-        d_range = d_null = 0.0
-        if f.r < n:
-            Qr = apply_metric_left(f.Vr)
-            d_range = fro(X - Qr @ (Qr.conj().T @ X))
-        if f.r < m:
-            Qn = apply_metric_left(f.Ur)
-            d_null = fro(X - (X @ Qn) @ Qn.conj().T)
+    d_range = d_null = 0.0
+    if f.Wr is not None:
+        d_range = fro(f.Wr @ X)
+    elif f.r < n:
+        Qr = apply_metric_left(f.Vr)
+        d_range = fro(X - Qr @ (Qr.conj().T @ X))
+    if f.Wn is not None:
+        d_null = fro(X @ f.Wn)
+    elif f.r < m:
+        Qn = apply_metric_left(f.Ur)
+        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
     bound = tol.eq_bound(nX)
     scale = max(1.0, nX)
     return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
@@ -669,7 +677,7 @@ def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
 def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
     """Minkowski inverse via a full-rank factorization A = B C.
 
-    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one SVD of
+    Evaluates C~ (C C~)^-1 (B~ B)^-1 B~ on the factors of one compact SVD of
     the normalized matrix 2^-e A (see :func:`pow2_exponent`), then scales the
     result by 2^-e (see :func:`_rescaled`), so it is bit-for-bit covariant
     under powers of two.  The same factorization is the existence gate:
@@ -877,7 +885,7 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The Minkowski inverse A^m, or NotExistent.
 
     Canonical entry point used by the rest of the package.  It factors A
-    once: one SVD of the normalized matrix 2^-e A gives A = 2^e B C,
+    once: one compact SVD of the normalized matrix 2^-e A gives A = 2^e B C,
     the rank-r Grams B~B and CC~ decide existence (the rank-triple criterion
     of :func:`diagnose_existence`, without its other four criteria), and
     A^m = 2^-e C~ (CC~)^-1 (B~B)^-1 B~.  The Grams are ranked by an inertia

@@ -192,17 +192,17 @@ class CheckReport:
 def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Full audit of a candidate X against the defining equations of A^m.
 
-    The audit runs on the normalized pair (2^-e A, 2^e X) of one SVD
+    The audit runs on the normalized pair (2^-e A, 2^e X) of one compact SVD
     of 2^-e A (the factor-once gate of :mod:`~minkinv.minkowski`), with 2^e
     the power of two of :func:`~minkinv.dense_core.pow2_exponent`.  X is A^m
     exactly when 2^e X is (2^-e A)^m, and the relative residuals are the
     same, so the verdict does not depend on the scale of A.  That SVD is the
     only one the audit takes: its bases decide the range and null-space
     tests (see :func:`_audit`).  Where the gate passes, the factorization
-    keeps the complement bases of R(A~) and N(A~)^perp for this, so a
-    refusal raised later pins them with it; where it refuses, the tests
-    project on the leading bases.  A candidate with ||2^e X|| beyond the
-    double range fails with infinite residuals.
+    keeps the complement bases of R(A~) and N(A~)^perp that the SVD holds
+    in full, so a refusal raised later pins them with it; a test without
+    its complement projects on the leading basis.  A candidate with
+    ||2^e X|| beyond the double range fails with infinite residuals.
     """
     return _audit(*mk._audit_pair(A, X, tol), tol)
 

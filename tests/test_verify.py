@@ -455,7 +455,11 @@ def test_cross_check_audits_match_the_rank_reference(A, force):
 
 
 def _space_inputs():
-    """Square, tall and wide draws, full column and row rank, rank 0, isotropic, light-cone."""
+    """Square, tall and wide draws, full column and row rank, rank 0, isotropic, light-cone.
+
+    Between them every pair of paths runs: both complements (square), one
+    complement and one projection (tall, wide), and both projections (refused).
+    """
     inputs = [existent(8, 8, 5, seed=71), existent(9, 6, 4, seed=72), existent(5, 9, 3, seed=73),
               existent(9, 5, 5, seed=74), existent(5, 9, 5, seed=75), np.zeros((4, 3)),
               isotropic(6, 4, seed=76), isotropic(5, 5, seed=77), A52]
@@ -465,8 +469,7 @@ def _space_inputs():
 
 
 def test_space_tests_match_the_projection_reference():
-    # the complement bases (gate passed) and the projection (gate refused)
-    # against the projection formula on the gate's leading bases
+    # every path of _space_tests against the projection on the gate's leading bases
     rng = np.random.default_rng(78)
     paths = set()
     for A in (scale * A1 for A1 in _space_inputs() for scale in (1.0, 1e-8, 1e8)):
@@ -474,8 +477,8 @@ def test_space_tests_match_the_projection_reference():
                   mi.moore_penrose(A), cgauss(rng, *A.shape[::-1])):
             f, _, X, nX, space, _ = mi.minkowski._audit_pair(A, X, mi.DEFAULT_TOL)
             ref = reference_space_tests(f, X, nX)
-            paths.add(f.exists)
+            paths.add((f.Wr is not None, f.Wn is not None))
             assert space[:2] == ref[:2]
             # residuals relative to max(1, ||X||), so this is 1e-12 max(1, ||X||) absolute
             assert abs(space[2] - ref[2]) <= 1e-12 and abs(space[3] - ref[3]) <= 1e-12
-    assert paths == {True, False}
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
