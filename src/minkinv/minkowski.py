@@ -330,7 +330,7 @@ class _Factored:
     (m-by-(m - r)) when m <= n.  Wr* and Wn are orthonormal bases of
     R(A~)^perp and N(A~), on which the audits test candidates (see
     :func:`_space_tests`); a refusal raised after the gate passed also pins
-    them.  A missing complement, and both of a refused factorization, is None.
+    them.  A complement not kept is None; a refused factorization keeps neither.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
@@ -1178,8 +1178,8 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     same answer, so the verdict does not depend on the scale of A.
     ``exists`` comes from the factor-once gate's factorization of 2^-e A
     (see the module docstring), whose singular bases also decide the two
-    space tests (see :func:`_space_tests`: complement bases where the gate
-    passed, projections where it refused); it is the only SVD the check
+    space tests (see :func:`_space_tests`: the complement bases kept where
+    the gate passed, projections elsewhere); it is the only SVD the check
     takes.
     Verdict-producing: never raises on a failing candidate; one with
     ||2^e X|| beyond the double range fails every test with infinite

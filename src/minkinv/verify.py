@@ -211,11 +211,11 @@ def _audit(f, A, X, nX: float, space, eqs, tol: Tolerance) -> CheckReport:
     """:func:`check_candidate` of the normalized pair (A, X), from ``minkowski._audited``.
 
     ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
-    N(X) on the gate's singular bases.  Equations (1) and (2) make X a {1,2}-inverse of A,
-    so rank(X) = rank(A~), and the two inclusions are then the equalities
-    R(X) = R(A~) and N(X) = N(A~).  An X whose norm overflows arrives with
-    failing space tests and infinite differences, so every residual reads
-    inf and the verdict is false.
+    N(X) on the gate's singular bases.  Equations (1) and (2) make X a
+    {1,2}-inverse of A, so rank(X) = rank(A~), and the two inclusions are
+    then the equalities R(X) = R(A~) and N(X) = N(A~).  An X whose norm
+    overflows arrives with failing space tests and infinite differences, so
+    every residual reads inf and the verdict is false.
     """
     diffs, norms = eqs
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
