@@ -8,19 +8,24 @@ with ``data`` in row-major order, one ``[re, im]`` pair per entry, all values
 finite.  Explicit pairs keep parsing unambiguous; no string-parsed complex
 literals.  Writing then reading a matrix reproduces it bit for bit.
 
-Writing runs in bulk: it builds the pair list with one numpy ``tolist`` and
-encodes it with the C encoder of ``json.dumps``.
+Writing formats the numbers straight into that text: one numpy ``tolist``
+of the float64 view (re and im interleaved, row-major), one ``%r`` template
+per row, written row by row.  It builds no pair list and does not call
+``json.dumps``, yet its bytes are ``json.dumps(matrix_to_payload(M),
+separators=(",", ":"))`` and a newline, because the JSON encoder writes
+every finite float as ``float.__repr__``, which is what ``%r`` calls.
 
 Reading takes one of two paths.  A file laid out exactly as
 :func:`write_matrix` writes it (no spaces, keys in schema order, only JSON
-whitespace after the closing brace) is recognised by a few whole-text string
+whitespace after the closing brace) is recognised by a few whole-file byte
 passes, decoded by one ``json.loads`` into a flat list of 2*rows*cols
 numbers, and converted by one ``np.fromiter`` call; no per-entry list is
 built.  Everything else, and every file that path cannot decode into finite
-doubles, goes to the general path: ``json.loads`` of the whole text, then
-:func:`matrix_from_payload`, which checks and converts the entries one by
-one and names the first bad one in the :class:`FormatError`.  So the two
-paths return the same bits and raise the same errors on every file.
+doubles, goes to the general path: the file's text as text mode reads it,
+``json.loads`` of it, then :func:`matrix_from_payload`, which checks and
+converts the entries one by one and names the first bad one in the
+:class:`FormatError`.  So the two paths return the same bits and raise the
+same errors on every file.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import FormatError
 
 
 def matrix_to_payload(M) -> dict:
-    """JSON-ready dict for a matrix."""
+    """JSON-ready dict for a matrix; ``json.dumps`` of it is :func:`write_matrix`'s reference."""
     M = as_matrix(M)
     m, n = M.shape
     flat = M.reshape(-1)
@@ -84,56 +89,67 @@ def matrix_from_payload(obj) -> np.ndarray:
 
 # write_matrix's layout, up to trailing whitespace: the header, then the pairs
 # with no spaces.  18 digits bound int() well below its string-length limit.
-_CANONICAL_HEAD = re.compile(r'\{"rows":([1-9][0-9]{0,17}),"cols":([1-9][0-9]{0,17}),"data":')
-_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+_CANONICAL_HEAD = re.compile(rb'\{"rows":([1-9][0-9]{0,17}),"cols":([1-9][0-9]{0,17}),"data":')
+_NUMBER_CHARS = b"0123456789.eE+-"
 
 
-def _read_canonical(text: str) -> np.ndarray | None:
-    """The matrix in ``text`` if it is laid out as :func:`write_matrix` writes it, else None.
+def _read_canonical(data: bytes) -> np.ndarray | None:
+    """The matrix in ``data`` if it is laid out as :func:`write_matrix` writes it, else None.
 
-    Bulk string passes check the layout: the header, the ``[[`` and ``]]``
-    ends of ``data``, exactly N-1 ``],[`` separators for N = rows*cols, and
-    what is left once number characters are dropped.  Together they leave
-    each number token alone between a pair's brackets and comma, so one
-    ``json.loads`` of the text with the separators flattened decodes exactly
-    the 2N tokens the general path would, under JSON's number grammar.
-    Any text that fails a check, or whose numbers the decoder rejects,
-    overflow or are not finite, gives None and is left to the general path,
-    which reports it.
+    Bulk byte passes check the layout: the header, the ``[[`` and ``]]}``
+    ends of ``data``, only JSON whitespace after them, exactly N-1 ``],[``
+    separators for N = rows*cols (counted by the one replace that flattens
+    them), and what is left once number characters are dropped.  Together
+    they leave each number token alone between a pair's brackets and
+    comma, so one ``json.loads`` of the flattened bytes decodes exactly the
+    2N tokens the general path would, under JSON's number grammar.  Such
+    bytes are ASCII, so newline translation and UTF-8 decoding cannot change
+    them.  Any file that fails a check, or whose numbers the decoder
+    rejects, overflow or are not finite, gives None and is left to the
+    general path, which reports it.
     """
-    head = _CANONICAL_HEAD.match(text)
-    if head is None:
+    head = _CANONICAL_HEAD.match(data)
+    # what follows the last "]]}"; without one, data[2:], which the header makes non-blank
+    tail = data[data.rfind(b"]]}") + 3:]
+    if head is None or not data.startswith(b"[[", head.end()) or tail.strip(b" \t\n\r"):
         return None
     rows, cols = int(head[1]), int(head[2])
     n = rows * cols
-    start = head.end()
-    tail = text[len(text.rstrip(" \t\n\r")):]
-    # the separator count precedes the skeleton, which is then no longer than the text
-    if not (text.startswith("[[", start) and text.endswith("]]}" + tail)
-            and text.count("],[", start) == n - 1
-            and text.translate(_DROP_NUMBER_CHARS)
-            == '{"rows":,"cols":,"data":[' + "[,]," * (n - 1) + "[,]]}" + tail):
+    flat = data.replace(b"],[", b",")
+    # the separator count precedes the skeleton, which is then no longer than the file
+    if not (len(data) - len(flat) == 2 * (n - 1)
+            and data.translate(None, _NUMBER_CHARS)
+            == b'{"rows":,"cols":,"data":[' + b"[,]," * (n - 1) + b"[,]]}" + tail):
         return None
+    flat = flat.decode("ascii")     # json.loads would decode a copy; this drops the bytes first
     try:
-        values = json.loads(text.replace("],[", ","))["data"][0]
-        flat = np.fromiter(values, dtype=np.float64, count=2 * n)
+        values = json.loads(flat)["data"][0]
+        del flat                    # so that no full-size text but the file's outlives the parse
+        out = np.fromiter(values, dtype=np.float64, count=2 * n)
     except (ValueError, OverflowError):
         return None
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(out)):
         return None
-    return flat.view(np.complex128).reshape(rows, cols)
+    return out.view(np.complex128).reshape(rows, cols)
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file; FormatError on bad UTF-8, JSON or schema, OSError on I/O."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"file is not UTF-8 text: {exc}") from exc
-    M = _read_canonical(text)
+    """Read a matrix file; FormatError on bad UTF-8, JSON or schema, OSError on I/O.
+
+    The general path sees the file's text as text mode reads it: decoded
+    as UTF-8, with ``\\r\\n`` and ``\\r`` read as ``\\n``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    M = _read_canonical(data)
     if M is not None:
         return M
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"file is not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except ValueError as exc:   # JSONDecodeError, or an integer literal past int()'s digit limit
@@ -144,7 +160,18 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, M) -> None:
-    """Write a matrix file in the canonical format."""
-    text = json.dumps(matrix_to_payload(M), separators=(",", ":"))
+    """Write a matrix file in the canonical format.
+
+    The bytes are ``json.dumps(matrix_to_payload(M), separators=(",", ":"))``
+    and a newline, formatted row by row from one ``tolist`` with no pair
+    list and no ``json.dumps``; see the module docstring for why they match.
+    """
+    M = as_matrix(M)
+    m, n = M.shape
+    rows = np.ascontiguousarray(M).view(np.float64).tolist()
+    pairs = ",".join(["[%r,%r]"] * n)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write('{"rows":%d,"cols":%d,"data":[' % (m, n) + pairs % tuple(rows[0]))
+        for row in rows[1:]:
+            fh.write("," + pairs % tuple(row))
+        fh.write("]}\n")

@@ -138,7 +138,7 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     A = as_matrix(A)
     e = pow2_exponent(A)
     X = _candidate(X, A, e)
-    return _relative_residuals(*_residual_norms(scale_pow2(A, -e), X))
+    return _relative_residuals(*_residual_norms(scale_pow2(A, -e), X)[:2])
 
 
 def _candidate(X, A, e: int) -> np.ndarray:
@@ -152,18 +152,19 @@ def _residual_norms(A, X):
     """The four defining-equation differences and their reference norms, each product once.
 
     Returns ((||AXA - A||, ||XAX - X||, ||(AX)~ - AX||, ||(XA)~ - XA||),
-    (||A||, ||X||, ||AX||, ||XA||)) in Frobenius norm; an X whose norm
-    overflows forms no product, and reads infinite differences at unit norms.
+    (||A||, ||X||, ||AX||, ||XA||), XA) in Frobenius norm, with the product
+    XA for a caller that needs it again; an X whose norm overflows forms no
+    product, and reads infinite differences at unit norms and XA = None.
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
     if not np.isfinite(nX):
-        return (float("inf"),) * 4, (1.0,) * 4
+        return (float("inf"),) * 4, (1.0,) * 4, None
     AX = A @ X
     XA = X @ A
     diffs = (fro(AX @ A - A), fro(XA @ X - X),
              fro(mink_adjoint(AX) - AX), fro(mink_adjoint(XA) - XA))
-    return diffs, (fro(A), nX, fro(AX), fro(XA))
+    return diffs, (fro(A), nX, fro(AX), fro(XA)), XA
 
 
 def _relative_residuals(diffs, norms) -> tuple[float, float, float, float]:
@@ -325,12 +326,13 @@ class _Factored:
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
     pins (m + n) r + min(m, n) entries, not the SVD's workspace.  When the
     gate passes, the factorization also keeps the complement bases that the
-    compact SVD holds in full, with U_c and V_c the trailing singular
-    vectors: ``Wr`` = V_c* G ((n - r)-by-n) when n <= m, and ``Wn`` = G U_c
-    (m-by-(m - r)) when m <= n.  Wr* and Wn are orthonormal bases of
-    R(A~)^perp and N(A~), on which the audits test candidates (see
-    :func:`_space_tests`); a refusal raised after the gate passed also pins
-    them.  A complement not kept is None; a refused factorization keeps neither.
+    compact SVD holds in full and that are no wider than 2r, with U_c and
+    V_c the trailing singular vectors: ``Wr`` = V_c* G ((n - r)-by-n) when
+    n <= m and n - r <= 2r, and ``Wn`` = G U_c (m-by-(m - r)) when m <= n
+    and m - r <= 2r.  Wr* and Wn are orthonormal bases of R(A~)^perp and
+    N(A~), on which the audits test candidates (see :func:`_space_tests`);
+    a refusal raised after the gate passed also pins them.  A complement
+    not kept is None; a refused factorization keeps neither.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
@@ -441,9 +443,11 @@ def _factor(A, tol: Tolerance) -> _Factored:
     inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
     When the gate passes, the trailing singular vectors of the square
     factor, V when n <= m and U when m <= n, give the audits' complement
-    bases ``Wr`` and ``Wn``.  A full SVD would give both, but on a
-    non-square A forming the extra columns costs more than the complement
-    saves.
+    bases ``Wr`` and ``Wn``, each kept only when its width is at most 2r
+    (n - r <= 2r, or m - r <= 2r): one product of that width then costs no
+    more than the two width-r products of a projection.  A full SVD would
+    give both complements, but on a non-square A forming the extra columns
+    costs more than the complement saves.
 
     The last result is remembered with ``tol`` and a private copy of A: a
     later call with an equal ``tol`` on A of the same shape and bits (-0.0
@@ -469,8 +473,8 @@ def _factor(A, tol: Tolerance) -> _Factored:
     f = _Factored(exp, sv, B, C, d_u, d_v, *ranks)
     if f.exists:
         m, n = A.shape
-        f = replace(f, Wr=apply_metric_right(Vh[r:]) if n <= m else None,
-                    Wn=apply_metric_left(U[:, r:]) if m <= n else None)
+        f = replace(f, Wr=apply_metric_right(Vh[r:]) if n <= m and n - r <= 2 * r else None,
+                    Wn=apply_metric_left(U[:, r:]) if m <= n and m - r <= 2 * r else None)
     for a in (sv, B, C, f.Wr, f.Wn):
         if a is not None:
             a.flags.writeable = False
@@ -511,10 +515,13 @@ def _audited(f: _Factored, A, X, tol: Tolerance):
     """(f, A, X, ||X||, space, eqs), the auditors' inputs for a normalized pair.
 
     ``space``, :func:`_space_tests` of X, and ``eqs``, its
-    :func:`_residual_norms`, serve both auditors.  An X whose norm
-    overflows is rejected here, without forming a product: its ``space`` is
-    (False, False, inf, inf) and its ``eqs`` are infinite differences at
-    unit norms, so every test fails with infinite residuals.
+    :func:`_residual_norms` (differences, norms and the product XA), serve
+    both auditors; :func:`_moore_style` reuses XA, so an audit of both
+    forms it once.  The tuple is the only reference to XA, which goes with
+    it.  An X whose norm overflows is rejected here, without forming a
+    product: its ``space`` is (False, False, inf, inf) and its ``eqs`` are
+    infinite differences at unit norms with XA = None, so every test fails
+    with infinite residuals.
     """
     with np.errstate(over="ignore"):
         nX = fro(X)
@@ -538,14 +545,15 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     complement is empty is 0.  The residuals are returned relative to
     max(1, ||X||).  Each test takes one of two paths:
 
-    * ``f`` keeps the complement (the gate passed, and the compact SVD holds
-      it; see :class:`_Factored`): the residual is ||Wr X||, or ||X Wn||,
-      one product of width n - r, or m - r;
+    * ``f`` keeps the complement (the gate passed, the compact SVD holds
+      it, and it is no wider than 2r; see :class:`_Factored`): the residual
+      is ||Wr X||, or ||X Wn||, one product of width n - r, or m - r;
     * otherwise (a refused factorization, as in a forced route's audit or
-      an audit of a candidate for A without an inverse, or the longer side
-      of a non-square A): the residual is ||X - Qr Qr* X||, or
-      ||X - X Qn Qn*||, a projection on the orthonormal basis Qr = G V_r of
-      R(A~), or Qn = G U_r of N(A~)^perp, two products of width r.
+      an audit of a candidate for A without an inverse, the longer side of
+      a non-square A, or a low-rank A whose complement is wider than 2r):
+      the residual is ||X - Qr Qr* X||, or ||X - X Qn Qn*||, a projection
+      on the orthonormal basis Qr = G V_r of R(A~), or Qn = G U_r of
+      N(A~)^perp, two products of width r.
     """
     m, n = f.B.shape[0], f.C.shape[1]
     d_range = d_null = 0.0
@@ -647,8 +655,8 @@ def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputati
     algo = _ALGORITHMS[key]
     options = ",".join(f"{o}={params[o]}" for o in algo.options)
     return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
-                              result=result, residuals=_relative_residuals(*_residual_norms(A, X)),
-                              gap=gap)
+                              result=result, gap=gap,
+                              residuals=_relative_residuals(*_residual_norms(A, X)[:2]))
 
 
 def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
@@ -1189,17 +1197,22 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
 
 
 def _moore_style(f: _Factored, A, X, nX: float, space, eqs, tol: Tolerance) -> MooreStyleReport:
-    """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`."""
+    """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`.
+
+    The identity residual ||XAA~ - A~|| is formed as (XA) A~ from the XA in
+    ``eqs``, the product the defining equations already took.
+    """
+    diffs, norms, XA = eqs
     As = mink_adjoint(A)
     if np.isfinite(nX):
-        d_id = fro(X @ A @ As - As)
+        d_id = fro(XA @ As - As)
         ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
     else:   # an X whose norm overflows (see _audited) fails unformed
         d_id, ok_id = float("inf"), False
     res_id = d_id / max(1.0, fro(As))
 
     ok_range, ok_null, _, res_null = space
-    ok_eqs = _eqs_within(*eqs, tol)
+    ok_eqs = _eqs_within(diffs, norms, tol)
 
     return MooreStyleReport(
         is_inverse=bool(f.exists and ok_id and ok_null and ok_range and ok_eqs),

@@ -200,9 +200,10 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     only one the audit takes: its bases decide the range and null-space
     tests (see :func:`_audit`).  Where the gate passes, the factorization
     keeps the complement bases of R(A~) and N(A~)^perp that the SVD holds
-    in full, so a refusal raised later pins them with it; a test without
-    its complement projects on the leading basis.  A candidate with
-    ||2^e X|| beyond the double range fails with infinite residuals.
+    in full and that are no wider than 2r, so a refusal raised later pins
+    them with it; a test without its complement projects on the leading
+    basis.  A candidate with ||2^e X|| beyond the double range fails with
+    infinite residuals.
     """
     return _audit(*mk._audit_pair(A, X, tol), tol)
 
@@ -217,7 +218,7 @@ def _audit(f, A, X, nX: float, space, eqs, tol: Tolerance) -> CheckReport:
     overflows arrives with failing space tests and infinite differences, so
     every residual reads inf and the verdict is false.
     """
-    diffs, norms = eqs
+    diffs, norms, _ = eqs
     eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
     eqs_ok = mk._eqs_within(diffs, norms, tol)
     range_ok, null_ok, res_range, res_null = space

@@ -44,7 +44,7 @@ def reference_audit(A, X, tol: Tolerance = DEFAULT_TOL) -> RankAudit:
     if not np.isfinite(nX):
         inf = float("inf")
         return RankAudit(inf, inf, inf, inf, False, False, False)
-    diffs, norms = mk._residual_norms(A, X)
+    diffs, norms, _ = mk._residual_norms(A, X)
     eqs = mk._relative_residuals(diffs, norms)
     eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
     As = mk.mink_adjoint(A)

@@ -69,10 +69,41 @@ def test_roundtrip_bit_identical_extreme_values(tmp_path, rng):
     mi.write_matrix(path, A)
     B = mi.read_matrix(path)
     assert np.array_equal(A.view(np.uint64), B.view(np.uint64))
-    assert path.read_text().endswith("]]}\n")
+    assert path.read_bytes() == _encoder_bytes(A)
     # the bulk conversion matches the per-entry reference loop bit for bit
     looped = matio._entries_one_by_one(mi.matrix_to_payload(A)["data"])
     assert np.array_equal(looped.view(np.uint64), A.reshape(-1).view(np.uint64))
+
+
+def _encoder_bytes(M) -> bytes:
+    """The canonical file as the JSON encoder writes it: write_matrix's reference."""
+    return (json.dumps(mi.matrix_to_payload(M), separators=(",", ":")) + "\n").encode()
+
+
+def _writer_inputs() -> dict:
+    rng = np.random.default_rng(91)
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 3.0, -17.0, 2.0 ** 53, 1e22])
+    B = cgauss(rng, 5, 4)
+    return {
+        **{f"scale_1e{k}": cgauss(rng, 6, 5) * 10.0 ** k for k in (-300, -100, -8, 0, 8, 100, 300)},
+        **{f"shape_{m}x{n}": cgauss(rng, m, n) for m, n in ((1, 1), (1, 7), (7, 1), (64, 64))},
+        "edge_values": (edge + 1j * edge[::-1]).reshape(3, 4),
+        "transposed_view": B.T,
+        "fortran_order": np.asfortranarray(B),
+        "real_float64": B.real.copy(),
+        "int": np.arange(-6, 6).reshape(3, 4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writer_inputs()))
+def test_write_matrix_bytes_are_the_json_encoders(tmp_path, name):
+    M = _writer_inputs()[name]
+    path = tmp_path / "a.json"
+    mi.write_matrix(path, M)
+    assert path.read_bytes() == _encoder_bytes(M)
+    expected = np.ascontiguousarray(M, dtype=np.complex128)
+    assert np.array_equal(mi.read_matrix(path).view(np.uint64), expected.view(np.uint64))
 
 
 def test_payload_bad_entry_reported_after_bulk_check_fails():
@@ -95,6 +126,9 @@ BAD_FILES = {
     "not_utf8": b'{"rows":1,"cols":1,"data":[[1,0]]}\xff\xfe',
     "bool_shape": b'{"rows":true,"cols":true,"data":[[1,0]]}',
     "nested_too_deep": b'{"rows":1,"cols":1,"data":' + b"[" * 100000 + b"]" * 100000 + b"}",
+    # canonical in layout, with a shape far beyond memory: the separator count must
+    # turn it away before anything of rows*cols size is built
+    "shape_beyond_memory": b'{"rows":99999999999999999,"cols":99999999999999999,"data":[[1,0]]}',
 }
 
 

@@ -205,12 +205,15 @@ def test_remembered_factors_are_read_only():
     isotropic(6, 4, seed=37), isotropic(5, 5, seed=38), fixtures.nonexistent_5x4(),
     light_cone(1e-9), existent(7, 5, 3, seed=39), existent(4, 7, 4, seed=40),
     existent(6, 6, 2, seed=41), np.zeros((3, 4)),
+    # low rank: a complement wider than 2r is left to the projection
+    existent(30, 30, 5, seed=42), existent(40, 30, 5, seed=43), existent(30, 40, 5, seed=44),
+    existent(9, 9, 3, seed=45), existent(10, 10, 3, seed=46),
 ])
 def test_complements_are_kept_where_the_gate_passes_and_the_svd_holds_them(A):
     f = _cold_factor(A)
     m, n = A.shape
-    assert (f.Wr is not None) == (f.exists and n <= m)
-    assert (f.Wn is not None) == (f.exists and m <= n)
+    assert (f.Wr is not None) == (f.exists and n <= m and n - f.r <= 2 * f.r)
+    assert (f.Wn is not None) == (f.exists and m <= n and m - f.r <= 2 * f.r)
     # orthonormal bases of the complements of G V_r and G U_r
     G_Vr, G_Ur = minkowski.apply_metric_left(f.Vr), minkowski.apply_metric_left(f.Ur)
     Wr_star = None if f.Wr is None else f.Wr.conj().T

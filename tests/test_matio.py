@@ -130,6 +130,24 @@ def test_stray_digit_is_invalid_json(tmp_path, name):
     assert _agrees(path)
 
 
+# The general path reads text-mode text, so an error's line, column and offset count
+# "\r\n" and a lone "\r" as one "\n".
+NEWLINE_FILES = {
+    "crlf_error": b'{"rows":1,\r\n"cols":1,\r\n"data":[[1,0]]\r\nx}',
+    "cr_error": b'{"rows":1,\r"cols":1,\r"data":[[1,0]]\r\rx}',
+    "crlf_pretty": b'{\r\n "rows": 1,\r\n "cols": 1,\r\n "data": [[1.5, -0.0]]\r\n}\r\n',
+    "canonical_crlf": b'{"rows":1,"cols":1,"data":[[1.5,-0.0]]}\r\n',
+    "bom_crlf": b'\xef\xbb\xbf{"rows":1,"cols":1,"data":[[1,0]]}\r\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWLINE_FILES))
+def test_line_ends_read_as_text_mode_reads_them(tmp_path, name):
+    path = tmp_path / "newlines.json"
+    path.write_bytes(NEWLINE_FILES[name])
+    assert _agrees(path)
+
+
 def test_canonical_files_skip_the_general_decoder(tmp_path, monkeypatch, rng):
     expected = {name: matio.read_matrix(os.path.join(FIXDIR, name)) for name in FIXTURES}
 

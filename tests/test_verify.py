@@ -458,11 +458,14 @@ def _space_inputs():
     """Square, tall and wide draws, full column and row rank, rank 0, isotropic, light-cone.
 
     Between them every pair of paths runs: both complements (square), one
-    complement and one projection (tall, wide), and both projections (refused).
+    complement and one projection (tall, wide), and both projections
+    (refused, or low rank, where each complement is wider than 2r).
     """
     inputs = [existent(8, 8, 5, seed=71), existent(9, 6, 4, seed=72), existent(5, 9, 3, seed=73),
               existent(9, 5, 5, seed=74), existent(5, 9, 5, seed=75), np.zeros((4, 3)),
-              isotropic(6, 4, seed=76), isotropic(5, 5, seed=77), A52]
+              isotropic(6, 4, seed=76), isotropic(5, 5, seed=77), A52,
+              existent(30, 30, 5, seed=79), existent(40, 30, 5, seed=80),
+              existent(30, 40, 5, seed=81)]
     for k in range(1, 10):
         inputs += [light_cone(10.0 ** -k), mi.mink_adjoint(light_cone(10.0 ** -k))]
     return inputs
