@@ -325,14 +325,10 @@ class _Factored:
     value and ``s`` its leading r values, so U_r = B / s.
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
     pins (m + n) r + min(m, n) entries, not the SVD's workspace.  When the
-    gate passes, the factorization also keeps the complement bases that the
-    compact SVD holds in full and that are no wider than 2r, with U_c and
-    V_c the trailing singular vectors: ``Wr`` = V_c* G ((n - r)-by-n) when
-    n <= m and n - r <= 2r, and ``Wn`` = G U_c (m-by-(m - r)) when m <= n
-    and m - r <= 2r.  Wr* and Wn are orthonormal bases of R(A~)^perp and
-    N(A~), on which the audits test candidates (see :func:`_space_tests`);
-    a refusal raised after the gate passed also pins them.  A complement
-    not kept is None; a refused factorization keeps neither.
+    gate passes, the factorization also keeps the complement bases ``Wr``
+    and ``Wn`` on which the audits test candidates, where the rule of
+    :func:`_space_tests` keeps them; a refusal raised after the gate passed
+    also pins them.  A complement not kept is None.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
@@ -443,11 +439,7 @@ def _factor(A, tol: Tolerance) -> _Factored:
     inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
     When the gate passes, the trailing singular vectors of the square
     factor, V when n <= m and U when m <= n, give the audits' complement
-    bases ``Wr`` and ``Wn``, each kept only when its width is at most 2r
-    (n - r <= 2r, or m - r <= 2r): one product of that width then costs no
-    more than the two width-r products of a projection.  A full SVD would
-    give both complements, but on a non-square A forming the extra columns
-    costs more than the complement saves.
+    bases ``Wr`` and ``Wn``, kept by the rule of :func:`_space_tests`.
 
     The last result is remembered with ``tol`` and a private copy of A: a
     later call with an equal ``tol`` on A of the same shape and bits (-0.0
@@ -505,73 +497,6 @@ def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     return f, scale_pow2(A, -f.exp)
 
 
-def _audit_pair(A, X, tol: Tolerance):
-    """:func:`_audited` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
-    f, A = _normalized(A, tol)
-    return _audited(f, A, _candidate(X, A, f.exp), tol)
-
-
-def _audited(f: _Factored, A, X, tol: Tolerance):
-    """(f, A, X, ||X||, space, eqs), the auditors' inputs for a normalized pair.
-
-    ``space``, :func:`_space_tests` of X, and ``eqs``, its
-    :func:`_residual_norms` (differences, norms and the product XA), serve
-    both auditors; :func:`_moore_style` reuses XA, so an audit of both
-    forms it once.  The tuple is the only reference to XA, which goes with
-    it.  An X whose norm overflows is rejected here, without forming a
-    product: its ``space`` is (False, False, inf, inf) and its ``eqs`` are
-    infinite differences at unit norms with XA = None, so every test fails
-    with infinite residuals.
-    """
-    with np.errstate(over="ignore"):
-        nX = fro(X)
-    space = _space_tests(f, X, nX, tol) if np.isfinite(nX) else (False, False, np.inf, np.inf)
-    return f, A, X, nX, space, _residual_norms(A, X)
-
-
-def _eqs_within(diffs, norms, tol: Tolerance) -> bool:
-    """Whether each defining-equation difference is within the equality bound at its norm."""
-    return all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
-
-
-def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
-    """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
-
-    With 2^-e A = U Sigma V* factored by ``f``, R(A~) = G R(V_r) and
-    N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing singular
-    vectors.  So X maps into R(A~) iff its part in the complement G R(V_c)
-    vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes when its
-    residual is within the equality bound at ||X||; a residual whose
-    complement is empty is 0.  The residuals are returned relative to
-    max(1, ||X||).  Each test takes one of two paths:
-
-    * ``f`` keeps the complement (the gate passed, the compact SVD holds
-      it, and it is no wider than 2r; see :class:`_Factored`): the residual
-      is ||Wr X||, or ||X Wn||, one product of width n - r, or m - r;
-    * otherwise (a refused factorization, as in a forced route's audit or
-      an audit of a candidate for A without an inverse, the longer side of
-      a non-square A, or a low-rank A whose complement is wider than 2r):
-      the residual is ||X - Qr Qr* X||, or ||X - X Qn Qn*||, a projection
-      on the orthonormal basis Qr = G V_r of R(A~), or Qn = G U_r of
-      N(A~)^perp, two products of width r.
-    """
-    m, n = f.B.shape[0], f.C.shape[1]
-    d_range = d_null = 0.0
-    if f.Wr is not None:
-        d_range = fro(f.Wr @ X)
-    elif f.r < n:
-        Qr = apply_metric_left(f.Vr)
-        d_range = fro(X - Qr @ (Qr.conj().T @ X))
-    if f.Wn is not None:
-        d_null = fro(X @ f.Wn)
-    elif f.r < m:
-        Qn = apply_metric_left(f.Ur)
-        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
-    bound = tol.eq_bound(nX)
-    scale = max(1.0, nX)
-    return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
-
-
 def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
     """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted.
 
@@ -607,6 +532,178 @@ def _inverse_of(f: _Factored) -> np.ndarray:
     left = np.outer((2 / f.d_v) * (Vr @ v), v.conj()) - Vr
     right = np.outer((2 / f.d_u) * u, (Ur @ u).conj()) - Ur.conj().T
     return apply_metric_left(left / f.s) @ apply_metric_right(right)
+
+
+# ---------------------------------------------------------------------------
+# auditing a candidate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Residuals and space identities of a Minkowski-inverse candidate.
+
+    eq1..eq4m are the relative residuals of the defining equations.
+    ``range_ok`` decides R(X) = R(A~) and ``null_ok`` decides N(X) = N(A~)
+    on the singular bases of one factorization of A; ``residual_range`` and
+    ``residual_null`` are the parts of X outside those spaces, relative to
+    max(1, ||X||) (see :func:`_space_tests`).  ``verdict`` is the
+    conjunction.
+    """
+
+    eq1: float
+    eq2: float
+    eq3m: float
+    eq4m: float
+    range_ok: bool
+    null_ok: bool
+    verdict: bool
+    residual_range: float
+    residual_null: float
+
+    def residuals(self) -> dict:
+        return {"eq1": self.eq1, "eq2": self.eq2, "eq3m": self.eq3m, "eq4m": self.eq4m}
+
+
+@dataclass(frozen=True)
+class MooreStyleReport:
+    """Verdict of the identity-based decision procedure for X = A^m.
+
+    The three tests realize: X acts as a left inverse on R(A~)
+    (XAA~ = A~), X annihilates N(A~), and R(X) is contained in R(A~).
+    ``satisfies_defining_equations`` holds when equations (1), (2), (3m)
+    and (4m) hold within the bounds of ``check_candidate``.  ``is_inverse``
+    is the conjunction of all four tests (false as well when no Minkowski
+    inverse exists at all).
+    """
+
+    is_inverse: bool
+    acts_identity_on_adjoint_range: bool
+    annihilates_adjoint_nullspace: bool
+    range_within_adjoint_range: bool
+    satisfies_defining_equations: bool
+    residual_identity: float
+    residual_nullspace: float
+    exists: bool
+
+
+def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
+    """Decide X = A^m by range/null-space identities, without computing A^m.
+
+    Tests XAA~ = A~, X v = 0 for every v in N(A~), and R(X) within R(A~).
+    All three hold iff X is the Minkowski inverse.  The identity test's
+    bound grows with ||X||, so near the light cone it can pass an X whose
+    defining equations fail: the verdict also requires those equations
+    within the bounds of ``check_candidate``.  The tests run on the
+    normalized pair (2^-e A, 2^e X) of :func:`pow2_exponent`, which has the
+    same answer, so the verdict does not depend on the scale of A.
+    ``exists`` comes from the factor-once gate's factorization of 2^-e A
+    (see the module docstring), the only SVD the check takes; its bases
+    decide the two space tests (see :func:`_space_tests`).
+    Verdict-producing: never raises on a failing candidate; one with
+    ||2^e X|| beyond the double range fails every test with infinite
+    residuals.
+    """
+    return _audit_pair(A, X, tol, identity=True)[1]
+
+
+def _audit_pair(A, X, tol: Tolerance, identity: bool = False):
+    """:func:`_audit` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
+    f, A = _normalized(A, tol)
+    return _audit(f, A, _candidate(X, A, f.exp), tol, identity)
+
+
+def _audit(f: _Factored, A, X, tol: Tolerance, identity: bool = False):
+    """The :class:`CheckReport` of the normalized pair (A, X), with ``f`` the factorization of A.
+
+    One :func:`_residual_norms` and one :func:`_space_tests` serve the
+    report.  Equations (1) and (2) make X a {1,2}-inverse of A, so
+    rank(X) = rank(A~), and the two space inclusions are then the
+    equalities R(X) = R(A~) and N(X) = N(A~).  With ``identity`` it returns
+    (check, moore), adding the :class:`MooreStyleReport` of
+    :func:`moore_style_check`, whose identity residual ||XAA~ - A~|| is
+    formed as (XA) A~ from the XA that the defining equations took; without
+    it no identity product is formed.  An X whose norm overflows forms no
+    product: every test fails with infinite residuals.
+    """
+    diffs, norms, XA = _residual_norms(A, X)
+    nX = norms[1]
+    if XA is None:
+        range_ok, null_ok, res_range, res_null = False, False, np.inf, np.inf
+    else:
+        range_ok, null_ok, res_range, res_null = _space_tests(f, X, nX, tol)
+    eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
+    eq1, eq2, eq3m, eq4m = _relative_residuals(diffs, norms)
+    check = CheckReport(
+        eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
+        range_ok=bool(range_ok), null_ok=bool(null_ok),
+        verdict=bool(eqs_ok and range_ok and null_ok),
+        residual_range=res_range, residual_null=res_null,
+    )
+    if not identity:
+        return check
+    As = mink_adjoint(A)
+    if XA is None:
+        d_id, ok_id = float("inf"), False
+    else:
+        d_id = fro(XA @ As - As)
+        ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
+    return check, MooreStyleReport(
+        is_inverse=bool(f.exists and ok_id and null_ok and range_ok and eqs_ok),
+        acts_identity_on_adjoint_range=bool(ok_id),
+        annihilates_adjoint_nullspace=bool(null_ok),
+        range_within_adjoint_range=bool(range_ok),
+        satisfies_defining_equations=bool(eqs_ok),
+        residual_identity=float(d_id / max(1.0, fro(As))),
+        residual_nullspace=float(res_null),
+        exists=bool(f.exists),
+    )
+
+
+def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
+    """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
+
+    With 2^-e A = U Sigma V* factored by ``f``, R(A~) = G R(V_r) and
+    N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing singular
+    vectors.  So X maps into R(A~) iff its part in the complement G R(V_c)
+    vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes when its
+    residual is within the equality bound at ||X||; a residual whose
+    complement is empty is 0.  The residuals are returned relative to
+    max(1, ||X||).
+
+    The complement-or-projection rule.  Where the gate passed, ``f`` keeps
+    each complement basis that the compact SVD holds in full and that is no
+    wider than 2r, and the test reads one product on it:
+
+    * ``Wr`` = V_c* G, whose rows span R(A~)^perp, when n <= m and
+      n - r <= 2r; the residual is ||Wr X||, a product of width n - r;
+    * ``Wn`` = G U_c, whose columns span N(A~), when m <= n and
+      m - r <= 2r; the residual is ||X Wn||, a product of width m - r.
+
+    Otherwise (a refused gate, as in a forced route's audit or an audit of
+    a candidate for A without an inverse, the longer side of a non-square
+    A, or a low-rank A whose complement is wider than 2r) the test
+    projects: the residual is ||X - Qr Qr* X||, or ||X - X Qn Qn*||, on
+    the orthonormal basis Qr = G V_r of R(A~), or Qn = G U_r of
+    N(A~)^perp, two products of width r.  A complement no wider than 2r
+    costs no more than that projection; a full SVD would hold both
+    complements, but on a non-square A forming its extra columns costs
+    more than they save.
+    """
+    m, n = f.B.shape[0], f.C.shape[1]
+    d_range = d_null = 0.0
+    if f.Wr is not None:
+        d_range = fro(f.Wr @ X)
+    elif f.r < n:
+        Qr = apply_metric_left(f.Vr)
+        d_range = fro(X - Qr @ (Qr.conj().T @ X))
+    if f.Wn is not None:
+        d_null = fro(X @ f.Wn)
+    elif f.r < m:
+        Qn = apply_metric_left(f.Ur)
+        d_null = fro(X - (X @ Qn) @ Qn.conj().T)
+    bound = tol.eq_bound(nX)
+    scale = max(1.0, nX)
+    return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
 
 
 # ---------------------------------------------------------------------------
@@ -1150,80 +1247,6 @@ def _sylvester(f: _Factored, A, Am, tol: Tolerance):
     P = A @ Am
     Q = A @ mink_adjoint(A) + eye - P
     return P @ _inverse(Q, "shifted Gram Q", Singular, tol, max(1.0, f.s1 ** 2)), eye - P
-
-
-@dataclass(frozen=True)
-class MooreStyleReport:
-    """Verdict of the identity-based decision procedure for X = A^m.
-
-    The three tests realize: X acts as a left inverse on R(A~)
-    (XAA~ = A~), X annihilates N(A~), and R(X) is contained in R(A~).
-    ``satisfies_defining_equations`` holds when equations (1), (2), (3m)
-    and (4m) hold within the bounds of ``check_candidate``.  ``is_inverse``
-    is the conjunction of all four tests (false as well when no Minkowski
-    inverse exists at all).
-    """
-
-    is_inverse: bool
-    acts_identity_on_adjoint_range: bool
-    annihilates_adjoint_nullspace: bool
-    range_within_adjoint_range: bool
-    satisfies_defining_equations: bool
-    residual_identity: float
-    residual_nullspace: float
-    exists: bool
-
-
-def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
-    """Decide X = A^m by range/null-space identities, without computing A^m.
-
-    Tests XAA~ = A~, X v = 0 for every v in N(A~), and R(X) within R(A~).
-    All three hold iff X is the Minkowski inverse.  The identity test's
-    bound grows with ||X||, so near the light cone it can pass an X whose
-    defining equations fail: the verdict also requires those equations
-    within the bounds of ``check_candidate``.  The tests run on the
-    normalized pair (2^-e A, 2^e X) of :func:`pow2_exponent`, which has the
-    same answer, so the verdict does not depend on the scale of A.
-    ``exists`` comes from the factor-once gate's factorization of 2^-e A
-    (see the module docstring), whose singular bases also decide the two
-    space tests (see :func:`_space_tests`: the complement bases kept where
-    the gate passed, projections elsewhere); it is the only SVD the check
-    takes.
-    Verdict-producing: never raises on a failing candidate; one with
-    ||2^e X|| beyond the double range fails every test with infinite
-    residuals.
-    """
-    return _moore_style(*_audit_pair(A, X, tol), tol)
-
-
-def _moore_style(f: _Factored, A, X, nX: float, space, eqs, tol: Tolerance) -> MooreStyleReport:
-    """:func:`moore_style_check` of the normalized pair (A, X), from :func:`_audited`.
-
-    The identity residual ||XAA~ - A~|| is formed as (XA) A~ from the XA in
-    ``eqs``, the product the defining equations already took.
-    """
-    diffs, norms, XA = eqs
-    As = mink_adjoint(A)
-    if np.isfinite(nX):
-        d_id = fro(XA @ As - As)
-        ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
-    else:   # an X whose norm overflows (see _audited) fails unformed
-        d_id, ok_id = float("inf"), False
-    res_id = d_id / max(1.0, fro(As))
-
-    ok_range, ok_null, _, res_null = space
-    ok_eqs = _eqs_within(diffs, norms, tol)
-
-    return MooreStyleReport(
-        is_inverse=bool(f.exists and ok_id and ok_null and ok_range and ok_eqs),
-        acts_identity_on_adjoint_range=bool(ok_id),
-        annihilates_adjoint_nullspace=bool(ok_null),
-        range_within_adjoint_range=bool(ok_range),
-        satisfies_defining_equations=bool(ok_eqs),
-        residual_identity=float(res_id),
-        residual_nullspace=float(res_null),
-        exists=bool(f.exists),
-    )
 
 
 def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):

@@ -26,6 +26,7 @@ from .dense_core import (
 )
 from .errors import MinkinvError, NotExistent, RetryExhausted
 from . import minkowski as mk
+from .minkowski import CheckReport
 
 __all__ = ["GenKind", "GenSpec", "generate", "CheckReport", "check_candidate",
            "AlgorithmOutcome", "CrossCheckReport", "cross_check"]
@@ -163,32 +164,6 @@ def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # candidate checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Residuals and space identities of a Minkowski-inverse candidate.
-
-    eq1..eq4m are the relative residuals of the defining equations.
-    ``range_ok`` decides R(X) = R(A~) and ``null_ok`` decides N(X) = N(A~)
-    on the singular bases of one factorization of A; ``residual_range`` and
-    ``residual_null`` are the parts of X outside those spaces, relative to
-    max(1, ||X||) (see ``minkowski._space_tests``).  ``verdict`` is the
-    conjunction.
-    """
-
-    eq1: float
-    eq2: float
-    eq3m: float
-    eq4m: float
-    range_ok: bool
-    null_ok: bool
-    verdict: bool
-    residual_range: float
-    residual_null: float
-
-    def residuals(self) -> dict:
-        return {"eq1": self.eq1, "eq2": self.eq2, "eq3m": self.eq3m, "eq4m": self.eq4m}
-
-
 def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Full audit of a candidate X against the defining equations of A^m.
 
@@ -198,47 +173,12 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     exactly when 2^e X is (2^-e A)^m, and the relative residuals are the
     same, so the verdict does not depend on the scale of A.  That SVD is the
     only one the audit takes: its bases decide the range and null-space
-    tests (see :func:`_audit`).  Where the gate passes, the factorization
-    keeps the complement bases of R(A~) and N(A~)^perp that the SVD holds
-    in full and that are no wider than 2r, so a refusal raised later pins
-    them with it; a test without its complement projects on the leading
-    basis.  A candidate with ||2^e X|| beyond the double range fails with
-    infinite residuals.
+    tests (see ``minkowski._space_tests``), and ``minkowski._audit`` builds
+    the report, as it does for :func:`~minkinv.minkowski.moore_style_check`,
+    ``cross_check`` and ``minkinv check``.  A candidate with ||2^e X|| beyond
+    the double range fails with infinite residuals.
     """
-    return _audit(*mk._audit_pair(A, X, tol), tol)
-
-
-def _audit(f, A, X, nX: float, space, eqs, tol: Tolerance) -> CheckReport:
-    """:func:`check_candidate` of the normalized pair (A, X), from ``minkowski._audited``.
-
-    ``minkowski._space_tests`` decides R(X) within R(A~) and N(A~) within
-    N(X) on the gate's singular bases.  Equations (1) and (2) make X a
-    {1,2}-inverse of A, so rank(X) = rank(A~), and the two inclusions are
-    then the equalities R(X) = R(A~) and N(X) = N(A~).  An X whose norm
-    overflows arrives with failing space tests and infinite differences, so
-    every residual reads inf and the verdict is false.
-    """
-    diffs, norms, _ = eqs
-    eq1, eq2, eq3m, eq4m = mk._relative_residuals(diffs, norms)
-    eqs_ok = mk._eqs_within(diffs, norms, tol)
-    range_ok, null_ok, res_range, res_null = space
-    return CheckReport(
-        eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
-        range_ok=bool(range_ok), null_ok=bool(null_ok),
-        verdict=bool(eqs_ok and range_ok and null_ok),
-        residual_range=res_range, residual_null=res_null,
-    )
-
-
-def _audit_both(A, X, tol: Tolerance = DEFAULT_TOL) -> tuple[CheckReport, "mk.MooreStyleReport"]:
-    """``(check_candidate(A, X), moore_style_check(A, X))`` from one factorization.
-
-    Both auditors run on the same normalized pair and decide their space
-    tests on the same orthonormal bases, so one SVD of A, one pair of
-    space residuals and one set of defining-equation norms serve both.
-    """
-    audited = mk._audit_pair(A, X, tol)
-    return _audit(*audited, tol), mk._moore_style(*audited, tol)
+    return mk._audit_pair(A, X, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +231,10 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     f, A = mk._normalized(A, tol)
     diag = mk._diagnose(f, A, tol)
     outcomes = []
-
-    def audit(X):
-        return _audit(*mk._audited(f, A, X, tol), tol)
-
     if f.r == 0:
         X = np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
         outcomes.append(AlgorithmOutcome(
-            name="zero", status="ok", result=X, check=audit(X),
+            name="zero", status="ok", result=X, check=mk._audit(f, A, X, tol),
             detail="rank 0: the inverse is the zero matrix"))
         return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,
                                 max_gap=0.0, verdict=True, forced=force)
@@ -311,7 +247,7 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
         try:
             X, result, _ = mk._route(key, f, A, tol, run_forced)
             outcomes.append(AlgorithmOutcome(name=algo.name, status="ok",
-                                             result=result, check=audit(X)))
+                                             result=result, check=mk._audit(f, A, X, tol)))
             computed.append(X)
         except NotExistent as exc:
             outcomes.append(AlgorithmOutcome(name=algo.name, status="refused", detail=str(exc)))

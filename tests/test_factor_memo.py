@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import minkinv as mi
-from minkinv import fixtures, minkowski, verify
+from minkinv import fixtures, minkowski
 from conftest import existent, isotropic, light_cone
 
 
@@ -95,7 +95,7 @@ def entry_points(A):
         ("compose", compose),
         ("check_candidate", lambda A: mi.check_candidate(A, X)),
         ("moore_style_check", lambda A: mi.moore_style_check(A, X)),
-        ("audit_both", lambda A: verify._audit_both(A, X)),
+        ("audit_both", lambda A: minkowski._audit_pair(A, X, mi.DEFAULT_TOL, identity=True)),
         ("cross_check", mi.cross_check),
         ("factorization_witnesses", mi.factorization_witnesses),
         ("sylvester_witnesses", mi.sylvester_witnesses),

@@ -14,6 +14,11 @@ AM55 = fixtures.existent_5x5_minkinv()
 A52 = fixtures.nonexistent_5x4()
 
 
+def _audit_both(A, X):
+    """(check_candidate, moore_style_check) of (A, X) from the one audit that `minkinv check` runs."""
+    return mi.minkowski._audit_pair(A, X, mi.DEFAULT_TOL, identity=True)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -301,7 +306,7 @@ def test_cli_compose_factors_once(factor_calls, monkeypatch, tmp_path):
 def test_auditors_factor_once(factor_calls):
     for A in [existent(50, 50, 30, seed=1), isotropic(5, 4, seed=3), np.zeros((3, 2))]:
         X = mi.moore_penrose(A)
-        for audit in (mi.check_candidate, mi.moore_style_check, verify._audit_both):
+        for audit in (mi.check_candidate, mi.moore_style_check, _audit_both):
             factor_calls.clear()
             audit(A, X)
             assert len(factor_calls) == 1
@@ -326,7 +331,7 @@ def test_audits_project_once(monkeypatch, tmp_path):
     for audit, want in [(lambda: main(["check", a, x]), 1),
                         (lambda: mi.check_candidate(A, mi.mink_inverse(A)), 1),
                         (lambda: mi.moore_style_check(A, mi.mink_inverse(A)), 1),
-                        (lambda: verify._audit_both(1e10 * A55, big), 0),
+                        (lambda: _audit_both(1e10 * A55, big), 0),
                         (lambda: mi.check_candidate(1e10 * A55, big), 0),
                         (lambda: mi.moore_style_check(1e10 * A55, big), 0)]:
         calls.clear()
@@ -382,7 +387,7 @@ _ISO = isotropic(5, 4, seed=3)
     (1e10 * A55, 1e300 * np.ones((5, 5))),
 ])
 def test_cli_check_audits_equal_the_two_auditors(A, X):
-    assert verify._audit_both(A, X) == (mi.check_candidate(A, X), mi.moore_style_check(A, X))
+    assert _audit_both(A, X) == (mi.check_candidate(A, X), mi.moore_style_check(A, X))
 
 
 def test_cross_check_diagnoses_once(monkeypatch):
@@ -478,8 +483,11 @@ def test_space_tests_match_the_projection_reference():
     for A in (scale * A1 for A1 in _space_inputs() for scale in (1.0, 1e-8, 1e8)):
         for X in (mi.mink_inverse_frf(A, force=True).result if np.any(A) else A.T,
                   mi.moore_penrose(A), cgauss(rng, *A.shape[::-1])):
-            f, _, X, nX, space, _ = mi.minkowski._audit_pair(A, X, mi.DEFAULT_TOL)
-            ref = reference_space_tests(f, X, nX)
+            report = mi.check_candidate(A, X)
+            space = (report.range_ok, report.null_ok, report.residual_range, report.residual_null)
+            f, An = mi.minkowski._normalized(A, mi.DEFAULT_TOL)
+            X = mi.minkowski._candidate(X, An, f.exp)
+            ref = reference_space_tests(f, X, mi.fro(X))
             paths.add((f.Wr is not None, f.Wn is not None))
             assert space[:2] == ref[:2]
             # residuals relative to max(1, ||X||), so this is 1e-12 max(1, ||X||) absolute
