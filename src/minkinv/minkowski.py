@@ -1048,10 +1048,14 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     (see the module docstring): rank(A) is its rank r and rank(A~A) the rank
     of its Gram B~B, the member is evaluated on the factors B, C of 2^-e A,
     with 2^e Y in place of Y, and scaled back by 2^-e; MinkinvError names Y
-    or X where either scaling leaves the double range.
+    or X where either scaling leaves the double range.  Once the Y term
+    outweighs the base, its rounding can break eqs (1) and (3m), so a member
+    that Y selects is checked against them on 2^-e A, and InvalidWitness
+    names X where it fails (for unit-size Y, from |A| of about 1e6 on).
     """
     f, A = _normalized(A, tol)
-    return _rescaled("X", _member_13m(f, A, Y), -f.exp)
+    X = _member_13m(f, A, Y)
+    return _rescaled("X", X if Y is None else _witness("X", A, X, 2, tol), -f.exp)
 
 
 def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
@@ -1077,11 +1081,13 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     (NotExistent14m otherwise), base member C~ (CC~)^-1 B+, family swept by
     X = base + Z (I - A base).  Every member satisfies XAA~ = A~, and XA is
     the projector onto R(A~) along N(A) for all members.  Existence and
-    scale come from the gate's factorization, as in :func:`one_three_m`,
-    with rank(AA~) the rank of its Gram CC~.
+    scale come from the gate's factorization, and a member that Z selects
+    is checked against eqs (1) and (4m), as in :func:`one_three_m`, with
+    rank(AA~) the rank of its Gram CC~.
     """
     f, A = _normalized(A, tol)
-    return _rescaled("X", _member_14m(f, A, Z), -f.exp)
+    X = _member_14m(f, A, Z)
+    return _rescaled("X", X if Z is None else _witness("X", A, X, 3, tol), -f.exp)
 
 
 def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
@@ -1119,16 +1125,24 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _rescaled("A^m", X, -f.exp)
 
 
+def _witness(name: str, A, X, k: int, tol: Tolerance) -> np.ndarray:
+    """X, a {1,3m}- (k = 2) or {1,4m}-inverse (k = 3) of the normalized A, or InvalidWitness.
+
+    X must have the shape of A* (ShapeMismatch names ``name`` otherwise)
+    and satisfy eq (1) and eq (3m) or (4m) within the equality bound at unit
+    scale, in the relative residuals of :func:`defining_residuals`;
+    InvalidWitness names ``name`` otherwise.
+    """
+    X = _shaped(name, X, A.shape[::-1])
+    e = _relative_residuals(*_residual_norms(A, X)[:2])
+    if e[0] > tol.eq_bound(1.0) or e[k] > tol.eq_bound(1.0):
+        raise InvalidWitness(f"{name} violates eqs (1)/({k + 1}m): residuals {e[0]:.2e}, {e[k]:.2e}")
+    return X
+
+
 def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
     """X14 A X13 of the normalized A and witnesses, after validating the witnesses."""
-    e13 = defining_residuals(A, X13)
-    e14 = defining_residuals(A, X14)
-    bound = tol.eq_bound(1.0)
-    if e13[0] > bound or e13[2] > bound:
-        raise InvalidWitness(f"X13 violates eqs (1)/(3m): residuals {e13[0]:.2e}, {e13[2]:.2e}")
-    if e14[0] > bound or e14[3] > bound:
-        raise InvalidWitness(f"X14 violates eqs (1)/(4m): residuals {e14[0]:.2e}, {e14[3]:.2e}")
-    return X14 @ A @ X13
+    return _witness("X14", A, X14, 3, tol) @ A @ _witness("X13", A, X13, 2, tol)
 
 
 def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):

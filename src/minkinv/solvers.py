@@ -289,7 +289,10 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     (A, B, C) returns A^m.  Existence is decided by the one-SVD gate of
     :func:`~minkinv.minkowski.mink_inverse`, whose SVD of 2^-e A gives the HS
     form; on it, 2^2e Y1 and 2^2e Y2 give 2^e B and 2^-e C, scaled back.
-    MinkinvError names the matrix whose scaling leaves the double range.
+    MinkinvError names the matrix whose scaling leaves the double range, and
+    names B where C A+ B misses A^m on that normalized form, where rounding
+    of the Y terms, of size |A|^2 |Y|, swamps the A^m part of B (for
+    unit-size Y1 and Y2, from |A| of about 1e4 on).
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -324,4 +327,6 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     Bfull[:r, r:] = B2
     B = U @ Bfull @ apply_metric_right(U.conj().T)
     C = apply_metric_left(U) @ T @ U.conj().T
+    if not mats_close(C @ f.pinv_A @ B, _inverse_of(f), tol):
+        raise MinkinvError("B loses its A^m part to rounding of Y1, Y2 at this scale of A")
     return _rescaled("B", B, -f.exp), _rescaled("C", C, f.exp)

@@ -403,6 +403,15 @@ def test_compose_rejects_bad_witness(rng):
         mi.compose_13m_14m(A, bad, mi.one_four_m(A))
 
 
+@pytest.mark.parametrize("which", ["X13", "X14"])
+def test_compose_rejects_a_witness_of_the_wrong_shape(which):
+    A = existent(5, 4, 2, seed=10)
+    witnesses = {"X13": mi.one_three_m(A), "X14": mi.one_four_m(A)}
+    witnesses[which] = witnesses[which][:, :-1]
+    with pytest.raises(mi.ShapeMismatch, match=f"^{which} must be 4x5, got \\(4, 4\\)$"):
+        mi.compose_13m_14m(A, witnesses["X13"], witnesses["X14"])
+
+
 # ---------------------------------------------------------------------------
 # witness constructions
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ raise.  The names come
 from ``__all__``, so a new export fails this module until it gets a row here
 or a commented entry in ``EXEMPT``.
 
+``PARAMETERIZED`` holds the same contract for the exports' free parameters,
+seeded at unit size: one row per export and parameter set, run through the
+same loops.
+
 The exports of ``dense_core`` do not return A^m.  Each of their rows in
 ``COVARIANT`` states how its values scale with its input, and at every scale
 they must equal the unit-scale values scaled alike, or raise MinkinvError
@@ -186,6 +190,58 @@ def test_right_or_raise_at_the_range_ends(name):
             if not all(e <= 1e-8 for e in errs):
                 wrong.append((label, j, max(errs)))
     assert not wrong, wrong
+
+
+def _unit(rng, *shape):
+    """A seeded complex Gaussian parameter of unit size."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+# The exports' free parameters at unit size, for A55 and its adjoint (5x5, rank 3).  Scaling
+# A by 10^k makes a caller's parameter of unit size 10^k to 10^2k times the base term.
+_rng = np.random.default_rng(21)
+P = {name: _unit(_rng, *shape) for name, shape in (
+    ("Y", (5, 5)), ("Z", (5, 5)), ("W", (5, 5)), ("W1", (5, 5)), ("W2", (5, 5)),
+    ("X1free", (3, 3)), ("Y1", (5, 3)), ("Y2", (5, 2)))}
+
+
+def _bc(A):
+    return mi.bc_parameterization(A, P["X1free"], P["Y1"], P["Y2"])
+
+
+# "export:parameters" -> recover(A, Am), as in RECOVER, for the exports that take free parameters
+PARAMETERIZED = {
+    "one_three_m:Y": lambda A, Am: [Am @ (A @ mi.one_three_m(A, P["Y"]))],
+    "one_four_m:Z": lambda A, Am: [(mi.one_four_m(A, P["Z"]) @ A) @ Am],
+    "zlobec:W": lambda A, Am: [mi.mink_inverse_zlobec(A, W=P["W"]).result],
+    "zlobec:k=l=1,W": lambda A, Am: [mi.mink_inverse_zlobec(A, 1, 1, W=P["W"]).result],
+    "zlobec2:W1,W2": lambda A, Am: [mi.mink_inverse_zlobec2(A, W1=P["W1"], W2=P["W2"]).result],
+    "resolvent:W": lambda A, Am: [mi.mink_inverse_resolvent(A, W=P["W"]).result],
+    "bjerhammar_witnesses:Y,Z": _witnesses(
+        lambda A: mi.bjerhammar_witnesses(A, P["Y"], P["Z"]),
+        lambda A, B, C, D: [_adj(A) @ B, C @ _adj(A), _adj(A) @ D @ _adj(A)]),
+    "bc_parameterization:X1free,Y1,Y2": _witnesses(_bc, lambda A, B, C: [(C @ _pinv(A)) @ B]),
+    "rank_equation_solve:bc": lambda A, Am: [
+        mi.rank_equation_solve(mi.RankEquationInstance(A, *_bc(A)))],
+    "compose_13m_14m:Y,Z": lambda A, Am: [
+        mi.compose_13m_14m(A, mi.one_three_m(A, P["Y"]), mi.one_four_m(A, P["Z"]))],
+}
+PARAMETERIZED_FORMS_AM = {"one_three_m:Y", "one_four_m:Z", "bjerhammar_witnesses:Y,Z",
+                          "bc_parameterization:X1free,Y1,Y2"}
+
+
+@pytest.mark.parametrize("row", sorted(PARAMETERIZED))
+def test_parameterized_right_or_raise_at_every_scale(row, monkeypatch):
+    # the row runs through the loop of the export rows
+    monkeypatch.setitem(RECOVER, row, PARAMETERIZED[row])
+    test_right_or_raise_at_every_scale(row)
+
+
+@pytest.mark.parametrize("row", sorted(PARAMETERIZED))
+def test_parameterized_right_or_raise_at_the_range_ends(row, monkeypatch):
+    monkeypatch.setitem(RECOVER, row, PARAMETERIZED[row])
+    monkeypatch.setitem(globals(), "FORMS_AM", FORMS_AM | PARAMETERIZED_FORMS_AM)
+    test_right_or_raise_at_the_range_ends(row)
 
 
 _ROUTES = {

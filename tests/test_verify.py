@@ -1,5 +1,7 @@
 """Tests for the generators and the cross-checking oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -385,9 +387,23 @@ _ISO = isotropic(5, 4, seed=3)
     (_A69, mi.mink_inverse(_A69) * (1 + 1e-3)),
     (_ISO, mi.moore_penrose(_ISO)),
     (1e10 * A55, 1e300 * np.ones((5, 5))),
+    # where no complement is kept: rank 1 next to the light cone, low rank, rank 0
+    (light_cone(1e-3), mi.mink_inverse(light_cone(1e-3))),
+    (light_cone(1e-8), mi.mink_inverse(light_cone(1e-8))),
+    (mi.mink_adjoint(light_cone(1e-8)), mi.mink_inverse(mi.mink_adjoint(light_cone(1e-8)))),
+    (existent(30, 30, 5, seed=79), mi.moore_penrose(existent(30, 30, 5, seed=79))),
+    (np.zeros((3, 2)), np.zeros((2, 3))),
 ])
 def test_cli_check_audits_equal_the_two_auditors(A, X):
     assert _audit_both(A, X) == (mi.check_candidate(A, X), mi.moore_style_check(A, X))
+
+
+def test_check_report_is_defined_once_with_its_fields_in_order():
+    # the benchmark fingerprints astuple(report), so the field order is part of the contract
+    assert verify.CheckReport is mi.minkowski.CheckReport is mi.CheckReport
+    assert [f.name for f in dataclasses.fields(mi.CheckReport)] == [
+        "eq1", "eq2", "eq3m", "eq4m", "range_ok", "null_ok", "verdict",
+        "residual_range", "residual_null"]
 
 
 def test_cross_check_diagnoses_once(monkeypatch):
