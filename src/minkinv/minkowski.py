@@ -1141,8 +1141,9 @@ def _witness(name: str, A, X, k: int, tol: Tolerance) -> np.ndarray:
 
 
 def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
-    """X14 A X13 of the normalized A and witnesses, after validating the witnesses."""
-    return _witness("X14", A, X14, 3, tol) @ A @ _witness("X13", A, X13, 2, tol)
+    """X14 A X13 of the normalized A and witnesses, after validating X13, then X14."""
+    X13 = _witness("X13", A, X13, 2, tol)
+    return _witness("X14", A, X14, 3, tol) @ A @ X13
 
 
 def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):

@@ -8,6 +8,7 @@ import pytest
 import minkinv as mi
 from minkinv import fixtures, verify
 from minkinv.cli import main
+from minkinv.dense_core import pow2_exponent, scale_pow2
 from conftest import cgauss, existent, block_existent, isotropic, lapack_counts, light_cone
 from reference_audit import reference_audit, reference_space_tests
 
@@ -155,6 +156,35 @@ def test_auditors_reach_one_verdict_near_the_light_cone(k):
                         verdicts.add(o.check.verdict)
     if 8 <= k <= 11:
         assert verdicts == {False}
+
+
+def test_null_space_test_alone_rejects_a_candidate_off_the_null_space():
+    # E = w u* (I - AX) with w in R(A~) and u in N(A~): E A = 0 and X A E = E, so eqs (1),
+    # (2) and (4m) stay exact and eq (3m) moves least; X + E is 1.25 bounds off N(A~)
+    A = existent(10, 10, 7, seed=2)
+    A = scale_pow2(A, -pow2_exponent(A))       # the frame the audit runs in
+    X = mi.mink_inverse(A)
+    U, _, Vh = np.linalg.svd(A)
+    Qr = mi.minkowski.apply_metric_left(Vh[:7].conj().T)        # R(A~) = G R(V_r)
+    w = Qr @ np.linalg.svd(A @ Qr)[2][-1].conj()                 # where A is least on R(A~)
+    u = mi.minkowski.apply_metric_left(U[:, 7:])[:, 0]           # N(A~) = G N(A*)
+    E = np.outer(w, u.conj() @ (np.eye(10) - A @ X))
+    X = X + E * (1.25 * mi.DEFAULT_TOL.eq_bound(np.linalg.norm(X)) / np.linalg.norm(E @ u))
+    check, moore = _audit_both(A, X)
+    assert moore.satisfies_defining_equations and check.range_ok
+    assert check.residual_null > 1.2e-9
+    assert not (check.null_ok or check.verdict or moore.is_inverse)
+
+
+def test_moore_style_check_is_false_where_the_gate_refuses():
+    # at rank_rtol 1e-2 the gate ranks the light-cone Gram of light_cone(1e-3) 0, although
+    # mink_inverse's X passes all four tests; is_inverse follows the gate
+    A = light_cone(1e-3)
+    X = mi.mink_inverse(A)
+    moore = mi.moore_style_check(A, X, mi.Tolerance(rank_rtol=1e-2))
+    assert (moore.acts_identity_on_adjoint_range and moore.annihilates_adjoint_nullspace
+            and moore.range_within_adjoint_range and moore.satisfies_defining_equations)
+    assert not (moore.exists or moore.is_inverse)
 
 
 def test_check_candidate_shape_error():
