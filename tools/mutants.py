@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 MEMO = "tests/test_factor_memo.py::"
 KEPT = MEMO + "test_complements_are_kept_where_the_gate_passes_and_the_svd_holds_them"
 CLI = "tests/test_cli.py::"
-MATIO_T = "tests/test_matio.py::"
+MATIO_TESTS = "tests/test_matio.py::"
 VERIFY = "tests/test_verify.py::"
 CONTRACT = "tests/test_scale_contract.py::test_parameterized_right_or_raise_at_every_scale"
 
@@ -81,7 +81,7 @@ MUTANTS = [
     Mutant("%.17g for %r", MATIO,
            'pairs = ",".join(["[%r,%r]"] * n)', 'pairs = ",".join(["[%.17g,%.17g]"] * n)',
            (CLI + "test_write_matrix_reproduces_fixture_bytes",
-            MATIO_T + "test_canonical_files_skip_the_general_decoder")),
+            MATIO_TESTS + "test_canonical_files_skip_the_general_decoder")),
     Mutant("no final newline", MATIO,
            'fh.write("]}\\n")', 'fh.write("]}")',
            (CLI + "test_write_matrix_reproduces_fixture_bytes",)),
@@ -93,10 +93,10 @@ MUTANTS = [
            'or not data.startswith(b"[[", head.end()) or tail.strip(b" \\t\\n\\r"):',
            'or not data.startswith(b"[[", head.end()):',
            (CLI + "test_bad_matrix_file_is_format_error",
-            MATIO_T + "test_differential_fuzz_against_general_path")),
+            MATIO_TESTS + "test_differential_fuzz_against_general_path")),
     Mutant("no \\r translation in the fallback", MATIO,
            'text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")', "pass",
-           (MATIO_T + "test_line_ends_read_as_text_mode_reads_them",)),
+           (MATIO_TESTS + "test_line_ends_read_as_text_mode_reads_them",)),
     Mutant("no separator count", MATIO,
            "if not (len(data) - len(flat) == 2 * (n - 1)", "if not (True",
            (CLI + "test_bad_matrix_file_is_format_error",)),
