@@ -298,6 +298,11 @@ def index_of(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> int
     matching power for each M^t.  The powers are taken of 2^-e M, with 2^e
     the power of two of :func:`pow2_exponent` and the anchor scaled alike,
     which has the same index and whose powers stay in range.
+
+    A caller who ranks a product of a factor, such as M = A~A, must pass
+    ``scale=`` (sigma_max(A)^2 there): the rounding in the cancelled
+    directions of a formed product does not follow sigma_max(M), so without
+    that anchor the index of a rank-deficient product decides on rounding.
     """
     M, scale, _ = _normalized_square(M, scale)
     n = M.shape[0]
@@ -331,7 +336,10 @@ def group_inverse(M, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -
     SVD and IndexNotOne raised otherwise.  The zero matrix returns the zero
     matrix.  It is computed on 2^-e M as :func:`index_of` is, and
     (2^-e M)# = 2^e M# is scaled back by :func:`_rescaled`, which raises
-    MinkinvError where M# leaves the double range.
+    MinkinvError where M# leaves the double range.  As for
+    :func:`index_of`, a caller who group-inverts a product of a factor must
+    pass ``scale=``, or the rank of a rank-deficient product decides on
+    rounding.
     """
     M, scale, e = _normalized_square(M, scale)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)

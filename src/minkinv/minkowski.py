@@ -33,6 +33,11 @@ The products that the diagnosis ranks and the Zlobec and group routes
 invert have their column and row spaces among R(U_r), G R(U_r), R(V_r) and
 G R(V_r) of that SVD, so each is formed from A and then factored on its
 r-by-r core (``dense_core._core_svd``), not by an m-by-m or n-by-n SVD.
+What several of them use is computed once per factorization and kept on it,
+read-only (``_Factored.store``): A~, A~A, AA~ and A~AA~ of 2^-e A, the core
+SVDs of A~A and AA~, and the Gram inverses (B~B)^-1 and (CC~)^-1.  Each is
+the value every user would compute again from the same operands, bit for
+bit, so the routes stay independent evaluations of their formulas.
 Every singular-matrix refusal, and the forced pseudo-inverse that replaces
 it, is ``dense_core._nonsingular`` / ``_inverse``; the gate's inertia count
 ranks the metric Grams of the FRF route and of the {1,3m}/{1,4m} bases.
@@ -238,12 +243,13 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
 def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
     """:func:`diagnose_existence` of the normalized A factored by ``f``.
 
-    Each product is formed from A, then ranked on its core in the gate's
-    bases (``dense_core._core_svd``): A~A and its square on G V_r / V_r,
-    AA~ and its square on U_r / G U_r, A~AA~ on G V_r / G U_r, and
-    [AA~ | A] on U_r from the left.  Forming first keeps the rounding of
-    the product: a formed A~A that is exactly 0 ranks 0, where a core built
-    from the factors can keep a rounding-sized value.  The resolvent is
+    Each product is formed from A, or read from the factorization's store
+    where a route formed it first (:func:`_product`), then ranked on its
+    core in the gate's bases (``dense_core._core_svd``): A~A and its square
+    on G V_r / V_r, AA~ and its square on U_r / G U_r, A~AA~ on
+    G V_r / G U_r, and [AA~ | A] on U_r from the left.  Forming first keeps
+    the rounding of the product: a formed A~A that is exactly 0 ranks 0,
+    where a core built from the factors can keep a rounding-sized value.  The resolvent is
     ranked on its own SVD, with A+ A = V_r V_r* taken without the rounding
     of forming A+ A, rounding that can make the resolvent of a light-cone
     draw look nonsingular.
@@ -251,9 +257,7 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
     n, rank_A = A.shape[1], f.r
     Ur, Vr = f.Ur, f.Vr
     GUr, GVr = apply_metric_left(Ur), apply_metric_left(Vr)
-    As = mink_adjoint(A)
-    AAs = A @ As
-    AsA = As @ A
+    AAs, AsA = _product(f, A, "AAs"), _product(f, A, "AsA")
     sA = f.s1
     s2 = sA * sA
 
@@ -262,7 +266,7 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
 
     rank_AAs = rank(AAs, Ur, GUr, s2)
     rank_AsA = rank(AsA, GVr, Vr, s2)
-    rank_AsAAs = rank(AsA @ As, GVr, GUr, s2 * sA)
+    rank_AsAAs = rank(_product(f, A, "AsAAs"), GVr, GUr, s2 * sA)
     rank2_AsA = rank(AsA @ AsA, GVr, Vr, s2 * s2)
     rank2_AAs = rank(AAs @ AAs, Ur, GUr, s2 * s2)
     ind_AAs = _index(AAs, rank_AAs, rank2_AAs, tol, s2)
@@ -310,7 +314,12 @@ def _index(M, rank1: int, rank2: int, tol: Tolerance, scale: float) -> int:
 def _core_pinv(M, L, R, tol: Tolerance, scale: float) -> np.ndarray:
     """pinv(M) = R pinv(L* M R) L*, truncated at M's cutoff (see ``dense_core._core_svd``)."""
     rep, U, Vh = _core_svd(M, L, R, tol, scale)
-    return (Vh.conj().T / rep.singular_values[:rep.rank]) @ U.conj().T
+    return _svd_pinv(U, rep.singular_values[:rep.rank], Vh)
+
+
+def _svd_pinv(U, s, Vh) -> np.ndarray:
+    """pinv(M) of M = U diag(s) Vh, a compact SVD truncated at its rank."""
+    return (Vh.conj().T / s) @ U.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +339,9 @@ class _Factored:
     :func:`_space_tests` keeps them; a refusal raised after the gate passed
     also pins them.  A complement not kept is None.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
+    ``store`` keeps the values of 2^-exp A that several routes share, each
+    computed on first use (see :func:`_stored`), so they are remembered and
+    dropped with the SVD.
 
     The metric is a rank-one update of -I, G = 2 e1 e1* - I, so the
     Hermitian r-by-r Grams B* G B = Sigma (2 u u* - I) Sigma and
@@ -352,6 +364,7 @@ class _Factored:
     rank_CCs: int
     Wr: np.ndarray | None = None
     Wn: np.ndarray | None = None
+    store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -497,6 +510,68 @@ def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
     return f, scale_pow2(A, -f.exp)
 
 
+def _stored(f: _Factored, key, make: Callable):
+    """``make()``, an array or a tuple of arrays, kept read-only on ``f`` under ``key``.
+
+    ``key`` names one value of the normalized A that ``f`` factored, with
+    every further argument it depends on.  The memo of :func:`_factor` keeps
+    one ``f`` per bits of A and tolerance, so a stored value is the one that
+    computing it again would give, bit for bit.
+    """
+    if key not in f.store:
+        value = make()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        f.store[key] = value
+    return f.store[key]
+
+
+# Each product of the normalized A that several routes and the diagnosis use,
+# formed in the one order they all form it in.
+_PRODUCTS = {
+    "As": lambda f, A: mink_adjoint(A),
+    "AsA": lambda f, A: _product(f, A, "As") @ A,
+    "AAs": lambda f, A: A @ _product(f, A, "As"),
+    "AsAAs": lambda f, A: _product(f, A, "AsA") @ _product(f, A, "As"),
+}
+
+
+def _product(f: _Factored, A, name: str) -> np.ndarray:
+    """A~ ("As"), A~A, AA~ or A~AA~ of the normalized A that ``f`` factored, stored."""
+    return _stored(f, name, lambda: _PRODUCTS[name](f, A))
+
+
+def _gram_core(f: _Factored, A, name: str, p: int, tol: Tolerance):
+    """(U, s, Vh), the compact SVD of (AA~)^p ("AAs") or (A~A)^p ("AsA"), stored.
+
+    Taken on the r-by-r core of the product (``dense_core._core_svd``), AA~
+    on U_r / G U_r and A~A on G V_r / V_r, at the anchor sigma_1^(2p) of
+    the normalized A that ``f`` factored; s holds the singular values above
+    that cutoff.  The group route and the split Zlobec route share p = 1.
+    """
+    def make():
+        M = np.linalg.matrix_power(_product(f, A, name), p)
+        L, R = (f.Ur, apply_metric_left(f.Ur)) if name == "AAs" else (apply_metric_left(f.Vr), f.Vr)
+        rep, U, Vh = _core_svd(M, L, R, tol, f.s1 ** (2 * p))
+        return U, rep.singular_values[:rep.rank], Vh
+
+    return _stored(f, ("core", name, p), make)
+
+
+def _gram_inverse(f: _Factored, name: str, tol: Tolerance) -> np.ndarray:
+    """(B~B)^-1 ("BsB") or (CC~)^-1 ("CCs") of the normalized factors, stored.
+
+    A Gram that the gate ranks singular is pseudo-inverted, as a forced
+    route asks.
+    """
+    def make():
+        M, rank = ((mink_adjoint(f.B) @ f.B, f.rank_BsB) if name == "BsB"
+                   else (f.C @ mink_adjoint(f.C), f.rank_CCs))
+        return np.linalg.inv(M) if rank == f.r else moore_penrose(M, tol)
+
+    return _stored(f, name, make)
+
+
 def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
     """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted.
 
@@ -504,13 +579,8 @@ def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
     """
     if f.r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
-    Bs = mink_adjoint(f.B)
-    Cs = mink_adjoint(f.C)
-
-    def inv(M, rank):
-        return np.linalg.inv(M) if rank == f.r else moore_penrose(M, tol)
-
-    return Cs @ inv(f.C @ Cs, f.rank_CCs) @ inv(Bs @ f.B, f.rank_BsB) @ Bs
+    return (mink_adjoint(f.C) @ _gram_inverse(f, "CCs", tol) @ _gram_inverse(f, "BsB", tol)
+            @ mink_adjoint(f.B))
 
 
 def _inverse_of(f: _Factored) -> np.ndarray:
@@ -866,12 +936,12 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
 def _zlobec(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0, W=None):
     """(X, None) of :func:`mink_inverse_zlobec` on the normalized A factored by ``f``."""
     power = np.linalg.matrix_power
-    As = mink_adjoint(A)
-    AsA = As @ A
-    mid = power(AsA, k + l + 1) @ As
+    As, AsA = _product(f, A, "As"), _product(f, A, "AsA")
+    mid = _product(f, A, "AsAAs") if k + l == 0 else power(AsA, k + l + 1) @ As
     GUr, GVr = apply_metric_left(f.Ur), apply_metric_left(f.Vr)
     inner = _one_inverse(mid, _core_pinv(mid, GVr, GUr, tol, f.s1 ** (2 * (k + l + 1) + 1)), W)
-    return power(AsA, k) @ As @ inner @ power(AsA, l) @ As, None
+    X = (power(AsA, k) @ As if k else As) @ inner
+    return (X @ power(AsA, l) if l else X) @ As, None
 
 
 def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
@@ -891,15 +961,14 @@ def _zlobec2(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 
              W1=None, W2=None):
     """(X, None) of :func:`mink_inverse_zlobec2` on the normalized A factored by ``f``."""
     power = np.linalg.matrix_power
-    As = mink_adjoint(A)
-    AsA = As @ A
-    AAs = A @ As
-    Ur, Vr = f.Ur, f.Vr
-    GUr, GVr = apply_metric_left(Ur), apply_metric_left(Vr)
-    AAs_k, AsA_l = power(AAs, k + 1), power(AsA, l + 1)
-    left = _one_inverse(AAs_k, _core_pinv(AAs_k, Ur, GUr, tol, f.s1 ** (2 * (k + 1))), W1)
-    right = _one_inverse(AsA_l, _core_pinv(AsA_l, GVr, Vr, tol, f.s1 ** (2 * (l + 1))), W2)
-    return power(AsA, k) @ As @ left @ A @ right @ power(AsA, l) @ As, None
+    As, AsA = _product(f, A, "As"), _product(f, A, "AsA")
+
+    def inner(name, p, W):               # [(Gram)^p]^(1) of the parameter W
+        Mp = _svd_pinv(*_gram_core(f, A, name, p, tol))
+        return Mp if W is None else _one_inverse(power(_product(f, A, name), p), Mp, W)
+
+    X = (power(AsA, k) @ As if k else As) @ inner("AAs", k + 1, W1) @ A @ inner("AsA", l + 1, W2)
+    return (X @ power(AsA, l) if l else X) @ As, None
 
 
 def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> InverseComputation:
@@ -919,16 +988,13 @@ def _group(f: _Factored, A, tol: Tolerance, force: bool):
     Each Gram product is formed, then factored on its r-by-r core (A~A on
     G V_r / V_r, AA~ on U_r / G U_r) for ``dense_core._group_of_svd``.
     """
-    As = mink_adjoint(A)
-    s2 = f.s1 ** 2
-    Ur, Vr = f.Ur, f.Vr
+    As, s2 = _product(f, A, "As"), f.s1 ** 2
 
-    def grp(M, L, R):
-        rep, U, Vh = _core_svd(M, L, R, tol, s2)
-        return _group_of_svd(U, rep.singular_values[:rep.rank], Vh, M.shape, tol, s2, force)
+    def grp(name, n):
+        return _group_of_svd(*_gram_core(f, A, name, 1, tol), (n, n), tol, s2, force)
 
-    X1 = grp(As @ A, apply_metric_left(Vr), Vr) @ As
-    X2 = As @ grp(A @ As, Ur, apply_metric_left(Ur))
+    X1 = grp("AsA", A.shape[1]) @ As
+    X2 = As @ grp("AAs", A.shape[0])
     return _dual_gap(X1, X2, tol, force, "dual group forms differ")
 
 
@@ -950,12 +1016,11 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
 def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
     """(X, gap) of :func:`mink_inverse_resolvent` on the normalized A factored by ``f``."""
     m, n = A.shape
-    As = mink_adjoint(A)
     A1 = _one_inverse(A, f.pinv_A, W)
     anchor = max(1.0, f.s1 ** 2)
-    left = _inverse(As @ A + np.eye(n, dtype=np.complex128) - A1 @ A,
+    left = _inverse(_product(f, A, "AsA") + np.eye(n, dtype=np.complex128) - A1 @ A,
                     "resolvent", Singular, tol, anchor, force)
-    right = _inverse(A @ As + np.eye(m, dtype=np.complex128) - A @ A1,
+    right = _inverse(_product(f, A, "AAs") + np.eye(m, dtype=np.complex128) - A @ A1,
                      "dual resolvent", Singular, tol, anchor, force)
     return _dual_gap(mink_adjoint(A @ left), mink_adjoint(right @ A), tol, force,
                      "dual resolvent forms differ")
@@ -1054,20 +1119,20 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     names X where it fails (for unit-size Y, from |A| of about 1e6 on).
     """
     f, A = _normalized(A, tol)
-    X = _member_13m(f, A, Y)
+    X = _member_13m(f, A, tol, Y)
     return _rescaled("X", X if Y is None else _witness("X", A, X, 2, tol), -f.exp)
 
 
-def _member_13m(f: _Factored, A, Y=None) -> np.ndarray:
+def _member_13m(f: _Factored, A, tol: Tolerance, Y=None) -> np.ndarray:
     """The member of (2^-e A){1,3m} that 2^e Y selects (the base C+ (B~B)^-1 B~ for Y=None).
 
     A nonsingular Gram at the gate's cutoff is also nonsingular at the
-    looser cutoff of :func:`numerical_rank`, so B~B is inverted directly.
+    looser cutoff of :func:`numerical_rank`, so B~B is inverted directly,
+    once per factorization with the FRF route (:func:`_gram_inverse`).
     """
     if f.r == 0 or f.rank_BsB != f.r:
         raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r} (or rank 0)")
-    Bs = mink_adjoint(f.B)
-    X = f.C.conj().T @ np.linalg.inv(Bs @ f.B) @ Bs
+    X = f.C.conj().T @ _gram_inverse(f, "BsB", tol) @ mink_adjoint(f.B)
     if Y is None:
         return X
     Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp, param=True)
@@ -1086,20 +1151,19 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rank(AA~) the rank of its Gram CC~.
     """
     f, A = _normalized(A, tol)
-    X = _member_14m(f, A, Z)
+    X = _member_14m(f, A, tol, Z)
     return _rescaled("X", X if Z is None else _witness("X", A, X, 3, tol), -f.exp)
 
 
-def _member_14m(f: _Factored, A, Z=None) -> np.ndarray:
+def _member_14m(f: _Factored, A, tol: Tolerance, Z=None) -> np.ndarray:
     """The member of (2^-e A){1,4m} that 2^e Z selects (the base C~ (CC~)^-1 B+ for Z=None).
 
     The gate's Gram is Sigma CC~ Sigma up to sign flips, so CC~ is
-    nonsingular when it is, and is inverted directly.
+    nonsingular when it is, and is inverted directly, as in :func:`_member_13m`.
     """
     if f.r == 0 or f.rank_CCs != f.r:
         raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r} (or rank 0)")
-    Cs = mink_adjoint(f.C)
-    X = Cs @ np.linalg.inv(f.C @ Cs) @ f.pinv_B
+    X = mink_adjoint(f.C) @ _gram_inverse(f, "CCs", tol) @ f.pinv_B
     if Z is None:
         return X
     Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp, param=True)
@@ -1148,7 +1212,7 @@ def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
 
 def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):
     """(X, None) of compose on the members Y and Z select, on the normalized A (no ``force``)."""
-    return _compose(A, _member_13m(f, A, Y), _member_14m(f, A, Z), tol), None
+    return _compose(A, _member_13m(f, A, tol, Y), _member_14m(f, A, tol, Z), tol), None
 
 
 # ---------------------------------------------------------------------------
@@ -1178,9 +1242,12 @@ class _Algorithm:
 
 
 # Keyed by the CLI's --algo name, which ``_run`` takes, in the order of its
-# choices.  The routes share the gate's factorization and no other product, so
-# that cross_check compares independent computations; zlobec, zlobec2 and
-# group also take the gate's singular bases, on which they factor their own products.
+# choices.  Each route evaluates its own formula, so that cross_check compares
+# independent computations.  They share the gate's factorization and bases and
+# what ``_Factored.store`` keeps: A~, A~A, AA~, A~AA~, the core SVDs of A~A and
+# AA~ (zlobec2 at k or l = 0, and group) and the Gram inverses (frf, compose).
+# A shared value is what each route would recompute from the same operands, bit
+# for bit, so sharing it costs no independence.
 _ALGORITHMS = {
     "frf": _Algorithm("frf", lambda f, A, tol, force: (_frf(f, tol), None)),
     "hs": _Algorithm("hs", _hs, square=True),
@@ -1212,7 +1279,7 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     """
     f, A = _normalized(A, tol)
     _require_existence(f)
-    M = A @ mink_adjoint(A) @ A
+    M = _product(f, A, "AAs") @ A
     Mp = _core_pinv(M, f.Ur, f.Vr, tol, f.s1 ** 3)
     X = A @ Mp
     Y = Mp @ A
@@ -1260,7 +1327,7 @@ def _sylvester(f: _Factored, A, Am, tol: Tolerance):
     m = A.shape[0]
     eye = np.eye(m, dtype=np.complex128)
     P = A @ Am
-    Q = A @ mink_adjoint(A) + eye - P
+    Q = _product(f, A, "AAs") + eye - P
     return P @ _inverse(Q, "shifted Gram Q", Singular, tol, max(1.0, f.s1 ** 2)), eye - P
 
 
@@ -1284,7 +1351,7 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     _require_existence(f)
     Am = _inverse_of(f)
     m, n = A.shape
-    As = mink_adjoint(A)
+    As = _product(f, A, "As")
     P = mink_adjoint(f.pinv_A)           # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)

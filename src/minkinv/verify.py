@@ -220,7 +220,10 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
 
     A is normalized and factored once, by the algorithms' gate (see
     :mod:`~minkinv.minkowski`), and that factorization serves every route,
-    every audit and the one five-criterion diagnosis.  The routes are those
+    every audit and the one five-criterion diagnosis.  So is each product
+    that several of them use, computed once and kept with it: A~A, AA~ and
+    A~AA~ for the diagnosis and four routes, zlobec2's core SVDs for group,
+    and FRF's Gram inverses for compose.  The routes are those
     of ``minkowski._ALGORITHMS`` at default parameters, but the block route,
     which needs the rank, and HS only on square A.  Each runs through
     ``minkowski._route``, as its entry point does, so its ``result`` is that

@@ -140,6 +140,22 @@ def test_index_of_paper_product():
     assert mi.index_of(A @ As, scale=mi.sigma_max(A) ** 2) == 1
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_anchored_index_and_group_inverse_of_a_product_do_not_depend_on_scale(scale):
+    # A~A of rank 1: unanchored, its index reads 2 at 1e+-100, where the
+    # rounding left in its cancelled directions outweighs its own cutoff
+    A = mi.generate(mi.GenSpec(3, 3, 1, mi.GenKind.BLOCK_EXISTENT, 1))
+
+    def product(A):
+        return mi.mink_adjoint(A) @ A, mi.sigma_max(A) ** 2
+
+    M, s2 = product(A)
+    Ms, s2s = product(scale * A)
+    assert mi.index_of(M, scale=s2) == mi.index_of(Ms, scale=s2s) == 1
+    assert_allclose(mi.group_inverse(Ms, scale=s2s) * scale ** 2, mi.group_inverse(M, scale=s2),
+                    rtol=1e-12)
+
+
 def test_full_rank_factorization_diag():
     f = mi.full_rank_factorization(np.diag([2.0, 0.0]))
     assert f.r == 1

@@ -26,13 +26,18 @@ def _cold_factor(A, tol=mi.DEFAULT_TOL):
 
 
 def _kept(f):
-    """The arrays a factorization keeps: sv, B, C and, when the gate passed, Wr or Wn or both."""
-    return [a for a in (f.sv, f.B, f.C, f.Wr, f.Wn) if a is not None]
+    """The arrays a factorization keeps.
+
+    sv, B, C; when the gate passed, Wr or Wn or both; and every array in its
+    store of shared values.
+    """
+    return ([a for a in (f.sv, f.B, f.C, f.Wr, f.Wn) if a is not None]
+            + list(_arrays_in(list(f.store.values()))))
 
 
 def _same_factors(f, g):
-    return ((f.exp, f.rank_BsB, f.rank_CCs, f.Wr is None, f.Wn is None)
-            == (g.exp, g.rank_BsB, g.rank_CCs, g.Wr is None, g.Wn is None)
+    return ((f.exp, f.rank_BsB, f.rank_CCs, f.Wr is None, f.Wn is None, len(_kept(f)))
+            == (g.exp, g.rank_BsB, g.rank_CCs, g.Wr is None, g.Wn is None, len(_kept(g)))
             and all(a.shape == b.shape and a.tobytes() == b.tobytes()
                     for a, b in zip(_kept(f), _kept(g))))
 
@@ -194,11 +199,48 @@ def test_factor_memo_takes_a_transposed_matrix():
 
 
 def test_remembered_factors_are_read_only():
-    f = _factor(existent(6, 6, 3, seed=35))
+    A = existent(6, 6, 3, seed=35)
+    f = _factor(A)
     assert f.Wr is not None and f.Wn is not None
+    # every stored value: products, cores at p = 1, 2 and 3, Gram inverses
+    mi.cross_check(A)
+    mi.mink_inverse_zlobec2(A, k=2, l=1)
+    assert _factor(A) is f
+    assert sorted(map(str, f.store)) == sorted(map(str, [
+        "As", "AsA", "AAs", "AsAAs", "BsB", "CCs", ("core", "AAs", 1), ("core", "AsA", 1),
+        ("core", "AAs", 3), ("core", "AsA", 2)]))
     for a in _kept(f):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@pytest.mark.parametrize("A", [
+    existent(7, 5, 3, seed=51),
+    existent(5, 7, 5, seed=52, scale=1e100),
+    existent(6, 6, 4, seed=53, scale=1e-8),
+    isotropic(5, 4, seed=54),
+    light_cone(1e-7),
+    mi.mink_adjoint(light_cone(1e-3)),
+])
+def test_routes_sharing_stored_values_equal_their_cold_calls(A):
+    # each call warm, after the ones before it stored their values, against
+    # the same call cold
+    calls = [
+        lambda A: mi.mink_inverse_zlobec2(A),
+        lambda A: mi.mink_inverse_zlobec2(A, k=2, l=1),
+        lambda A: mi.mink_inverse_group(A),
+        lambda A: mi.mink_inverse_group(A, force=True),
+        lambda A: mi.mink_inverse_resolvent(A),
+        lambda A: mi.mink_inverse_zlobec(A),
+        lambda A: mi.cross_check(A),
+        lambda A: mi.cross_check(A, force=True),
+    ]
+    cold = []
+    for call in calls:
+        minkowski._forget_factor()
+        cold.append(_outcome(call, A))
+    minkowski._forget_factor()
+    assert [_outcome(call, A) for call in calls] == cold
 
 
 @pytest.mark.parametrize("A", [

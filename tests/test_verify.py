@@ -246,10 +246,12 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     # the routes' own products and the diagnosis's seven product ranks, and
     # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary;
     # the group, Zlobec and diagnosis products are factored on their 30x30
-    # cores, so the work (m n min(m, n) per SVD) is about 60% of 19 full SVDs
+    # cores, so the work (m n min(m, n) per SVD) is about 60% of 17 full SVDs.
+    # Group and zlobec2 share the two Gram cores, FRF and compose the two
+    # Gram inverses
     counts = lapack_counts(monkeypatch, mi.cross_check, A)
-    assert counts == {"svd": 19, "inv": 10, "solve": 0, "eigvalsh": 0, "qr": 1}
-    assert counts.work <= 1_600_000
+    assert counts == {"svd": 17, "inv": 8, "solve": 0, "eigvalsh": 0, "qr": 1}
+    assert counts.work <= 1_371_000
     counts = lapack_counts(monkeypatch, mi.diagnose_existence, A)
     assert counts == {"svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
     assert counts.work <= 500_000
@@ -265,6 +267,18 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     mi.write_matrix(x, X)
     assert lapack_counts(monkeypatch, lambda A: main(["check", a, x]), A) == {
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+
+
+def test_group_after_zlobec2_takes_only_its_own_work(monkeypatch):
+    # the two Gram cores are the factorization's, so group after zlobec2 on
+    # the same A adds only its two index SVDs and two inv
+    A = existent(50, 50, 30, seed=1)
+    cold = {"svd": 5, "inv": 2, "solve": 0, "eigvalsh": 0, "qr": 0}
+    assert lapack_counts(monkeypatch, mi.mink_inverse_group, A) == cold
+    assert lapack_counts(monkeypatch, mi.mink_inverse_zlobec2, A) == {
+        "svd": 3, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+    assert lapack_counts(monkeypatch, lambda A: (mi.mink_inverse_zlobec2(A),
+                                                 mi.mink_inverse_group(A)), A) == cold
 
 
 def test_compute_then_certify_factors_once(monkeypatch):

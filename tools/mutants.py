@@ -126,6 +126,23 @@ MUTANTS = [
     Mutant("bc_parameterization unchecked", "src/minkinv/solvers.py",
            "if not mats_close(C @ f.pinv_A @ B, _inverse_of(f), tol):", "if False:",
            (CONTRACT,)),
+    # the values that the routes share through the factorization's store
+    Mutant("the AA~ core handed to an A~A request", MINK,
+           '_stored(f, ("core", name, p), make)', '_stored(f, ("core", p), make)',
+           (MEMO + "test_routes_sharing_stored_values_equal_their_cold_calls",
+            "tests/test_minkowski.py::test_zlobec2_metric")),
+    Mutant("the core's key drops its anchor", MINK,
+           '_stored(f, ("core", name, p), make)', '_stored(f, ("core", name), make)',
+           (MEMO + "test_routes_sharing_stored_values_equal_their_cold_calls",)),
+    Mutant("stored arrays left writable", MINK,
+           "            a.flags.writeable = False\n        f.store[key] = value",
+           "            pass\n        f.store[key] = value",
+           (MEMO + "test_remembered_factors_are_read_only",)),
+    Mutant("(B~B)^-1 handed to a (CC~)^-1 request", MINK,
+           "    return _stored(f, name, make)\n\n\ndef _frf(",
+           '    return _stored(f, "inv", make)\n\n\ndef _frf(',
+           ("tests/test_minkowski.py::test_frf_generated",
+            "tests/test_minkowski.py::test_compose_random_members")),
 ]
 
 
