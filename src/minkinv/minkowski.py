@@ -24,8 +24,11 @@ so neither forms a Gram.  The algorithm evaluates its formula on 2^-e A,
 whose residuals equal those of (A, result), and ``dense_core._rescaled``
 scales the result back by 2^-e: exactly while it stays in the normal range,
 and else MinkinvError names it (A^m, of size |A|^-1, leaves from about
-|A| = 2^1022 up and 2^-1022 down).  Each formula is a private core on the
-factorization and 2^-e A, listed once in ``_ALGORITHMS`` and run by
+|A| = 2^1022 up and 2^-1022 down).  The factorization carries its frame:
+``_factor`` builds 2^-e A once, C-contiguous, and keeps it read-only with
+the exponent and the tolerance, so every core, audit and witness takes the
+factorization alone, and no result depends on the memory layout of A.  Each
+formula is a private core on it, listed once in ``_ALGORITHMS`` and run by
 :func:`_route`, which the public ``mink_inverse_*`` functions,
 ``cross_check`` (factoring A once for all) and ``minkinv inverse`` share.
 
@@ -237,11 +240,11 @@ def diagnose_existence(A, tol: Tolerance = DEFAULT_TOL) -> ExistenceDiagnosis:
     from rank(M) and rank(M^2), with :func:`index_of` walking further powers
     only when the index exceeds one.
     """
-    return _diagnose(*_normalized(A, tol), tol)
+    return _diagnose(_factor(A, tol))
 
 
-def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
-    """:func:`diagnose_existence` of the normalized A factored by ``f``.
+def _diagnose(f: _Factored) -> ExistenceDiagnosis:
+    """:func:`diagnose_existence` of the normalized ``f.A``.
 
     Each product is formed from A, or read from the factorization's store
     where a route formed it first (:func:`_product`), then ranked on its
@@ -254,10 +257,10 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
     of forming A+ A, rounding that can make the resolvent of a light-cone
     draw look nonsingular.
     """
-    n, rank_A = A.shape[1], f.r
+    n, rank_A, tol = f.A.shape[1], f.r, f.tol
     Ur, Vr = f.Ur, f.Vr
     GUr, GVr = apply_metric_left(Ur), apply_metric_left(Vr)
-    AAs, AsA = _product(f, A, "AAs"), _product(f, A, "AsA")
+    AAs, AsA = _product(f, "AAs"), _product(f, "AsA")
     sA = f.s1
     s2 = sA * sA
 
@@ -266,7 +269,7 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
 
     rank_AAs = rank(AAs, Ur, GUr, s2)
     rank_AsA = rank(AsA, GVr, Vr, s2)
-    rank_AsAAs = rank(_product(f, A, "AsAAs"), GVr, GUr, s2 * sA)
+    rank_AsAAs = rank(_product(f, "AsAAs"), GVr, GUr, s2 * sA)
     rank2_AsA = rank(AsA @ AsA, GVr, Vr, s2 * s2)
     rank2_AAs = rank(AAs @ AAs, Ur, GUr, s2 * s2)
     ind_AAs = _index(AAs, rank_AAs, rank2_AAs, tol, s2)
@@ -274,11 +277,11 @@ def _diagnose(f: _Factored, A, tol: Tolerance) -> ExistenceDiagnosis:
 
     ind_le1_AsA = rank2_AsA == rank_AsA
     ind_le1_AAs = rank2_AAs == rank_AAs
-    range_A_in_AAs = rank(np.hstack([AAs, A]), Ur, None, max(sA, s2)) == rank_AAs
+    range_A_in_AAs = rank(np.hstack([AAs, f.A]), Ur, None, max(sA, s2)) == rank_AAs
 
     resolvent = AsA + np.eye(n, dtype=np.complex128) - Vr @ f.C
     resolvent_nonsingular = _rank_from_spectrum(np.linalg.svd(resolvent, compute_uv=False),
-                                                A.shape, tol, scale=max(1.0, s2)).rank == n
+                                                f.A.shape, tol, scale=max(1.0, s2)).rank == n
 
     criteria = {
         "rank_triple": rank_AAs == rank_AsA == rank_A,
@@ -328,8 +331,12 @@ def _svd_pinv(U, s, Vh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Factored:
-    """One compact SVD of the normalized matrix: 2^-exp A = B C.
+    """One compact SVD of the normalized matrix, with its frame: ``A`` = 2^-exp A = B C.
 
+    ``A`` is the normalized matrix itself, a read-only C-contiguous array
+    (not in the repr), and ``tol`` the tolerance that ranked it; every core,
+    audit and witness reads both from here, so none can be handed another
+    matrix or tolerance than the one factored.
     ``sv`` is the full singular spectrum of 2^-exp A; ``s1`` is its largest
     value and ``s`` its leading r values, so U_r = B / s.
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
@@ -354,6 +361,8 @@ class _Factored:
     values of A~A and AA~ (see :func:`_gram_rank`).
     """
 
+    A: np.ndarray = field(repr=False)
+    tol: Tolerance
     exp: int
     sv: np.ndarray
     B: np.ndarray
@@ -435,38 +444,40 @@ def _gram_rank(w, d: float, s2, cut: float) -> int:
     return int(over) + int(np.sum(s2 > cut)) - 1 + int(under)
 
 
-_last = (None, None, None)   # (tol, private copy of A, _Factored) of the last _factor
+_last = None   # the _Factored of the last _factor
 
 
 def _forget_factor() -> None:
     """Drop the remembered factorization, so that the next :func:`_factor` is cold."""
     global _last
-    _last = (None, None, None)
+    _last = None
 
 
 def _factor(A, tol: Tolerance) -> _Factored:
-    """Normalize A by a power of two, take one compact SVD, rank the two Grams.
+    """Normalize ``as_matrix(A)`` by a power of two, take one compact SVD, rank the two Grams.
 
-    The Grams are not formed: their light-cone margins come from the
+    2^-exp A is built once, from a C-contiguous copy of A, and kept as
+    ``f.A``, so the result does not depend on the memory layout of A.  The
+    Grams are not formed: their light-cone margins come from the
     projections of e1 on the singular bases, and their ranks from an O(r)
     inertia count (:func:`_gram_rank`), so the SVD is the only LAPACK call.
     When the gate passes, the trailing singular vectors of the square
     factor, V when n <= m and U when m <= n, give the audits' complement
     bases ``Wr`` and ``Wn``, kept by the rule of :func:`_space_tests`.
 
-    The last result is remembered with ``tol`` and a private copy of A: a
-    later call with an equal ``tol`` on A of the same shape and bits (-0.0
-    is not 0.0), compared as int64 words, returns the same ``_Factored``,
-    with read-only arrays, and takes no LAPACK call.
+    The last result is remembered.  A later call with an equal ``tol``, the
+    same exponent and the same normalized bits (-0.0 is not 0.0), compared
+    as int64 words, returns the same ``_Factored``, with read-only arrays,
+    and takes no LAPACK call: everything in it is a function of those three.
     """
     global _last
-    A = np.ascontiguousarray(A)
-    last_tol, last_A, last_f = _last
-    if last_tol == tol and last_A.shape == A.shape and np.array_equal(
-            last_A.view(np.int64), A.view(np.int64)):
-        return last_f
+    A = np.ascontiguousarray(as_matrix(A))
     exp = pow2_exponent(A)
-    U, sv, Vh = np.linalg.svd(scale_pow2(A, -exp), full_matrices=False)
+    A = scale_pow2(A, -exp)
+    if _last is not None and _last.tol == tol and _last.exp == exp and np.array_equal(
+            _last.A.view(np.int64), A.view(np.int64)):
+        return _last
+    U, sv, Vh = np.linalg.svd(A, full_matrices=False)
     r = _rank_from_spectrum(sv, A.shape, tol).rank
     Ur = U[:, :r]
     B = Ur * sv[:r]
@@ -475,47 +486,39 @@ def _factor(A, tol: Tolerance) -> _Factored:
     d_u, d_v = (_cone_margin(Ur, u), _cone_margin(C.conj().T, v)) if r else (-1.0, -1.0)
     s2, cut = sv[:r] ** 2, tol.rank_rtol * max(A.shape) * float(sv[0]) ** 2
     ranks = (_gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut)) if r else (0, 0)
-    f = _Factored(exp, sv, B, C, d_u, d_v, *ranks)
+    f = _Factored(A, tol, exp, sv, B, C, d_u, d_v, *ranks)
     if f.exists:
         m, n = A.shape
         f = replace(f, Wr=apply_metric_right(Vh[r:]) if n <= m and n - r <= 2 * r else None,
                     Wn=apply_metric_left(U[:, r:]) if m <= n and m - r <= 2 * r else None)
-    for a in (sv, B, C, f.Wr, f.Wn):
+    for a in (A, sv, B, C, f.Wr, f.Wn):
         if a is not None:
             a.flags.writeable = False
-    _last = (tol, A.copy(), f)
+    _last = f
     return f
 
 
 def _require_existence(f: _Factored, force: bool = False) -> _Factored:
     """``f``, or NotExistent (unless ``force``) when one of its Grams is singular.
 
-    Raised here, after ``_factor`` returned, so the traceback a caller keeps
-    holds only the owned factors, not the SVD's full-size arrays.
+    Raised here, after ``_factor`` returned, and without a reference to
+    ``f``, so the traceback a caller of :func:`mink_inverse` keeps holds no
+    array of the factorization.
     """
     if not (f.exists or force):
-        raise NotExistent("Minkowski inverse does not exist: "
-                          f"rank(A)={f.r}, rank(AA~)={f.rank_CCs}, rank(A~A)={f.rank_BsB}")
+        msg = ("Minkowski inverse does not exist: "
+               f"rank(A)={f.r}, rank(AA~)={f.rank_CCs}, rank(A~A)={f.rank_BsB}")
+        del f
+        raise NotExistent(msg)
     return f
-
-
-def _normalized(A, tol: Tolerance) -> tuple[_Factored, np.ndarray]:
-    """(f, 2^-e A): ``as_matrix`` of A, its factorization f, and the normalized A that f factored.
-
-    The prologue of every entry point that runs on 2^-e A, so that each
-    converts and checks its input once.
-    """
-    A = as_matrix(A)
-    f = _factor(A, tol)
-    return f, scale_pow2(A, -f.exp)
 
 
 def _stored(f: _Factored, key, make: Callable):
     """``make()``, an array or a tuple of arrays, kept read-only on ``f`` under ``key``.
 
-    ``key`` names one value of the normalized A that ``f`` factored, with
-    every further argument it depends on.  The memo of :func:`_factor` keeps
-    one ``f`` per bits of A and tolerance, so a stored value is the one that
+    ``key`` names one value of ``f.A``, with every further argument it
+    depends on.  The memo of :func:`_factor` keeps one ``f`` per tolerance,
+    exponent and normalized bits, so a stored value is the one that
     computing it again would give, bit for bit.
     """
     if key not in f.store:
@@ -529,36 +532,36 @@ def _stored(f: _Factored, key, make: Callable):
 # Each product of the normalized A that several routes and the diagnosis use,
 # formed in the one order they all form it in.
 _PRODUCTS = {
-    "As": lambda f, A: mink_adjoint(A),
-    "AsA": lambda f, A: _product(f, A, "As") @ A,
-    "AAs": lambda f, A: A @ _product(f, A, "As"),
-    "AsAAs": lambda f, A: _product(f, A, "AsA") @ _product(f, A, "As"),
+    "As": lambda f: mink_adjoint(f.A),
+    "AsA": lambda f: _product(f, "As") @ f.A,
+    "AAs": lambda f: f.A @ _product(f, "As"),
+    "AsAAs": lambda f: _product(f, "AsA") @ _product(f, "As"),
 }
 
 
-def _product(f: _Factored, A, name: str) -> np.ndarray:
-    """A~ ("As"), A~A, AA~ or A~AA~ of the normalized A that ``f`` factored, stored."""
-    return _stored(f, name, lambda: _PRODUCTS[name](f, A))
+def _product(f: _Factored, name: str) -> np.ndarray:
+    """A~ ("As"), A~A, AA~ or A~AA~ of ``f.A``, stored."""
+    return _stored(f, name, lambda: _PRODUCTS[name](f))
 
 
-def _gram_core(f: _Factored, A, name: str, p: int, tol: Tolerance):
-    """(U, s, Vh), the compact SVD of (AA~)^p ("AAs") or (A~A)^p ("AsA"), stored.
+def _gram_core(f: _Factored, name: str, p: int):
+    """(U, s, Vh), the compact SVD of (AA~)^p ("AAs") or (A~A)^p ("AsA") of ``f.A``, stored.
 
     Taken on the r-by-r core of the product (``dense_core._core_svd``), AA~
-    on U_r / G U_r and A~A on G V_r / V_r, at the anchor sigma_1^(2p) of
-    the normalized A that ``f`` factored; s holds the singular values above
-    that cutoff.  The group route and the split Zlobec route share p = 1.
+    on U_r / G U_r and A~A on G V_r / V_r, at the anchor sigma_1^(2p); s
+    holds the singular values above that cutoff.  The group route and the
+    split Zlobec route share p = 1.
     """
     def make():
-        M = np.linalg.matrix_power(_product(f, A, name), p)
+        M = np.linalg.matrix_power(_product(f, name), p)
         L, R = (f.Ur, apply_metric_left(f.Ur)) if name == "AAs" else (apply_metric_left(f.Vr), f.Vr)
-        rep, U, Vh = _core_svd(M, L, R, tol, f.s1 ** (2 * p))
+        rep, U, Vh = _core_svd(M, L, R, f.tol, f.s1 ** (2 * p))
         return U, rep.singular_values[:rep.rank], Vh
 
     return _stored(f, ("core", name, p), make)
 
 
-def _gram_inverse(f: _Factored, name: str, tol: Tolerance) -> np.ndarray:
+def _gram_inverse(f: _Factored, name: str) -> np.ndarray:
     """(B~B)^-1 ("BsB") or (CC~)^-1 ("CCs") of the normalized factors, stored.
 
     A Gram that the gate ranks singular is pseudo-inverted, as a forced
@@ -567,20 +570,19 @@ def _gram_inverse(f: _Factored, name: str, tol: Tolerance) -> np.ndarray:
     def make():
         M, rank = ((mink_adjoint(f.B) @ f.B, f.rank_BsB) if name == "BsB"
                    else (f.C @ mink_adjoint(f.C), f.rank_CCs))
-        return np.linalg.inv(M) if rank == f.r else moore_penrose(M, tol)
+        return np.linalg.inv(M) if rank == f.r else moore_penrose(M, f.tol)
 
     return _stored(f, name, make)
 
 
-def _frf(f: _Factored, tol: Tolerance) -> np.ndarray:
+def _frf(f: _Factored) -> np.ndarray:
     """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted.
 
     Raises ZeroMatrix for rank 0.
     """
     if f.r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
-    return (mink_adjoint(f.C) @ _gram_inverse(f, "CCs", tol) @ _gram_inverse(f, "BsB", tol)
-            @ mink_adjoint(f.B))
+    return mink_adjoint(f.C) @ _gram_inverse(f, "CCs") @ _gram_inverse(f, "BsB") @ mink_adjoint(f.B)
 
 
 def _inverse_of(f: _Factored) -> np.ndarray:
@@ -678,12 +680,12 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
 
 def _audit_pair(A, X, tol: Tolerance, identity: bool = False):
     """:func:`_audit` of the normalized pair (2^-e A, 2^e X), with f the factorization of A."""
-    f, A = _normalized(A, tol)
-    return _audit(f, A, _candidate(X, A, f.exp), tol, identity)
+    f = _factor(A, tol)
+    return _audit(f, _candidate(X, f.A, f.exp), identity)
 
 
-def _audit(f: _Factored, A, X, tol: Tolerance, identity: bool = False):
-    """The :class:`CheckReport` of the normalized pair (A, X), with ``f`` the factorization of A.
+def _audit(f: _Factored, X, identity: bool = False):
+    """The :class:`CheckReport` of the normalized pair (``f.A``, X).
 
     One :func:`_residual_norms` and one :func:`_space_tests` serve the
     report.  Equations (1) and (2) make X a {1,2}-inverse of A, so
@@ -695,13 +697,13 @@ def _audit(f: _Factored, A, X, tol: Tolerance, identity: bool = False):
     it no identity product is formed.  An X whose norm overflows forms no
     product: every test fails with infinite residuals.
     """
-    diffs, norms, XA = _residual_norms(A, X)
+    diffs, norms, XA = _residual_norms(f.A, X)
     nX = norms[1]
     if XA is None:
         range_ok, null_ok, res_range, res_null = False, False, np.inf, np.inf
     else:
-        range_ok, null_ok, res_range, res_null = _space_tests(f, X, nX, tol)
-    eqs_ok = all(d <= tol.eq_bound(n) for d, n in zip(diffs, norms))
+        range_ok, null_ok, res_range, res_null = _space_tests(f, X, nX)
+    eqs_ok = all(d <= f.tol.eq_bound(n) for d, n in zip(diffs, norms))
     eq1, eq2, eq3m, eq4m = _relative_residuals(diffs, norms)
     check = CheckReport(
         eq1=eq1, eq2=eq2, eq3m=eq3m, eq4m=eq4m,
@@ -711,12 +713,12 @@ def _audit(f: _Factored, A, X, tol: Tolerance, identity: bool = False):
     )
     if not identity:
         return check
-    As = mink_adjoint(A)
+    As = mink_adjoint(f.A)
     if XA is None:
         d_id, ok_id = float("inf"), False
     else:
         d_id = fro(XA @ As - As)
-        ok_id = d_id <= tol.eq_bound(max(fro(As), nX * fro(A)))
+        ok_id = d_id <= f.tol.eq_bound(max(fro(As), nX * norms[0]))
     return check, MooreStyleReport(
         is_inverse=bool(f.exists and ok_id and null_ok and range_ok and eqs_ok),
         acts_identity_on_adjoint_range=bool(ok_id),
@@ -729,10 +731,10 @@ def _audit(f: _Factored, A, X, tol: Tolerance, identity: bool = False):
     )
 
 
-def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
+def _space_tests(f: _Factored, X, nX: float):
     """(range_ok, null_ok, residual_range, residual_null) of an n-by-m X with nX = ||X||.
 
-    With 2^-e A = U Sigma V* factored by ``f``, R(A~) = G R(V_r) and
+    With ``f.A`` = 2^-e A = U Sigma V*, R(A~) = G R(V_r) and
     N(A~) = G N(A*) = G R(U_c), where U_c and V_c are the trailing singular
     vectors.  So X maps into R(A~) iff its part in the complement G R(V_c)
     vanishes, and X kills N(A~) iff X G U_c = 0.  Each test passes when its
@@ -759,7 +761,7 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     complements, but on a non-square A forming its extra columns costs
     more than they save.
     """
-    m, n = f.B.shape[0], f.C.shape[1]
+    m, n = f.A.shape
     d_range = d_null = 0.0
     if f.Wr is not None:
         d_range = fro(f.Wr @ X)
@@ -771,7 +773,7 @@ def _space_tests(f: _Factored, X, nX: float, tol: Tolerance):
     elif f.r < m:
         Qn = apply_metric_left(f.Ur)
         d_null = fro(X - (X @ Qn) @ Qn.conj().T)
-    bound = tol.eq_bound(nX)
+    bound = f.tol.eq_bound(nX)
     scale = max(1.0, nX)
     return d_range <= bound, d_null <= bound, d_range / scale, d_null / scale
 
@@ -795,15 +797,15 @@ class InverseComputation:
     gap: float | None = None
 
 
-def _dual_gap(X, X2, tol: Tolerance, force: bool, what: str):
+def _dual_gap(f: _Factored, X, X2, force: bool, what: str):
     """(X, gap) with gap = ||X2 - X|| / max(1, ||X||), X2 a route's second form of X.
 
-    Unless ``force``, a gap beyond the equality bound at ||X|| raises
-    MinkinvError as an internal inconsistency, "<what> by <gap>".
+    Unless ``force``, a gap beyond the equality bound of ``f.tol`` at ||X||
+    raises MinkinvError as an internal inconsistency, "<what> by <gap>".
     """
     d, nX = fro(X2 - X), fro(X)
     gap = d / max(1.0, nX)
-    if not (force or d <= tol.eq_bound(nX)):
+    if not (force or d <= f.tol.eq_bound(nX)):
         raise MinkinvError(f"internal inconsistency: {what} by {gap:.3e}")
     return X, gap
 
@@ -817,35 +819,35 @@ def _run(key: str, A, tol: Tolerance, force: bool, **params) -> InverseComputati
     """
     if params.get("k", 0) < 0 or params.get("l", 0) < 0:
         raise ValueError("exponents must be nonnegative")
-    f, A = _normalized(A, tol)
-    X, result, gap = _route(key, f, A, tol, force, **params)
+    f = _factor(A, tol)
+    X, result, gap = _route(key, f, force, **params)
     algo = _ALGORITHMS[key]
     options = ",".join(f"{o}={params[o]}" for o in algo.options)
     return InverseComputation(algorithm=f"{algo.name}({options})" if options else algo.name,
                               result=result, gap=gap,
-                              residuals=_relative_residuals(*_residual_norms(A, X)[:2]))
+                              residuals=_relative_residuals(*_residual_norms(f.A, X)[:2]))
 
 
-def _route(key: str, f: _Factored, A, tol: Tolerance, force: bool, **params):
-    """(X, result, gap) of route ``key`` on the normalized A that ``f`` factored.
+def _route(key: str, f: _Factored, force: bool, **params):
+    """(X, result, gap) of route ``key`` on ``f.A``.
 
     The route's preconditions, its gate when ``gated``, its core for X and the result
     2^-e X by :func:`_rescaled`, for ``_run`` and ``verify.cross_check``.
     """
     algo = _ALGORITHMS[key]
-    m, n = A.shape
+    m, n = f.A.shape
     if algo.square and m != n:
-        raise NotSquare(f"this route needs a square matrix, got {A.shape}")
+        raise NotSquare(f"this route needs a square matrix, got {f.A.shape}")
     if "r" in algo.options:      # the caller's rank, with a nonsingular leading block
         r = params["r"]
         if not 1 <= r <= min(m, n):
             raise RankMismatch(f"r must be within 1..{min(m, n)}, got {r}")
         if f.r != r:
             raise RankMismatch(f"rank(A)={f.r} does not match the requested r={r}")
-        _nonsingular(A[:r, :r], f"leading {r}x{r} block", BlockSingular, tol)
+        _nonsingular(f.A[:r, :r], f"leading {r}x{r} block", BlockSingular, f.tol)
     if algo.gated:
         _require_existence(f, force)
-    X, gap = algo.core(f, A, tol, force, **params)
+    X, gap = algo.core(f, force, **params)
     return X, _rescaled(f"{algo.name} result", X, -f.exp), gap
 
 
@@ -880,9 +882,9 @@ def mink_inverse_hs(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> Inv
     return _run("hs", A, tol, force)
 
 
-def _hs(f: _Factored, A, tol: Tolerance, force: bool):
-    """(X, gap) of :func:`mink_inverse_hs` on the normalized square A."""
-    n = A.shape[0]
+def _hs(f: _Factored, force: bool):
+    """(X, gap) of :func:`mink_inverse_hs` on the normalized square ``f.A``."""
+    n, tol = f.A.shape[0], f.tol
     hs, UGU, G1, KL, Delta, Sigma = _hs_blocks(f)
     r, U = hs.r, hs.U
     G2 = UGU[:r, r:]
@@ -904,7 +906,7 @@ def _hs(f: _Factored, A, tol: Tolerance, force: bool):
     expanded[:r, r:] = t_top @ core_inv @ G2
     expanded[r:, :r] = t_bot @ sd_inv
     expanded[r:, r:] = t_bot @ core_inv @ G2
-    return _dual_gap(X, U @ expanded @ U.conj().T, tol, force, "expanded form differs")
+    return _dual_gap(f, X, U @ expanded @ U.conj().T, force, "expanded form differs")
 
 
 def _hs_blocks(f: _Factored):
@@ -933,13 +935,13 @@ def mink_inverse_zlobec(A, k: int = 0, l: int = 0, W=None,
     return _run("zlobec", A, tol, force, k=k, l=l, W=W)
 
 
-def _zlobec(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0, W=None):
-    """(X, None) of :func:`mink_inverse_zlobec` on the normalized A factored by ``f``."""
+def _zlobec(f: _Factored, force: bool, k: int = 0, l: int = 0, W=None):
+    """(X, None) of :func:`mink_inverse_zlobec` on ``f.A``."""
     power = np.linalg.matrix_power
-    As, AsA = _product(f, A, "As"), _product(f, A, "AsA")
-    mid = _product(f, A, "AsAAs") if k + l == 0 else power(AsA, k + l + 1) @ As
+    As, AsA = _product(f, "As"), _product(f, "AsA")
+    mid = _product(f, "AsAAs") if k + l == 0 else power(AsA, k + l + 1) @ As
     GUr, GVr = apply_metric_left(f.Ur), apply_metric_left(f.Vr)
-    inner = _one_inverse(mid, _core_pinv(mid, GVr, GUr, tol, f.s1 ** (2 * (k + l + 1) + 1)), W)
+    inner = _one_inverse(mid, _core_pinv(mid, GVr, GUr, f.tol, f.s1 ** (2 * (k + l + 1) + 1)), W)
     X = (power(AsA, k) @ As if k else As) @ inner
     return (X @ power(AsA, l) if l else X) @ As, None
 
@@ -957,17 +959,16 @@ def mink_inverse_zlobec2(A, k: int = 0, l: int = 0, W1=None, W2=None,
     return _run("zlobec2", A, tol, force, k=k, l=l, W1=W1, W2=W2)
 
 
-def _zlobec2(f: _Factored, A, tol: Tolerance, force: bool, k: int = 0, l: int = 0,
-             W1=None, W2=None):
-    """(X, None) of :func:`mink_inverse_zlobec2` on the normalized A factored by ``f``."""
+def _zlobec2(f: _Factored, force: bool, k: int = 0, l: int = 0, W1=None, W2=None):
+    """(X, None) of :func:`mink_inverse_zlobec2` on ``f.A``."""
     power = np.linalg.matrix_power
-    As, AsA = _product(f, A, "As"), _product(f, A, "AsA")
+    As, AsA = _product(f, "As"), _product(f, "AsA")
 
     def inner(name, p, W):               # [(Gram)^p]^(1) of the parameter W
-        Mp = _svd_pinv(*_gram_core(f, A, name, p, tol))
-        return Mp if W is None else _one_inverse(power(_product(f, A, name), p), Mp, W)
+        Mp = _svd_pinv(*_gram_core(f, name, p))
+        return Mp if W is None else _one_inverse(power(_product(f, name), p), Mp, W)
 
-    X = (power(AsA, k) @ As if k else As) @ inner("AAs", k + 1, W1) @ A @ inner("AsA", l + 1, W2)
+    X = (power(AsA, k) @ As if k else As) @ inner("AAs", k + 1, W1) @ f.A @ inner("AsA", l + 1, W2)
     return (X @ power(AsA, l) if l else X) @ As, None
 
 
@@ -982,20 +983,20 @@ def mink_inverse_group(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> 
     return _run("group", A, tol, force)
 
 
-def _group(f: _Factored, A, tol: Tolerance, force: bool):
-    """(X, gap) of :func:`mink_inverse_group` on the normalized A factored by ``f``.
+def _group(f: _Factored, force: bool):
+    """(X, gap) of :func:`mink_inverse_group` on ``f.A``.
 
     Each Gram product is formed, then factored on its r-by-r core (A~A on
     G V_r / V_r, AA~ on U_r / G U_r) for ``dense_core._group_of_svd``.
     """
-    As, s2 = _product(f, A, "As"), f.s1 ** 2
+    As, s2 = _product(f, "As"), f.s1 ** 2
 
     def grp(name, n):
-        return _group_of_svd(*_gram_core(f, A, name, 1, tol), (n, n), tol, s2, force)
+        return _group_of_svd(*_gram_core(f, name, 1), (n, n), f.tol, s2, force)
 
-    X1 = grp("AsA", A.shape[1]) @ As
-    X2 = As @ grp("AAs", A.shape[0])
-    return _dual_gap(X1, X2, tol, force, "dual group forms differ")
+    X1 = grp("AsA", f.A.shape[1]) @ As
+    X2 = As @ grp("AAs", f.A.shape[0])
+    return _dual_gap(f, X1, X2, force, "dual group forms differ")
 
 
 def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
@@ -1013,16 +1014,15 @@ def mink_inverse_resolvent(A, W=None, tol: Tolerance = DEFAULT_TOL,
     return _run("resolvent", A, tol, force, W=W)
 
 
-def _resolvent(f: _Factored, A, tol: Tolerance, force: bool, W=None):
-    """(X, gap) of :func:`mink_inverse_resolvent` on the normalized A factored by ``f``."""
-    m, n = A.shape
+def _resolvent(f: _Factored, force: bool, W=None):
+    """(X, gap) of :func:`mink_inverse_resolvent` on ``f.A``."""
+    A, (m, n), anchor = f.A, f.A.shape, max(1.0, f.s1 ** 2)
     A1 = _one_inverse(A, f.pinv_A, W)
-    anchor = max(1.0, f.s1 ** 2)
-    left = _inverse(_product(f, A, "AsA") + np.eye(n, dtype=np.complex128) - A1 @ A,
-                    "resolvent", Singular, tol, anchor, force)
-    right = _inverse(_product(f, A, "AAs") + np.eye(m, dtype=np.complex128) - A @ A1,
-                     "dual resolvent", Singular, tol, anchor, force)
-    return _dual_gap(mink_adjoint(A @ left), mink_adjoint(right @ A), tol, force,
+    left = _inverse(_product(f, "AsA") + np.eye(n, dtype=np.complex128) - A1 @ A,
+                    "resolvent", Singular, f.tol, anchor, force)
+    right = _inverse(_product(f, "AAs") + np.eye(m, dtype=np.complex128) - A @ A1,
+                     "dual resolvent", Singular, f.tol, anchor, force)
+    return _dual_gap(f, mink_adjoint(A @ left), mink_adjoint(right @ A), force,
                      "dual resolvent forms differ")
 
 
@@ -1043,11 +1043,11 @@ def mink_inverse_block(A, r: int, tol: Tolerance = DEFAULT_TOL,
     return _run("block", A, tol, force, r=r)
 
 
-def _block(f: _Factored, A, tol: Tolerance, force: bool, r: int):
-    """(X, None) of :func:`mink_inverse_block` on the normalized A factored by ``f``."""
-    P = mink_adjoint(A[:r, :])   # n x r
-    S = mink_adjoint(A[:, :r])   # r x m
-    mid_inv = _inverse(S @ A @ P, "bordered core", Singular, tol, f.s1 ** 3, force)
+def _block(f: _Factored, force: bool, r: int):
+    """(X, None) of :func:`mink_inverse_block` on ``f.A``."""
+    P = mink_adjoint(f.A[:r, :])   # n x r
+    S = mink_adjoint(f.A[:, :r])   # r x m
+    mid_inv = _inverse(S @ f.A @ P, "bordered core", Singular, f.tol, f.s1 ** 3, force)
     return P @ mid_inv @ S, None
 
 
@@ -1067,7 +1067,7 @@ def mink_inverse(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     :func:`_rescaled`).  The zero matrix maps to the zero matrix (every
     defining equation holds trivially for X = 0).
     """
-    f = _require_existence(_factor(as_matrix(A), tol))
+    f = _require_existence(_factor(A, tol))
     return _rescaled("A^m", _inverse_of(f), -f.exp)
 
 
@@ -1077,7 +1077,7 @@ def full_rank_factorization(A, tol: Tolerance = DEFAULT_TOL) -> FullRankFactoriz
     Raises ZeroMatrix when the numerical rank is 0, and MinkinvError naming
     B where B leaves the double range.
     """
-    f = _factor(as_matrix(A), tol)
+    f = _factor(A, tol)
     if f.r == 0:
         raise ZeroMatrix("cannot factor a numerically zero matrix")
     return FullRankFactorization(B=_rescaled("B", f.B, f.exp), C=f.C.copy(), r=f.r)
@@ -1089,10 +1089,9 @@ def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
     Raises NotSquare for rectangular input, ZeroMatrix for rank 0, and
     MinkinvError naming sigma where 2^e sigma leaves the double range.
     """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
     f = _factor(A, tol)
+    if f.A.shape[0] != f.A.shape[1]:
+        raise NotSquare(f"decomposition is defined for square matrices, got {f.A.shape}")
     return _hs_from_svd(f.Ur, _rescaled("sigma", f.s, f.exp), f.C)
 
 
@@ -1118,12 +1117,12 @@ def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     that Y selects is checked against them on 2^-e A, and InvalidWitness
     names X where it fails (for unit-size Y, from |A| of about 1e6 on).
     """
-    f, A = _normalized(A, tol)
-    X = _member_13m(f, A, tol, Y)
-    return _rescaled("X", X if Y is None else _witness("X", A, X, 2, tol), -f.exp)
+    f = _factor(A, tol)
+    X = _member_13m(f, Y)
+    return _rescaled("X", X if Y is None else _witness(f, "X", X, 2), -f.exp)
 
 
-def _member_13m(f: _Factored, A, tol: Tolerance, Y=None) -> np.ndarray:
+def _member_13m(f: _Factored, Y=None) -> np.ndarray:
     """The member of (2^-e A){1,3m} that 2^e Y selects (the base C+ (B~B)^-1 B~ for Y=None).
 
     A nonsingular Gram at the gate's cutoff is also nonsingular at the
@@ -1132,11 +1131,11 @@ def _member_13m(f: _Factored, A, tol: Tolerance, Y=None) -> np.ndarray:
     """
     if f.r == 0 or f.rank_BsB != f.r:
         raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r} (or rank 0)")
-    X = f.C.conj().T @ _gram_inverse(f, "BsB", tol) @ mink_adjoint(f.B)
+    X = f.C.conj().T @ _gram_inverse(f, "BsB") @ mink_adjoint(f.B)
     if Y is None:
         return X
     Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp, param=True)
-    return X + (np.eye(X.shape[0], dtype=np.complex128) - X @ A) @ Y
+    return X + (np.eye(X.shape[0], dtype=np.complex128) - X @ f.A) @ Y
 
 
 def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -1150,12 +1149,12 @@ def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     is checked against eqs (1) and (4m), as in :func:`one_three_m`, with
     rank(AA~) the rank of its Gram CC~.
     """
-    f, A = _normalized(A, tol)
-    X = _member_14m(f, A, tol, Z)
-    return _rescaled("X", X if Z is None else _witness("X", A, X, 3, tol), -f.exp)
+    f = _factor(A, tol)
+    X = _member_14m(f, Z)
+    return _rescaled("X", X if Z is None else _witness(f, "X", X, 3), -f.exp)
 
 
-def _member_14m(f: _Factored, A, tol: Tolerance, Z=None) -> np.ndarray:
+def _member_14m(f: _Factored, Z=None) -> np.ndarray:
     """The member of (2^-e A){1,4m} that 2^e Z selects (the base C~ (CC~)^-1 B+ for Z=None).
 
     The gate's Gram is Sigma CC~ Sigma up to sign flips, so CC~ is
@@ -1163,11 +1162,11 @@ def _member_14m(f: _Factored, A, tol: Tolerance, Z=None) -> np.ndarray:
     """
     if f.r == 0 or f.rank_CCs != f.r:
         raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r} (or rank 0)")
-    X = mink_adjoint(f.C) @ _gram_inverse(f, "CCs", tol) @ f.pinv_B
+    X = mink_adjoint(f.C) @ _gram_inverse(f, "CCs") @ f.pinv_B
     if Z is None:
         return X
     Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp, param=True)
-    return X + Z @ (np.eye(X.shape[1], dtype=np.complex128) - A @ X)
+    return X + Z @ (np.eye(X.shape[1], dtype=np.complex128) - f.A @ X)
 
 
 def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -1181,38 +1180,38 @@ def compose_13m_14m(A, X13, X14, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     back by 2^-e; MinkinvError names the matrix whose scaling leaves the
     double range.
     """
-    f, A = _normalized(A, tol)
+    f = _factor(A, tol)
     X13 = as_matrix(X13)
     X14 = as_matrix(X14)
     _require_existence(f)
-    X = _compose(A, _rescaled("X13", X13, f.exp), _rescaled("X14", X14, f.exp), tol)
+    X = _compose(f, _rescaled("X13", X13, f.exp), _rescaled("X14", X14, f.exp))
     return _rescaled("A^m", X, -f.exp)
 
 
-def _witness(name: str, A, X, k: int, tol: Tolerance) -> np.ndarray:
-    """X, a {1,3m}- (k = 2) or {1,4m}-inverse (k = 3) of the normalized A, or InvalidWitness.
+def _witness(f: _Factored, name: str, X, k: int) -> np.ndarray:
+    """X, a {1,3m}- (k = 2) or {1,4m}-inverse (k = 3) of ``f.A``, or InvalidWitness.
 
     X must have the shape of A* (ShapeMismatch names ``name`` otherwise)
     and satisfy eq (1) and eq (3m) or (4m) within the equality bound at unit
     scale, in the relative residuals of :func:`defining_residuals`;
     InvalidWitness names ``name`` otherwise.
     """
-    X = _shaped(name, X, A.shape[::-1])
-    e = _relative_residuals(*_residual_norms(A, X)[:2])
-    if e[0] > tol.eq_bound(1.0) or e[k] > tol.eq_bound(1.0):
+    X = _shaped(name, X, f.A.shape[::-1])
+    e, bound = _relative_residuals(*_residual_norms(f.A, X)[:2]), f.tol.eq_bound(1.0)
+    if e[0] > bound or e[k] > bound:
         raise InvalidWitness(f"{name} violates eqs (1)/({k + 1}m): residuals {e[0]:.2e}, {e[k]:.2e}")
     return X
 
 
-def _compose(A, X13, X14, tol: Tolerance) -> np.ndarray:
-    """X14 A X13 of the normalized A and witnesses, after validating X13, then X14."""
-    X13 = _witness("X13", A, X13, 2, tol)
-    return _witness("X14", A, X14, 3, tol) @ A @ X13
+def _compose(f: _Factored, X13, X14) -> np.ndarray:
+    """X14 A X13 of ``f.A`` and the normalized witnesses, after validating X13, then X14."""
+    X13 = _witness(f, "X13", X13, 2)
+    return _witness(f, "X14", X14, 3) @ f.A @ X13
 
 
-def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):
-    """(X, None) of compose on the members Y and Z select, on the normalized A (no ``force``)."""
-    return _compose(A, _member_13m(f, A, tol, Y), _member_14m(f, A, tol, Z), tol), None
+def _compose_core(f: _Factored, force: bool, Y=None, Z=None):
+    """(X, None) of compose on the members Y and Z select, on ``f.A`` (no ``force``)."""
+    return _compose(f, _member_13m(f, Y), _member_14m(f, Z)), None
 
 
 # ---------------------------------------------------------------------------
@@ -1223,8 +1222,8 @@ def _compose_core(f: _Factored, A, tol: Tolerance, force: bool, Y=None, Z=None):
 class _Algorithm:
     """One independent route to A^m.
 
-    ``core(f, A, tol, force, **params) -> (X, gap)`` runs on the normalized A
-    that ``f`` factored, and :func:`_route` runs it.  ``name`` labels the
+    ``core(f, force, **params) -> (X, gap)`` runs on ``f.A``, and
+    :func:`_route` runs it.  ``name`` labels the
     results.  ``options`` are the route's integer options ("r" is the rank,
     which cross_check does not know); ``free(m, n)`` maps its free
     parameters to their shapes, in the order the CLI seeds them.  A
@@ -1249,7 +1248,7 @@ class _Algorithm:
 # A shared value is what each route would recompute from the same operands, bit
 # for bit, so sharing it costs no independence.
 _ALGORITHMS = {
-    "frf": _Algorithm("frf", lambda f, A, tol, force: (_frf(f, tol), None)),
+    "frf": _Algorithm("frf", lambda f, force: (_frf(f), None)),
     "hs": _Algorithm("hs", _hs, square=True),
     "zlobec": _Algorithm("zlobec", _zlobec, options=("k", "l"),
                          free=lambda m, n: {"W": (m, n)}),
@@ -1277,9 +1276,9 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     back by 2^-2e; beyond the double range, from about |A| = 1e154 or
     1e-154 on, MinkinvError names the witness.
     """
-    f, A = _normalized(A, tol)
-    _require_existence(f)
-    M = _product(f, A, "AAs") @ A
+    f = _require_existence(_factor(A, tol))
+    A = f.A
+    M = _product(f, "AAs") @ A
     Mp = _core_pinv(M, f.Ur, f.Vr, tol, f.s1 ** 3)
     X = A @ Mp
     Y = Mp @ A
@@ -1307,14 +1306,13 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     scale, and MinkinvError names X where it fails: from |A| of about 1e3
     to 1e4 up on generic input, and from about 1e-154 down.
     """
-    f, A = _normalized(A, tol)
-    _require_existence(f)
+    f = _require_existence(_factor(A, tol))
     Am = _inverse_of(f)
-    Z, Y = _sylvester(f, A, Am, tol)
+    Z, Y = _sylvester(f, Am)
     X = _rescaled("witness X", Z, -2 * f.exp) - Y
     try:                                 # 2^e A~X vs 2^e A^m
         with np.errstate(over="ignore"):
-            right = mats_close(_rescaled("A~X", mink_adjoint(A) @ X, 2 * f.exp), Am, tol)
+            right = mats_close(_rescaled("A~X", mink_adjoint(f.A) @ X, 2 * f.exp), Am, tol)
     except MinkinvError:                 # 2^e A~X overflows: X lost its |A|^-2 part
         right = False
     if not right:
@@ -1322,13 +1320,12 @@ def sylvester_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     return X, Y
 
 
-def _sylvester(f: _Factored, A, Am, tol: Tolerance):
-    """(P Q'^-1, I - P) of :func:`sylvester_witnesses` on the normalized A, P = A Am."""
-    m = A.shape[0]
-    eye = np.eye(m, dtype=np.complex128)
-    P = A @ Am
-    Q = _product(f, A, "AAs") + eye - P
-    return P @ _inverse(Q, "shifted Gram Q", Singular, tol, max(1.0, f.s1 ** 2)), eye - P
+def _sylvester(f: _Factored, Am):
+    """(P Q'^-1, I - P) of :func:`sylvester_witnesses` on ``f.A``, P = A Am."""
+    eye = np.eye(f.A.shape[0], dtype=np.complex128)
+    P = f.A @ Am
+    Q = _product(f, "AAs") + eye - P
+    return P @ _inverse(Q, "shifted Gram Q", Singular, f.tol, max(1.0, f.s1 ** 2)), eye - P
 
 
 def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
@@ -1347,11 +1344,10 @@ def bjerhammar_witnesses(A, Y=None, Z=None, tol: Tolerance = DEFAULT_TOL):
     scaled back, B and C by 2^-2e and D by 2^-3e; MinkinvError names a witness
     beyond the double range (D from about |A| = 1e102 or 1e-102 on).
     """
-    f, A = _normalized(A, tol)
-    _require_existence(f)
+    f = _require_existence(_factor(A, tol))
     Am = _inverse_of(f)
-    m, n = A.shape
-    As = _product(f, A, "As")
+    m, n = f.A.shape
+    As = _product(f, "As")
     P = mink_adjoint(f.pinv_A)           # (A~)+ = (A+)~ from the gate, m x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)

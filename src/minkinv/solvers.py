@@ -46,7 +46,6 @@ from .minkowski import (
     _factor,
     _hs_blocks,
     _inverse_of,
-    _normalized,
     _require_existence,
     apply_metric_left,
     apply_metric_right,
@@ -225,15 +224,15 @@ def rank_equation_solve(inst: RankEquationInstance, tol: Tolerance = DEFAULT_TOL
     no norm of it overflows or underflows.  X is scaled back by 2^(b+c-e),
     and MinkinvError names it where it leaves the double range.
     """
-    f, A = _normalized(inst.A, tol)
+    f = _factor(inst.A, tol)
     b, c = pow2_exponent(inst.B), pow2_exponent(inst.C)
     B, C = scale_pow2(inst.B, -b), scale_pow2(inst.C, -c)
-    if rank_of(np.hstack([A, B]), tol) != f.r:
+    if rank_of(np.hstack([f.A, B]), tol) != f.r:
         raise Infeasible("R(B) is not contained in R(A)")
-    if rank_of(np.vstack([A, C]), tol) != f.r:
+    if rank_of(np.vstack([f.A, C]), tol) != f.r:
         raise Infeasible("R(C*) is not contained in R(A*)")
     X = C @ f.pinv_A @ B
-    _require_bordered_rank(A, B, C, X, f.r, tol)
+    _require_bordered_rank(f.A, B, C, X, f.r, tol)
     return _rescaled("witness X", X, b + c - f.exp)
 
 
@@ -247,10 +246,8 @@ def mink_rank_characterization(A, tol: Tolerance = DEFAULT_TOL):
     back by 2^-e, or MinkinvError names Z.  Existence and A^m come from the
     gate's one factorization, as in :func:`~minkinv.minkowski.mink_inverse`.
     """
-    f, A = _normalized(A, tol)
-    _require_existence(f)
-    m, n = A.shape
-    r = f.r
+    f = _require_existence(_factor(A, tol))
+    A, (m, n), r = f.A, f.A.shape, f.r
     Am = _inverse_of(f)
     X = np.eye(n, dtype=np.complex128) - Am @ A
     Y = np.eye(m, dtype=np.complex128) - A @ Am
@@ -294,11 +291,11 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     of the Y terms, of size |A|^2 |Y|, swamps the A^m part of B (for
     unit-size Y1 and Y2, from |A| of about 1e4 on).
     """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
-    f = _require_existence(_factor(A, tol))
-    n = A.shape[0]
+    f = _factor(A, tol)
+    n = f.A.shape[0]
+    if f.A.shape[1] != n:
+        raise NotSquare(f"the construction needs a square matrix, got {f.A.shape}")
+    _require_existence(f)
     hs, _, G1, KL, Delta, Sigma = _hs_blocks(f)
     r, U = hs.r, hs.U
 

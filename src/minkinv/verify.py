@@ -231,13 +231,14 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     range fails, as the entry point raises.  Gaps are taken on the
     normalized results.
     """
-    f, A = mk._normalized(A, tol)
-    diag = mk._diagnose(f, A, tol)
+    f = mk._factor(A, tol)
+    diag = mk._diagnose(f)
     outcomes = []
+    m, n = f.A.shape
     if f.r == 0:
-        X = np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
+        X = np.zeros((n, m), dtype=np.complex128)
         outcomes.append(AlgorithmOutcome(
-            name="zero", status="ok", result=X, check=mk._audit(f, A, X, tol),
+            name="zero", status="ok", result=X, check=mk._audit(f, X),
             detail="rank 0: the inverse is the zero matrix"))
         return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,
                                 max_gap=0.0, verdict=True, forced=force)
@@ -245,12 +246,12 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     run_forced = force and not diag.exists
     computed = []                    # normalized results of the "ok" outcomes
     for key, algo in mk._ALGORITHMS.items():
-        if "r" in algo.options or (algo.square and A.shape[0] != A.shape[1]):
+        if "r" in algo.options or (algo.square and m != n):
             continue
         try:
-            X, result, _ = mk._route(key, f, A, tol, run_forced)
+            X, result, _ = mk._route(key, f, run_forced)
             outcomes.append(AlgorithmOutcome(name=algo.name, status="ok",
-                                             result=result, check=mk._audit(f, A, X, tol)))
+                                             result=result, check=mk._audit(f, X)))
             computed.append(X)
         except NotExistent as exc:
             outcomes.append(AlgorithmOutcome(name=algo.name, status="refused", detail=str(exc)))

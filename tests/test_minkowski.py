@@ -488,8 +488,8 @@ def test_sylvester_witnesses_lapack_counts(monkeypatch):
 
 def _sylvester_parts(A):
     """(e, P Q'^-1, Y) of sylvester_witnesses on the normalized 2^-e A."""
-    f, An = mi.minkowski._normalized(A, mi.DEFAULT_TOL)
-    Z, Y = mi.minkowski._sylvester(f, An, mi.minkowski._inverse_of(f), mi.DEFAULT_TOL)
+    f = mi.minkowski._factor(A, mi.DEFAULT_TOL)
+    Z, Y = mi.minkowski._sylvester(f, mi.minkowski._inverse_of(f))
     return f.exp, Z, Y
 
 

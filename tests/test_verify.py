@@ -545,8 +545,8 @@ def test_space_tests_match_the_projection_reference():
                   mi.moore_penrose(A), cgauss(rng, *A.shape[::-1])):
             report = mi.check_candidate(A, X)
             space = (report.range_ok, report.null_ok, report.residual_range, report.residual_null)
-            f, An = mi.minkowski._normalized(A, mi.DEFAULT_TOL)
-            X = mi.minkowski._candidate(X, An, f.exp)
+            f = mi.minkowski._factor(A, mi.DEFAULT_TOL)
+            X = mi.minkowski._candidate(X, f.A, f.exp)
             ref = reference_space_tests(f, X, mi.fro(X))
             paths.add((f.Wr is not None, f.Wn is not None))
             assert space[:2] == ref[:2]
