@@ -84,16 +84,36 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+_FRO_MIN = 2.0 ** -480    # below this, squares lost to underflow can matter to a plain norm
+
+
 def fro(M) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
+    """Frobenius norm, also where the squares of the entries leave the double range.
+
+    Where ``np.linalg.norm`` reads inf, or less than 2^-480 (squares below
+    2^-1022 lose bits), the norm is taken on 2^-e M of :func:`pow2_exponent`
+    and scaled back by 2^e; elsewhere it is ``np.linalg.norm`` bit for bit.
+    It is inf only where the norm lies beyond the double range.
+    """
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(M))
+        if _FRO_MIN <= n < np.inf or not (n or np.any(M)):
+            return n
+        e = pow2_exponent(M)
+        return float(np.ldexp(np.linalg.norm(scale_pow2(np.asarray(M), -e)), e))
 
 
 def sigma_max(M) -> float:
-    """Largest singular value (0 for an empty matrix)."""
+    """Largest singular value (0 for an empty matrix), from the SVD of 2^-e M scaled back by 2^e.
+
+    e is that of :func:`pow2_exponent`, so the SVD sees entries below 1, and
+    the result is inf only where sigma_max lies beyond the double range.
+    """
     if min(M.shape) == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    e = pow2_exponent(M)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.svd(scale_pow2(M, -e), compute_uv=False)[0], e))
 
 
 def mats_close(M, N, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> bool:

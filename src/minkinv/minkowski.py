@@ -24,13 +24,16 @@ so neither forms a Gram.  The algorithm evaluates its formula on 2^-e A,
 whose residuals equal those of (A, result), and ``dense_core._rescaled``
 scales the result back by 2^-e: exactly while it stays in the normal range,
 and else MinkinvError names it (A^m, of size |A|^-1, leaves from about
-|A| = 2^1022 up and 2^-1022 down).  The factorization carries its frame:
-``_factor`` builds 2^-e A once, C-contiguous, and keeps it read-only with
-the exponent and the tolerance, so every core, audit and witness takes the
-factorization alone, and no result depends on the memory layout of A.  Each
-formula is a private core on it, listed once in ``_ALGORITHMS`` and run by
-:func:`_route`, which the public ``mink_inverse_*`` functions,
-``cross_check`` (factoring A once for all) and ``minkinv inverse`` share.
+|A| = 2^1022 up and 2^-1022 down).
+
+The factorization carries its frame: ``_factor`` builds 2^-e A once,
+C-contiguous, and keeps it read-only with the exponent and the tolerance,
+so every core, audit and witness takes the factorization alone, and no
+result depends on the memory layout of A.  The last factorization is
+remembered, keyed on those three.  Each formula is a private core on it,
+listed once in ``_ALGORITHMS`` and run by :func:`_route`, which the public
+``mink_inverse_*`` functions, ``cross_check`` (factoring A once for all)
+and ``minkinv inverse`` share.
 
 The products that the diagnosis ranks and the Zlobec and group routes
 invert have their column and row spaces among R(U_r), G R(U_r), R(V_r) and
@@ -141,7 +144,7 @@ def defining_residuals(A, X) -> tuple[float, float, float, float]:
     eq1 = ||AXA - A|| / ||A||, eq2 = ||XAX - X|| / ||X||,
     eq3m = ||(AX)~ - AX|| / max(1, ||AX||) and eq4m analogously,
     all in Frobenius norm, taken on the normalized pair (2^-e A, 2^e X) of
-    :func:`pow2_exponent`, whose norms stay in range; ||2^e X|| beyond it reads inf.
+    :func:`pow2_exponent`, whose norms stay in range; ||2^e X|| >= 2^512 reads inf.
     """
     A = as_matrix(A)
     e = pow2_exponent(A)
@@ -161,12 +164,12 @@ def _residual_norms(A, X):
 
     Returns ((||AXA - A||, ||XAX - X||, ||(AX)~ - AX||, ||(XA)~ - XA||),
     (||A||, ||X||, ||AX||, ||XA||), XA) in Frobenius norm, with the product
-    XA for a caller that needs it again; an X whose norm overflows forms no
-    product, and reads infinite differences at unit norms and XA = None.
+    XA for a caller that needs it again.  An X with ||X|| >= 2^512, whose
+    square and with it XAX leave the double range, forms no product, and
+    reads infinite differences at unit norms and XA = None.
     """
-    with np.errstate(over="ignore"):
-        nX = fro(X)
-    if not np.isfinite(nX):
+    nX = fro(X)
+    if not nX < 2.0 ** 512:
         return (float("inf"),) * 4, (1.0,) * 4, None
     AX = A @ X
     XA = X @ A
@@ -672,8 +675,8 @@ def moore_style_check(A, X, tol: Tolerance = DEFAULT_TOL) -> MooreStyleReport:
     (see the module docstring), the only SVD the check takes; its bases
     decide the two space tests (see :func:`_space_tests`).
     Verdict-producing: never raises on a failing candidate; one with
-    ||2^e X|| beyond the double range fails every test with infinite
-    residuals.
+    ||2^e X|| >= 2^512, whose square leaves the double range, fails every
+    test with infinite residuals.
     """
     return _audit_pair(A, X, tol, identity=True)[1]
 
@@ -694,8 +697,8 @@ def _audit(f: _Factored, X, identity: bool = False):
     (check, moore), adding the :class:`MooreStyleReport` of
     :func:`moore_style_check`, whose identity residual ||XAA~ - A~|| is
     formed as (XA) A~ from the XA that the defining equations took; without
-    it no identity product is formed.  An X whose norm overflows forms no
-    product: every test fails with infinite residuals.
+    it no identity product is formed.  An X that :func:`_residual_norms`
+    refuses forms no product: every test fails with infinite residuals.
     """
     diffs, norms, XA = _residual_norms(f.A, X)
     nX = norms[1]

@@ -287,9 +287,11 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     :func:`~minkinv.minkowski.mink_inverse`, whose SVD of 2^-e A gives the HS
     form; on it, 2^2e Y1 and 2^2e Y2 give 2^e B and 2^-e C, scaled back.
     MinkinvError names the matrix whose scaling leaves the double range, and
-    names B where C A+ B misses A^m on that normalized form, where rounding
-    of the Y terms, of size |A|^2 |Y|, swamps the A^m part of B (for
-    unit-size Y1 and Y2, from |A| of about 1e4 on).
+    names B, with the relative miss, where C A+ B misses A^m on that
+    normalized form: near the light cone, where A^m is beyond double
+    precision (from light_cone(1e-7) on), and where rounding of the Y terms,
+    of size |A|^2 |Y|, swamps the A^m part of B (for unit-size Y1 and Y2,
+    from |A| of about 1e4 on).
     """
     f = _factor(A, tol)
     n = f.A.shape[0]
@@ -305,6 +307,8 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
         X1free = _shaped("X1free", X1free, (r, r))
         _nonsingular(X1free, "X1free", SingularParam, tol)
         J = KL.conj().T @ X1free
+
+    given = [name for name, Y in (("Y1", Y1), ("Y2", Y2)) if Y is not None]
 
     def free(name, Y, shape):        # 2^2e Y, the parameter of the normalized construction
         Y = np.zeros(shape, dtype=np.complex128) if Y is None else _shaped(name, Y, shape)
@@ -324,6 +328,10 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     Bfull[:r, r:] = B2
     B = U @ Bfull @ apply_metric_right(U.conj().T)
     C = apply_metric_left(U) @ T @ U.conj().T
-    if not mats_close(C @ f.pinv_A @ B, _inverse_of(f), tol):
-        raise MinkinvError("B loses its A^m part to rounding of Y1, Y2 at this scale of A")
+    Am = _inverse_of(f)
+    miss = fro(C @ f.pinv_A @ B - Am)
+    if not miss <= tol.eq_bound(fro(Am)):
+        raise MinkinvError(f"B fails: C A+ B misses A^m by {miss / fro(Am):.2e} relative"
+                           + (f"; rounding of {', '.join(given)} at this scale of A can cause that"
+                              if given else ""))
     return _rescaled("B", B, -f.exp), _rescaled("C", C, f.exp)

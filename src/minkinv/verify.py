@@ -175,8 +175,9 @@ def check_candidate(A, X, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     only one the audit takes: its bases decide the range and null-space
     tests (see ``minkowski._space_tests``), and ``minkowski._audit`` builds
     the report, as it does for :func:`~minkinv.minkowski.moore_style_check`,
-    ``cross_check`` and ``minkinv check``.  A candidate with ||2^e X|| beyond
-    the double range fails with infinite residuals.
+    ``cross_check`` and ``minkinv check``.  A candidate with ||2^e X|| of
+    2^512 or more, whose square leaves the double range, fails with infinite
+    residuals.
     """
     return mk._audit_pair(A, X, tol)
 

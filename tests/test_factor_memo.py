@@ -13,11 +13,12 @@ import pytest
 
 import minkinv as mi
 from minkinv import fixtures, minkowski
+from minkinv.dense_core import pow2_exponent
 from conftest import existent, isotropic, light_cone
 
 
 def _factor(A, tol=mi.DEFAULT_TOL):
-    return minkowski._factor(mi.as_matrix(A), tol)
+    return minkowski._factor(A, tol)
 
 
 def _cold_factor(A, tol=mi.DEFAULT_TOL):
@@ -28,10 +29,10 @@ def _cold_factor(A, tol=mi.DEFAULT_TOL):
 def _kept(f):
     """The arrays a factorization keeps.
 
-    sv, B, C; when the gate passed, Wr or Wn or both; and every array in its
-    store of shared values.
+    The normalized A, sv, B, C; when the gate passed, Wr or Wn or both; and
+    every array in its store of shared values.
     """
-    return ([a for a in (f.sv, f.B, f.C, f.Wr, f.Wn) if a is not None]
+    return ([a for a in (f.A, f.sv, f.B, f.C, f.Wr, f.Wn) if a is not None]
             + list(_arrays_in(list(f.store.values()))))
 
 
@@ -148,6 +149,32 @@ def test_warm_calls_equal_cold_calls(A):
     assert cold_warm_mismatches(A) == []
 
 
+@pytest.mark.parametrize("A", [
+    existent(7, 7, 4, seed=61),
+    existent(12, 9, 5, seed=62),
+    existent(9, 16, 6, seed=63, scale=1e8),
+    existent(30, 30, 18, seed=64),
+    isotropic(10, 8, seed=65),
+    light_cone(1e-5),
+    mi.mink_adjoint(light_cone(1e-3)),
+])
+def test_outcomes_do_not_depend_on_the_memory_layout(A):
+    # each call, cold, on the same matrix in Fortran order, as a transposed
+    # view and as a strided view, against the call on it in C order
+    A = np.ascontiguousarray(A)
+    layouts = {"fortran": np.asfortranarray(A), "transposed": np.ascontiguousarray(A.T).T,
+               "strided": np.repeat(A, 2, axis=1)[:, ::2]}
+    bad = []
+    for name, call in entry_points(A):
+        minkowski._forget_factor()
+        want = _outcome(call, A)
+        for layout, B in layouts.items():
+            minkowski._forget_factor()
+            if _outcome(call, B) != want:
+                bad.append((name, layout))
+    assert bad == []
+
+
 def test_factor_memo_hits_on_identical_bits():
     A = existent(7, 5, 3, seed=31)
     f = _factor(A)
@@ -156,17 +183,28 @@ def test_factor_memo_hits_on_identical_bits():
     assert _factor(np.asfortranarray(A)) is f   # same matrix, another memory layout
 
 
+def test_factor_memo_misses_on_another_power_of_two():
+    # 2A has the normalized bits of A and one more in the exponent
+    A = existent(7, 5, 3, seed=30)
+    f = _factor(A)
+    g = _factor(2.0 * A)
+    assert g is not f and g.exp == f.exp + 1
+    assert g.A.tobytes() == f.A.tobytes()
+
+
 def test_factor_memo_misses_on_in_place_mutation():
-    A = existent(7, 5, 3, seed=32)
-    X = mi.mink_inverse(A)
-    A[2, 1] *= 1.5
-    warm_X = mi.mink_inverse(A)
-    warm_report = mi.check_candidate(A, X)
-    minkowski._forget_factor()
-    assert warm_X.tobytes() == mi.mink_inverse(A).tobytes() != X.tobytes()
-    minkowski._forget_factor()
-    assert fingerprint(warm_report) == fingerprint(mi.check_candidate(A, X))
-    assert not warm_report.verdict
+    # also on an A that is its own normalized matrix (exponent 0)
+    A0 = existent(7, 5, 3, seed=32)
+    for A in (A0, A0 / 2.0 ** pow2_exponent(A0)):
+        X = mi.mink_inverse(A)
+        A[2, 1] *= 1.5
+        warm_X = mi.mink_inverse(A)
+        warm_report = mi.check_candidate(A, X)
+        minkowski._forget_factor()
+        assert warm_X.tobytes() == mi.mink_inverse(A).tobytes() != X.tobytes()
+        minkowski._forget_factor()
+        assert fingerprint(warm_report) == fingerprint(mi.check_candidate(A, X))
+        assert not warm_report.verdict
 
 
 def test_factor_memo_keys_on_bits_tolerance_and_shape():

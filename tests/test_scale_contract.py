@@ -288,7 +288,23 @@ COVARIANT = {
     "projector_onto_along": (0, lambda M, W: [mi.projector_onto_along(M, mi.mink_adjoint(M))]),
     # with the default WA = WB = None the particular solution of M X M = M is M+
     "solve_axb_d": (-1, lambda M, W: [mi.solve_axb_d(M, M, M).particular]),
+    "fro": (1, lambda M, W: [_norm(mi.fro(M), M)]),
+    "sigma_max": (1, lambda M, W: [_norm(mi.sigma_max(M), M)]),
 }
+
+
+def _norm(x, M):
+    """The norm x of M as a 1-vector, or MinkinvError where x may rightly leave the normal range.
+
+    Both norms lie in [max|m_ij|, sqrt(mn) max|m_ij|].  So x may be inf only
+    where that upper bound reaches 2^1024, and below 2^-1022 (where no double
+    is right to 1e-8) only where the lower bound is below 2^-1022; elsewhere
+    it is returned and must be right.
+    """
+    big = np.log2(np.abs(M).max())
+    if (x == np.inf and big + np.log2(M.size) / 2 >= 1024) or (x < 2.0 ** -1022 and big < -1022):
+        raise mi.MinkinvError("the norm lies outside the normal range")
+    return np.array([x])
 
 # dense_core names without a row, and why
 CORE_EXEMPT = {
@@ -296,8 +312,8 @@ CORE_EXEMPT = {
     "EPS", "DEFAULT_TOL", "Tolerance", "RankReport", "FullRankFactorization", "HSDecomposition",
     # the input validator: returns its input
     "as_matrix",
-    # scalars and a verdict on the caller's matrices, taken without normalizing them
-    "fro", "sigma_max", "mats_close",
+    # a verdict on the caller's matrices, taken without normalizing them
+    "mats_close",
 }
 
 G55 = mi.mink_adjoint(A55) @ A55

@@ -1,5 +1,7 @@
 """Tests for the matrix-equation and rank-equation machinery."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 import minkinv as mi
 from minkinv import fixtures
 from minkinv.dense_core import scale_pow2
-from conftest import cgauss, existent, isotropic, lapack_counts
+from conftest import cgauss, existent, isotropic, lapack_counts, light_cone
 
 A55 = fixtures.existent_5x5()
 AM55 = fixtures.existent_5x5_minkinv()
@@ -265,6 +267,17 @@ def test_solvers_gate_on_one_factorization(monkeypatch):
 def test_bc_parameterization_requires_existence():
     with pytest.raises(mi.NotExistent, match="Minkowski inverse does not exist"):
         mi.bc_parameterization(isotropic(4, 4, seed=5))
+
+
+def test_bc_parameterization_states_its_miss_near_the_light_cone():
+    # A^m of light_cone(1e-9) is beyond double precision: the refusal gives
+    # the measured miss, and names Y1 or Y2 only where the caller passed them
+    with pytest.raises(mi.MinkinvError) as info:
+        mi.bc_parameterization(light_cone(1e-9))
+    assert re.fullmatch(r"B fails: C A\+ B misses A\^m by \d\.\d\de-0[5-9] relative",
+                        str(info.value)), str(info.value)
+    with pytest.raises(mi.MinkinvError, match=r"relative; rounding of Y1 at this scale of A"):
+        mi.bc_parameterization(light_cone(1e-9), Y1=np.zeros((4, 1)))
 
 
 def test_bc_parameterization_identity():

@@ -125,7 +125,7 @@ def test_check_candidate_soundness_under_noise(rng):
 
 @pytest.mark.parametrize("A, X", [
     (1e10 * A55, 1e300 * np.ones((5, 5))),   # 2^e X overflows
-    (A55, 2.0 ** 1020 * np.ones((5, 5))),    # 2^e X is finite, its norm is not
+    (A55, 2.0 ** 1020 * np.ones((5, 5))),    # 2^e X is finite, its norm beyond 2^512
 ])
 def test_auditors_reject_a_candidate_beyond_the_double_range(A, X):
     # both audits must say no, with infinite residuals, and not raise
@@ -373,7 +373,7 @@ def test_audits_project_once(monkeypatch, tmp_path):
     mi.write_matrix(x, mi.mink_inverse(A))
     big = 1e300 * np.ones((5, 5))
     # `minkinv check` projects once for both auditors; an X whose normalized
-    # norm overflows is rejected without forming a projection
+    # norm reaches 2^512 is rejected without forming a projection
     for audit, want in [(lambda: main(["check", a, x]), 1),
                         (lambda: mi.check_candidate(A, mi.mink_inverse(A)), 1),
                         (lambda: mi.moore_style_check(A, mi.mink_inverse(A)), 1),

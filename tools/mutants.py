@@ -71,12 +71,21 @@ MUTANTS = [
            "    if f.exists:\n        m, n = A.shape", "    if True:\n        m, n = A.shape",
            (KEPT,)),
     Mutant("memo compares values, not bits", MINK,
-           "np.array_equal(\n            last_A.view(np.int64), A.view(np.int64))",
-           "np.array_equal(\n            last_A, A)",
+           "np.array_equal(\n            _last.A.view(np.int64), A.view(np.int64))",
+           "np.array_equal(\n            _last.A, A)",
            (MEMO + "test_factor_memo_keys_on_bits_tolerance_and_shape",)),
     Mutant("memo keeps the caller's A", MINK,
-           "_last = (tol, A.copy(), f)", "_last = (tol, A, f)",
+           "    A = scale_pow2(A, -exp)\n", "    A = A if exp == 0 else scale_pow2(A, -exp)\n",
            (MEMO + "test_factor_memo_misses_on_in_place_mutation",)),
+    Mutant("the input's layout kept in the factorization", MINK,
+           "A = np.ascontiguousarray(as_matrix(A))", "A = as_matrix(A)",
+           (MEMO + "test_outcomes_do_not_depend_on_the_memory_layout",)),
+    Mutant("memo key without the exponent", MINK,
+           "_last.tol == tol and _last.exp == exp and", "_last.tol == tol and",
+           (MEMO + "test_factor_memo_misses_on_another_power_of_two",)),
+    Mutant("normalized A left writable", MINK,
+           "for a in (A, sv, B, C, f.Wr, f.Wn):", "for a in (sv, B, C, f.Wr, f.Wn):",
+           (MEMO + "test_remembered_factors_are_read_only",)),
     # matrix files
     Mutant("%.17g for %r", MATIO,
            'pairs = ",".join(["[%r,%r]"] * n)', 'pairs = ",".join(["[%.17g,%.17g]"] * n)',
@@ -117,14 +126,14 @@ MUTANTS = [
            (VERIFY + "test_moore_style_check_is_false_where_the_gate_refuses",)),
     # free parameters and witnesses
     Mutant("X14 checked against (3m)", MINK,
-           '_witness("X14", A, X14, 3, tol)', '_witness("X14", A, X14, 2, tol)',
+           '_witness(f, "X14", X14, 3)', '_witness(f, "X14", X14, 2)',
            ("tests/test_minkowski.py::test_compose_random_members", CONTRACT)),
     Mutant("{1,3m} member unchecked", MINK,
-           'X if Y is None else _witness("X", A, X, 2, tol)', "X", (CONTRACT,)),
+           'X if Y is None else _witness(f, "X", X, 2)', "X", (CONTRACT,)),
     Mutant("{1,4m} member unchecked", MINK,
-           'X if Z is None else _witness("X", A, X, 3, tol)', "X", (CONTRACT,)),
+           'X if Z is None else _witness(f, "X", X, 3)', "X", (CONTRACT,)),
     Mutant("bc_parameterization unchecked", "src/minkinv/solvers.py",
-           "if not mats_close(C @ f.pinv_A @ B, _inverse_of(f), tol):", "if False:",
+           "if not miss <= tol.eq_bound(fro(Am)):", "if False:",
            (CONTRACT,)),
     # the values that the routes share through the factorization's store
     Mutant("the AA~ core handed to an A~A request", MINK,

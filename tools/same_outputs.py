@@ -8,13 +8,18 @@ generators of NEW_SRC, and handed to both trees: existent, isotropic, block
 and arbitrary draws of eight shapes at scales 1, 1e+-8 and 1e+-100,
 ``light_cone(eps)`` for eps = 1e-1 .. 1e-13 with their adjoints, and two
 zero matrices, 428 inputs in all.  Each tree runs in its own Python
-subprocess, with PYTHONPATH set to it, and calls on every input:
-``cross_check`` plain and forced, ``mink_inverse``, the six route entry
-points, Zlobec at k=1, l=2 and the split form at k=2, l=1,
-``diagnose_existence``, ``one_three_m``, ``one_four_m`` and the three
-witness constructions.  Every call runs twice: cold, after the remembered
-factorization is dropped, and warm, right after the calls before it on the
-same input.
+subprocess, with PYTHONPATH set to it, and makes 28 calls on every input:
+``cross_check`` plain and forced, ``mink_inverse``, the seven route entry
+points (block at the rank of A), Zlobec at k=1, l=2 and the split form at
+k=2, l=1, ``compose_13m_14m`` on the base members, ``diagnose_existence``,
+``one_three_m``, ``one_four_m``, the three witness constructions,
+``check_candidate`` and ``moore_style_check`` on ``np.linalg.pinv(A)`` and
+on the forced FRF result, ``full_rank_factorization``, ``hs_decomposition``,
+``mink_rank_characterization``, ``bc_parameterization``, and
+``rank_equation_solve`` on the border pair of ``bc_parameterization``.
+Every call runs twice: cold, after the remembered factorization is dropped,
+and warm, right after the calls before it on the same input: 23,968
+outcomes with 263,318 fields.
 
 Every field of every output is compared by its bytes: arrays, floats, ints,
 bools and strings, and the type and message of a raised exception.  Each
@@ -94,7 +99,25 @@ def calls(mi):
         ("factorization_witnesses", mi.factorization_witnesses),
         ("sylvester_witnesses", mi.sylvester_witnesses),
         ("bjerhammar_witnesses", mi.bjerhammar_witnesses),
+        ("check_candidate pinv", lambda A: mi.check_candidate(A, np.linalg.pinv(A))),
+        ("moore_style_check pinv", lambda A: mi.moore_style_check(A, np.linalg.pinv(A))),
+        ("check_candidate frf forced", lambda A: mi.check_candidate(A, _forced_frf(mi, A))),
+        ("moore_style_check frf forced",
+         lambda A: mi.moore_style_check(A, _forced_frf(mi, A))),
+        ("block", lambda A: mi.mink_inverse_block(A, max(1, int(np.linalg.matrix_rank(A))))),
+        ("compose", lambda A: mi.compose_13m_14m(A, mi.one_three_m(A), mi.one_four_m(A))),
+        ("full_rank_factorization", mi.full_rank_factorization),
+        ("hs_decomposition", mi.hs_decomposition),
+        ("mink_rank_characterization", mi.mink_rank_characterization),
+        ("bc_parameterization", mi.bc_parameterization),
+        ("rank_equation_solve bc",
+         lambda A: mi.rank_equation_solve(mi.RankEquationInstance(A, *mi.bc_parameterization(A)))),
     ]
+
+
+def _forced_frf(mi, A):
+    """The forced FRF result for A, the candidate that the auditors judge."""
+    return mi.mink_inverse_frf(A, force=True).result
 
 
 def leaves(value, path: str):
