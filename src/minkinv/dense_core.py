@@ -93,13 +93,15 @@ def fro(M) -> float:
     Where ``np.linalg.norm`` reads inf, or less than 2^-480 (squares below
     2^-1022 lose bits), the norm is taken on 2^-e M of :func:`pow2_exponent`
     and scaled back by 2^e; elsewhere it is ``np.linalg.norm`` bit for bit.
-    It is inf only where the norm lies beyond the double range.
+    It is inf only where the norm lies beyond the double range.  The plain
+    norm runs first, unguarded, so where it overflows numpy's RuntimeWarning
+    reaches a caller that has not silenced it with ``np.errstate``.
     """
+    n = float(np.linalg.norm(M))
+    if _FRO_MIN <= n < np.inf or not (n or np.any(M)):
+        return n
+    e = pow2_exponent(M)
     with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(M))
-        if _FRO_MIN <= n < np.inf or not (n or np.any(M)):
-            return n
-        e = pow2_exponent(M)
         return float(np.ldexp(np.linalg.norm(scale_pow2(np.asarray(M), -e)), e))
 
 

@@ -168,7 +168,8 @@ def _residual_norms(A, X):
     square and with it XAX leave the double range, forms no product, and
     reads infinite differences at unit norms and XA = None.
     """
-    nX = fro(X)
+    with np.errstate(over="ignore"):
+        nX = fro(X)
     if not nX < 2.0 ** 512:
         return (float("inf"),) * 4, (1.0,) * 4, None
     AX = A @ X
@@ -1092,9 +1093,10 @@ def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
     Raises NotSquare for rectangular input, ZeroMatrix for rank 0, and
     MinkinvError naming sigma where 2^e sigma leaves the double range.
     """
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise NotSquare(f"decomposition is defined for square matrices, got {A.shape}")
     f = _factor(A, tol)
-    if f.A.shape[0] != f.A.shape[1]:
-        raise NotSquare(f"decomposition is defined for square matrices, got {f.A.shape}")
     return _hs_from_svd(f.Ur, _rescaled("sigma", f.s, f.exp), f.C)
 
 

@@ -293,11 +293,11 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
     of size |A|^2 |Y|, swamps the A^m part of B (for unit-size Y1 and Y2,
     from |A| of about 1e4 on).
     """
-    f = _factor(A, tol)
-    n = f.A.shape[0]
-    if f.A.shape[1] != n:
-        raise NotSquare(f"the construction needs a square matrix, got {f.A.shape}")
-    _require_existence(f)
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
+    f = _require_existence(_factor(A, tol))
+    n = A.shape[0]
     hs, _, G1, KL, Delta, Sigma = _hs_blocks(f)
     r, U = hs.r, hs.U
 
