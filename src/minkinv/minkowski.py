@@ -341,14 +341,15 @@ class _Factored:
     (not in the repr), and ``tol`` the tolerance that ranked it; every core,
     audit and witness reads both from here, so none can be handed another
     matrix or tolerance than the one factored.
+
     ``sv`` is the full singular spectrum of 2^-exp A; ``s1`` is its largest
     value and ``s`` its leading r values, so U_r = B / s.
     B = U_r Sigma_r and C = V_r* are owned copies, so a refusal by the gate
-    pins (m + n) r + min(m, n) entries, not the SVD's workspace.  When the
-    gate passes, the factorization also keeps the complement bases ``Wr``
-    and ``Wn`` on which the audits test candidates, where the rule of
-    :func:`_space_tests` keeps them; a refusal raised after the gate passed
-    also pins them.  A complement not kept is None.
+    pins, besides ``A``, (m + n) r + min(m, n) entries, not the SVD's
+    workspace.  When the gate passes, the factorization also keeps the
+    complement bases ``Wr`` and ``Wn`` on which the audits test candidates,
+    where the rule of :func:`_space_tests` keeps them; a refusal raised
+    after the gate passed also pins them.  A complement not kept is None.
     B+ = Sigma^-2 B*, C+ = C* and (2^-exp A)+ = C+ B+ follow in closed form.
     ``store`` keeps the values of 2^-exp A that several routes share, each
     computed on first use (see :func:`_stored`), so they are remembered and
@@ -1282,13 +1283,12 @@ def factorization_witnesses(A, tol: Tolerance = DEFAULT_TOL):
     1e-154 on, MinkinvError names the witness.
     """
     f = _require_existence(_factor(A, tol))
-    A = f.A
-    M = _product(f, "AAs") @ A
+    M = _product(f, "AAs") @ f.A
     Mp = _core_pinv(M, f.Ur, f.Vr, tol, f.s1 ** 3)
-    X = A @ Mp
-    Y = Mp @ A
-    scale = fro(A)
-    if not mats_close(X @ M, A, tol, scale=scale) or not mats_close(M @ Y, A, tol, scale=scale):
+    X = f.A @ Mp
+    Y = Mp @ f.A
+    scale = fro(f.A)
+    if not mats_close(X @ M, f.A, tol, scale=scale) or not mats_close(M @ Y, f.A, tol, scale=scale):
         raise MinkinvError("internal inconsistency: factorization witnesses failed to verify")
     return _rescaled("witness X", X, -2 * f.exp), _rescaled("witness Y", Y, -2 * f.exp)
 
