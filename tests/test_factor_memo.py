@@ -192,6 +192,22 @@ def test_factor_memo_misses_on_another_power_of_two():
     assert g.A.tobytes() == f.A.tobytes()
 
 
+def test_factor_miss_drops_the_remembered_factorization_before_its_svd(monkeypatch):
+    # the old factorization is not held while the new SVD runs
+    A, B = existent(7, 5, 3, seed=33), existent(7, 5, 3, seed=34)
+    _factor(A)
+    held = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        held.append(minkowski._last)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    _factor(B)
+    assert held == [None]
+
+
 def test_factor_memo_misses_on_in_place_mutation():
     # also on an A that is its own normalized matrix (exponent 0)
     A0 = existent(7, 5, 3, seed=32)

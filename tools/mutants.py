@@ -83,6 +83,9 @@ MUTANTS = [
     Mutant("memo key without the exponent", MINK,
            "_last.tol == tol and _last.exp == exp and", "_last.tol == tol and",
            (MEMO + "test_factor_memo_misses_on_another_power_of_two",)),
+    Mutant("old factorization held through the new SVD", MINK,
+           "        return _last\n    _last = None\n", "        return _last\n",
+           (MEMO + "test_factor_miss_drops_the_remembered_factorization_before_its_svd",)),
     Mutant("normalized A left writable", MINK,
            "for a in (A, sv, B, C, f.Wr, f.Wn):", "for a in (sv, B, C, f.Wr, f.Wn):",
            (MEMO + "test_remembered_factors_are_read_only",)),
