@@ -298,7 +298,7 @@ def bc_parameterization(A, X1free=None, Y1=None, Y2=None, tol: Tolerance = DEFAU
         raise NotSquare(f"the construction needs a square matrix, got {A.shape}")
     f = _require_existence(_factor(A, tol))
     n = A.shape[0]
-    hs, _, G1, KL, Delta, Sigma = _hs_blocks(f)
+    hs, G1, KL, Delta, Sigma = _hs_blocks(f)
     r, U = hs.r, hs.U
 
     if X1free is None:

@@ -250,7 +250,7 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
         if "r" in algo.options or (algo.square and m != n):
             continue
         try:
-            X, result, _ = mk._route(key, f, run_forced)
+            X, result = mk._route(key, f, run_forced)
             outcomes.append(AlgorithmOutcome(name=algo.name, status="ok",
                                              result=result, check=mk._audit(f, X)))
             computed.append(X)

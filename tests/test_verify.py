@@ -158,6 +158,22 @@ def test_auditors_reach_one_verdict_near_the_light_cone(k):
         assert verdicts == {False}
 
 
+@pytest.mark.parametrize("k", range(7, 14))
+def test_cross_check_fails_near_the_light_cone_whatever_the_routes_return(k):
+    # A^m is beyond what the audit resolves from light_cone(1e-7) on: the gate
+    # says exists, and the verdict is False whichever routes answer or refuse,
+    # because an answering route's X is audited (the resolvent's, which no
+    # second form refuses, among them); from 1e-8 on no answer passes its audit
+    for A in (light_cone(10.0 ** -k), mi.mink_adjoint(light_cone(10.0 ** -k))):
+        rep = mi.cross_check(A)
+        assert rep.exists and not rep.verdict
+        answered = [o for o in rep.outcomes if o.status == "ok"]
+        assert all(o.check is not None for o in answered)
+        assert any(not o.check.verdict for o in answered)
+        if k >= 8:
+            assert not any(o.check.verdict for o in answered)
+
+
 def test_null_space_test_alone_rejects_a_candidate_off_the_null_space():
     # E = w u* (I - AX) with w in R(A~) and u in N(A~): E A = 0 and X A E = E, so eqs (1),
     # (2) and (4m) stay exact and eq (3m) moves least; X + E is 1.25 bounds off N(A~)
@@ -246,12 +262,12 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     # the routes' own products and the diagnosis's seven product ranks, and
     # one factorization that also gives A+, A+ A, B+, C+ and the HS unitary;
     # the group, Zlobec and diagnosis products are factored on their 30x30
-    # cores, so the work (m n min(m, n) per SVD) is about 60% of 17 full SVDs.
+    # cores, so the work (m n min(m, n) per SVD) is about 55% of 15 full SVDs.
     # Group and zlobec2 share the two Gram cores, FRF and compose the two
-    # Gram inverses
+    # Gram inverses; HS and the resolvent evaluate their formulas once
     counts = lapack_counts(monkeypatch, mi.cross_check, A)
-    assert counts == {"svd": 17, "inv": 8, "solve": 0, "eigvalsh": 0, "qr": 1}
-    assert counts.work <= 1_371_000
+    assert counts == {"svd": 15, "inv": 6, "solve": 0, "eigvalsh": 0, "qr": 1}
+    assert counts.work <= 1_067_000
     counts = lapack_counts(monkeypatch, mi.diagnose_existence, A)
     assert counts == {"svd": 8, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
     assert counts.work <= 500_000
@@ -267,6 +283,18 @@ def test_lapack_counts_on_count_baseline(monkeypatch, tmp_path):
     mi.write_matrix(x, X)
     assert lapack_counts(monkeypatch, lambda A: main(["check", a, x]), A) == {
         "svd": 1, "inv": 0, "solve": 0, "eigvalsh": 0, "qr": 0}
+
+
+def test_hs_and_resolvent_invert_one_matrix_each(monkeypatch):
+    # the gate's SVD, then one checked inverse: G1 Sigma Delta for HS, after
+    # the QR of its unitary, and the shifted Gram for the resolvent
+    A = existent(50, 50, 30, seed=1)
+    counts = lapack_counts(monkeypatch, mi.mink_inverse_hs, A)
+    assert counts == {"svd": 2, "inv": 1, "solve": 0, "eigvalsh": 0, "qr": 1}
+    assert counts.work <= 224_000
+    counts = lapack_counts(monkeypatch, mi.mink_inverse_resolvent, A)
+    assert counts == {"svd": 2, "inv": 1, "solve": 0, "eigvalsh": 0, "qr": 0}
+    assert counts.work <= 375_000
 
 
 def test_group_after_zlobec2_takes_only_its_own_work(monkeypatch):

@@ -155,6 +155,17 @@ MUTANTS = [
            '    return _stored(f, "inv", make)\n\n\ndef _frf(',
            ("tests/test_minkowski.py::test_frf_generated",
             "tests/test_minkowski.py::test_compose_random_members")),
+    # the routes' formulas, each evaluated once
+    Mutant("group without its A~(AA~)# form", MINK,
+           'd, nX = fro(As @ grp("AAs", f.A.shape[0]) - X), fro(X)', "d, nX = 0.0, fro(X)",
+           ("tests/test_minkowski.py::test_group_refuses_by_its_dual_form_near_the_light_cone",)),
+    Mutant("resolvent without the -A1 A shift", MINK,
+           "np.eye(n, dtype=np.complex128) - A1 @ A,", "np.eye(n, dtype=np.complex128),",
+           ("tests/test_minkowski.py::test_resolvent_regression",)),
+    Mutant("HS core with K in place of L", MINK,
+           "blk[r:, :r] = hs.L.conj().T @ core_inv", "blk[r:, :r] = hs.K.conj().T @ core_inv",
+           ("tests/test_minkowski.py::test_hs_agrees_with_frf",
+            "tests/test_minkowski.py::test_hs_regression")),
 ]
 
 

@@ -19,7 +19,7 @@ on the forced FRF result, ``full_rank_factorization``, ``hs_decomposition``,
 ``rank_equation_solve`` on the border pair of ``bc_parameterization``.
 Every call runs twice: cold, after the remembered factorization is dropped,
 and warm, right after the calls before it on the same input: 23,968
-outcomes with 263,318 fields.
+outcomes with 258,064 fields.
 
 Every field of every output is compared by its bytes: arrays, floats, ints,
 bools and strings, and the type and message of a raised exception.  Each
