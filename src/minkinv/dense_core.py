@@ -380,8 +380,6 @@ def _group_of_svd(U, s, Vh, shape, tol: Tolerance, scale: float | None = None,
     instead, so that the breakdown stays observable.
     """
     k = s.size
-    if k == 0:
-        return np.zeros(shape, dtype=np.complex128)
     F = U * s
     GF = Vh @ F
     scale2 = None if scale is None else scale * scale

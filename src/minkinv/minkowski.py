@@ -133,8 +133,12 @@ def mink_adjoint(A) -> np.ndarray:
     Exact up to sign flips: (A~)~ == A holds bit for bit, and
     (A B)~ = B~ A~ holds up to rounding of the product itself.
     """
-    A = as_matrix(A)
-    return apply_metric_right(apply_metric_left(A.conj().T))
+    return _adjoint(as_matrix(A))
+
+
+def _adjoint(M) -> np.ndarray:
+    """:func:`mink_adjoint` of a complex128 matrix, unchecked, so also of an empty factor."""
+    return apply_metric_right(apply_metric_left(M.conj().T))
 
 
 def defining_residuals(A, X) -> tuple[float, float, float, float]:
@@ -492,10 +496,10 @@ def _factor(A, tol: Tolerance) -> _Factored:
     B = Ur * sv[:r]
     C = Vh[:r].copy()
     u, v = Ur[0].conj(), C[:, 0]                 # U_r* e1, V_r* e1
-    d_u, d_v = (_cone_margin(Ur, u), _cone_margin(C.conj().T, v)) if r else (-1.0, -1.0)
+    d_u, d_v = _cone_margin(Ur, u), _cone_margin(C.conj().T, v)
     s2, cut = sv[:r] ** 2, tol.rank_rtol * max(A.shape) * float(sv[0]) ** 2
-    ranks = (_gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut)) if r else (0, 0)
-    f = _Factored(A, tol, exp, sv, B, C, d_u, d_v, *ranks)
+    f = _Factored(A, tol, exp, sv, B, C, d_u, d_v,
+                  _gram_rank(u, d_u, s2, cut), _gram_rank(v, d_v, s2, cut))
     if f.exists:
         m, n = A.shape
         f = replace(f, Wr=apply_metric_right(Vh[r:]) if n <= m and n - r <= 2 * r else None,
@@ -577,25 +581,20 @@ def _gram_inverse(f: _Factored, name: str) -> np.ndarray:
     route asks.
     """
     def make():
-        M, rank = ((mink_adjoint(f.B) @ f.B, f.rank_BsB) if name == "BsB"
-                   else (f.C @ mink_adjoint(f.C), f.rank_CCs))
+        M, rank = ((_adjoint(f.B) @ f.B, f.rank_BsB) if name == "BsB"
+                   else (f.C @ _adjoint(f.C), f.rank_CCs))
         return np.linalg.inv(M) if rank == f.r else moore_penrose(M, f.tol)
 
     return _stored(f, name, make)
 
 
 def _frf(f: _Factored) -> np.ndarray:
-    """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted.
-
-    Raises ZeroMatrix for rank 0.
-    """
-    if f.r == 0:
-        raise ZeroMatrix("cannot factor a numerically zero matrix")
-    return mink_adjoint(f.C) @ _gram_inverse(f, "CCs") @ _gram_inverse(f, "BsB") @ mink_adjoint(f.B)
+    """C~ (CC~)^-1 (B~B)^-1 B~ of the normalized factors; singular Grams are pseudo-inverted."""
+    return _adjoint(f.C) @ _gram_inverse(f, "CCs") @ _gram_inverse(f, "BsB") @ _adjoint(f.B)
 
 
 def _inverse_of(f: _Factored) -> np.ndarray:
-    """(2^-e A)^m = 2^e A^m from the factorization of an existent A (0 for rank 0).
+    """(2^-e A)^m = 2^e A^m from the factorization of an existent A.
 
     The formula of :func:`_frf` with both Gram inverses in closed form.  With
     G = 2 e1 e1* - I, Sherman-Morrison gives (2 u u* - I)^-1 = -I + (2/d_u) u u*
@@ -604,10 +603,8 @@ def _inverse_of(f: _Factored) -> np.ndarray:
         G (-V_r + (2/d_v) q v*) Sigma^-1 (-U_r* + (2/d_u) u p*) G,
 
     with p = U_r u and q = V_r v: one n-by-r by r-by-m product, and no Gram
-    product or inverse.
+    product or inverse.  At rank 0 every factor is empty and the product is 0.
     """
-    if f.r == 0:
-        return np.zeros((f.C.shape[1], f.B.shape[0]), dtype=np.complex128)
     Ur, Vr = f.Ur, f.Vr
     u, v = Ur[0].conj(), f.C[:, 0]
     left = np.outer((2 / f.d_v) * (Vr @ v), v.conj()) - Vr
@@ -826,7 +823,8 @@ def _route(key: str, f: _Factored, force: bool, **params):
     """(X, result) of route ``key`` on ``f.A``.
 
     The route's preconditions, its gate when ``gated``, its core for X and the result
-    2^-e X by :func:`_rescaled`, for ``_run`` and ``verify.cross_check``.
+    2^-e X by :func:`_rescaled`, for ``_run`` and ``verify.cross_check``.  At rank 0,
+    whose inverse is 0, X is 0 and no core runs.
     """
     algo = _ALGORITHMS[key]
     m, n = f.A.shape
@@ -841,7 +839,10 @@ def _route(key: str, f: _Factored, force: bool, **params):
         _nonsingular(f.A[:r, :r], f"leading {r}x{r} block", BlockSingular, f.tol)
     if algo.gated:
         _require_existence(f, force)
-    X = algo.core(f, force, **params)
+    for name, shape in algo.free(m, n).items():    # checked here too, as no core runs at rank 0
+        if params.get(name) is not None:
+            _shaped(name, params[name], shape)
+    X = algo.core(f, force, **params) if f.r else np.zeros((n, m), dtype=np.complex128)
     return X, _rescaled(f"{algo.name} result", X, -f.exp)
 
 
@@ -855,7 +856,7 @@ def mink_inverse_frf(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> In
     NotExistent unless both r-by-r Grams B~B and CC~ are nonsingular, which
     is the rank-triple criterion of :func:`diagnose_existence`.  ``force``
     evaluates the formula anyway, pseudo-inverting the singular Grams, to
-    demonstrate the breakdown.  Raises ZeroMatrix when the numerical rank is 0.
+    demonstrate the breakdown.  The zero matrix maps to the zero matrix.
     """
     return _run("frf", A, tol, force)
 
@@ -1097,7 +1098,7 @@ def hs_decomposition(A, tol: Tolerance = DEFAULT_TOL) -> HSDecomposition:
 def one_three_m(A, Y=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A member of A{1,3m}, i.e. X with AXA = A and (AX)~ = AX.
 
-    Such X exist iff rank(A~A) = rank(A) >= 1 (NotExistent13m otherwise).
+    Such X exist iff rank(A~A) = rank(A) (NotExistent13m otherwise).
     The base member is C+ (B~B)^-1 B~ from a full-rank factorization A = BC,
     and the full family is swept by X = base + (I - base A) Y.  Every member
     satisfies A~AX = A~, and AX is the same oblique projector onto R(A)
@@ -1124,9 +1125,9 @@ def _member_13m(f: _Factored, Y=None) -> np.ndarray:
     looser cutoff of :func:`numerical_rank`, so B~B is inverted directly,
     once per factorization with the FRF route (:func:`_gram_inverse`).
     """
-    if f.r == 0 or f.rank_BsB != f.r:
-        raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r} (or rank 0)")
-    X = f.C.conj().T @ _gram_inverse(f, "BsB") @ mink_adjoint(f.B)
+    if f.rank_BsB != f.r:
+        raise NotExistent13m(f"rank(A~A)={f.rank_BsB} != rank(A)={f.r}")
+    X = f.C.conj().T @ _gram_inverse(f, "BsB") @ _adjoint(f.B)
     if Y is None:
         return X
     Y = _rescaled("Y", _shaped("Y", Y, X.shape), f.exp, param=True)
@@ -1136,7 +1137,7 @@ def _member_13m(f: _Factored, Y=None) -> np.ndarray:
 def one_four_m(A, Z=None, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A member of A{1,4m}, i.e. X with AXA = A and (XA)~ = XA.
 
-    Dual of :func:`one_three_m`: exists iff rank(AA~) = rank(A) >= 1
+    Dual of :func:`one_three_m`: exists iff rank(AA~) = rank(A)
     (NotExistent14m otherwise), base member C~ (CC~)^-1 B+, family swept by
     X = base + Z (I - A base).  Every member satisfies XAA~ = A~, and XA is
     the projector onto R(A~) along N(A) for all members.  Existence and
@@ -1155,9 +1156,9 @@ def _member_14m(f: _Factored, Z=None) -> np.ndarray:
     The gate's Gram is Sigma CC~ Sigma up to sign flips, so CC~ is
     nonsingular when it is, and is inverted directly, as in :func:`_member_13m`.
     """
-    if f.r == 0 or f.rank_CCs != f.r:
-        raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r} (or rank 0)")
-    X = mink_adjoint(f.C) @ _gram_inverse(f, "CCs") @ f.pinv_B
+    if f.rank_CCs != f.r:
+        raise NotExistent14m(f"rank(AA~)={f.rank_CCs} != rank(A)={f.r}")
+    X = _adjoint(f.C) @ _gram_inverse(f, "CCs") @ f.pinv_B
     if Z is None:
         return X
     Z = _rescaled("Z", _shaped("Z", Z, X.shape), f.exp, param=True)
@@ -1218,7 +1219,7 @@ class _Algorithm:
     """One independent route to A^m.
 
     ``core(f, force, **params) -> X`` evaluates the route's formula once,
-    on ``f.A``, and :func:`_route` runs it.  ``name`` labels the results.
+    on ``f.A`` of rank >= 1, and :func:`_route` runs it.  ``name`` labels the results.
     ``options`` are the route's integer options ("r" is the rank, which
     cross_check does not know); ``free(m, n)`` maps its free parameters to
     their shapes, in the order the CLI seeds them.  A

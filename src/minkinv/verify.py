@@ -191,7 +191,7 @@ class AlgorithmOutcome:
     """Outcome of one algorithm inside a cross-check run."""
 
     name: str
-    status: str                      # "ok" | "refused" | "skipped" | "failed"
+    status: str                      # "ok" | "refused" | "failed"
     result: np.ndarray | None = None
     check: CheckReport | None = None
     detail: str = ""
@@ -236,14 +236,6 @@ def cross_check(A, tol: Tolerance = DEFAULT_TOL, force: bool = False) -> CrossCh
     diag = mk._diagnose(f)
     outcomes = []
     m, n = f.A.shape
-    if f.r == 0:
-        X = np.zeros((n, m), dtype=np.complex128)
-        outcomes.append(AlgorithmOutcome(
-            name="zero", status="ok", result=X, check=mk._audit(f, X),
-            detail="rank 0: the inverse is the zero matrix"))
-        return CrossCheckReport(exists=True, diagnosis=diag, outcomes=outcomes,
-                                max_gap=0.0, verdict=True, forced=force)
-
     run_forced = force and not diag.exists
     computed = []                    # normalized results of the "ok" outcomes
     for key, algo in mk._ALGORITHMS.items():

@@ -294,7 +294,7 @@ def test_readme_algo_list_matches_the_parser():
 
 
 _GATE = "Minkowski inverse does not exist: rank(A)=2, rank(AA~)=1, rank(A~A)=1"
-_COMPOSE = "rank(A~A)=1 != rank(A)=2 (or rank 0)"
+_COMPOSE = "rank(A~A)=1 != rank(A)=2"
 
 
 @pytest.mark.parametrize("args, rc, message", [
@@ -332,6 +332,51 @@ def test_inverse_hs_nonsquare_precondition(tmp_path):
     rc = main(["inverse", fixture_path("nonexistent_5x4.json"), str(tmp_path / "x.json"),
                "--algo", "hs", "--force"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 3), (4, 4)])
+def test_zero_matrix_file_inverts_to_zero_on_every_route(tmp_path, capsys, shape):
+    # the zero matrix's inverse exists and is 0: every route writes it, and check accepts it
+    a = str(tmp_path / "a.json")
+    mi.write_matrix(a, np.zeros(shape))
+    assert main(["exists", a]) == 0
+    for algo in mi.minkowski._ALGORITHMS:
+        if algo == "block" or (algo == "hs" and shape[0] != shape[1]):
+            continue
+        for extra in ([], ["--force"], ["--seed", "3"]):
+            x = str(tmp_path / f"x-{algo}.json")
+            assert main(["inverse", a, x, "--algo", algo, *extra]) == 0, (algo, extra)
+            assert np.array_equal(mi.read_matrix(x), np.zeros(shape[::-1])), (algo, extra)
+            assert main(["check", a, x]) == 0, (algo, extra)
+    assert main(["inverse", a, str(tmp_path / "b.json"), "--algo", "block", "--r", "1"]) == 4
+    assert "does not match the requested r=1" in capsys.readouterr().err
+
+
+def test_inverse_block_without_r_exits_2(tmp_path, capsys):
+    dst = tmp_path / "x.json"
+    assert main(["inverse", fixture_path("existent_5x5.json"), str(dst), "--algo", "block"]) == 2
+    assert capsys.readouterr().err == "minkinv: --algo block requires --r\n"
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("args", [["--k", "-1"], ["--l", "-1"]])
+@pytest.mark.parametrize("algo", ["zlobec", "zlobec2"])
+def test_inverse_negative_exponent_exits_4(tmp_path, capsys, algo, args):
+    dst = tmp_path / "x.json"
+    rc = main(["inverse", fixture_path("existent_5x5.json"), str(dst), "--algo", algo, *args])
+    assert rc == 4
+    assert capsys.readouterr().err == "minkinv: exponents must be nonnegative\n"
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("kind", ["existent", "block"])
+def test_gen_retry_exhausted_exits_5(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(mi.verify, "_MAX_DRAWS", 0)
+    out = tmp_path / "g.json"
+    assert main(["gen", str(out), "--kind", kind, "--rows", "4", "--cols", "4",
+                 "--rank", "2"]) == 5
+    assert "no well-margined" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inverse_block(tmp_path):

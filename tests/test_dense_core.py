@@ -14,6 +14,19 @@ def test_as_matrix_rejects_nonfinite():
         mi.as_matrix(np.array([[1.0, np.nan]]))
     with pytest.raises(mi.ShapeMismatch):
         mi.as_matrix(np.ones(3))
+    for shape in [(0, 3), (3, 0)]:
+        with pytest.raises(mi.ShapeMismatch, match="dimensions must be positive"):
+            mi.as_matrix(np.ones(shape))
+
+
+def test_sigma_max_of_an_empty_matrix_is_zero():
+    assert mi.sigma_max(np.ones((0, 3))) == 0.0
+
+
+def test_square_only_calls_reject_a_rectangle():
+    for call in (mi.index_of, mi.group_inverse):
+        with pytest.raises(mi.ShapeMismatch, match="square matrix required"):
+            call(np.ones((2, 3)))
 
 
 def test_tolerance_validation():
@@ -109,6 +122,13 @@ def test_group_inverse_nonsingular(rng):
 
 def test_group_inverse_diagonal():
     assert_allclose(mi.group_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+
+
+def test_group_inverse_of_the_zero_matrix_is_zero():
+    # the compact SVD is empty at rank 0, and F (GF)^-2 G of empty factors is 0
+    for n in (1, 3):
+        X = mi.group_inverse(np.zeros((n, n)))
+        assert X.shape == (n, n) and not np.any(X)
 
 
 def test_group_inverse_rejects_index_two():
@@ -253,6 +273,8 @@ def test_projector_rank_mismatch(rng):
     B = np.zeros((2, 4))
     with pytest.raises(mi.RankMismatch):
         mi.projector_onto_along(A, B)
+    with pytest.raises(mi.ShapeMismatch, match="need B cols == A rows"):
+        mi.projector_onto_along(A, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("call, err, message", [

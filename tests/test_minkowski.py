@@ -30,6 +30,11 @@ def test_adjoint_swap_matrix():
     assert_allclose(mi.mink_adjoint(A), [[0, -1], [-1, 0]])
 
 
+def test_metric_order_must_be_positive():
+    with pytest.raises(ValueError, match="metric order must be positive"):
+        mi.metric_signs(0)
+
+
 def test_adjoint_of_metric():
     G = metric(3)
     assert_allclose(mi.mink_adjoint(G), G)
@@ -180,14 +185,22 @@ def test_hs_agrees_with_frf():
 
 
 def test_hs_zero_matrix():
+    # the zero matrix has no HS form, but its inverse is 0, which the route returns
     for force in (False, True):
-        with pytest.raises(mi.ZeroMatrix):
-            mi.mink_inverse_hs(np.zeros((3, 3)), force=force)
+        assert np.array_equal(mi.mink_inverse_hs(np.zeros((3, 3)), force=force).result,
+                              np.zeros((3, 3)))
 
 
 def test_hs_not_square():
     with pytest.raises(mi.NotSquare):
         mi.mink_inverse_hs(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("call", [mi.mink_inverse_zlobec, mi.mink_inverse_zlobec2])
+@pytest.mark.parametrize("k, l", [(-1, 0), (0, -1)])
+def test_zlobec_rejects_negative_exponents(call, k, l):
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        call(A55, k=k, l=l)
 
 
 def test_zlobec_regression_grid():
@@ -310,6 +323,9 @@ def test_block_errors():
     A = block_existent(6, 5, 3, seed=6)
     with pytest.raises(mi.RankMismatch):
         mi.mink_inverse_block(A, 2)
+    for r in (0, 6):
+        with pytest.raises(mi.RankMismatch, match=f"r must be within 1..5, got {r}"):
+            mi.mink_inverse_block(A, r)
     B = np.zeros((3, 3), dtype=complex)  # rank 2 with singular leading 2x2
     B[0, 2] = 1.0
     B[2, 0] = 1.0
@@ -719,6 +735,68 @@ def test_zero_matrix_inverse():
     Z = np.zeros((3, 4), dtype=complex)
     assert mi.diagnose_existence(Z).exists
     assert_allclose(mi.mink_inverse(Z), np.zeros((4, 3)))
+
+
+ZERO_SHAPES = [(1, 1), (3, 4), (4, 3), (4, 4)]
+
+
+def _zero_results(A):
+    """(call, X) of every public route to A^m on the zero matrix A, plain and forced."""
+    routes = {"frf": mi.mink_inverse_frf, "zlobec": mi.mink_inverse_zlobec,
+              "zlobec2": mi.mink_inverse_zlobec2, "group": mi.mink_inverse_group,
+              "resolvent": mi.mink_inverse_resolvent}
+    if A.shape[0] == A.shape[1]:
+        routes["hs"] = mi.mink_inverse_hs
+    for name, call in routes.items():
+        for force in (False, True):
+            yield f"{name} force={force}", call(A, force=force).result
+    yield "mink_inverse", mi.mink_inverse(A)
+    yield "compose", mi.compose_13m_14m(A, mi.one_three_m(A), mi.one_four_m(A))
+
+
+@pytest.mark.parametrize("shape", ZERO_SHAPES)
+def test_rank_0_inverse_is_zero_on_every_route(shape):
+    # the zero matrix's inverse is 0, and every route returns it without running its core
+    A = np.zeros(shape)
+    for name, X in _zero_results(A):
+        assert X.shape == shape[::-1] and not np.any(X), name
+        assert mi.check_candidate(A, X).verdict, name
+
+
+@pytest.mark.parametrize("call, name", [
+    (mi.mink_inverse_zlobec, "W"), (mi.mink_inverse_zlobec2, "W1"),
+    (mi.mink_inverse_zlobec2, "W2"), (mi.mink_inverse_resolvent, "W"),
+])
+def test_rank_0_still_checks_the_free_parameters(call, name):
+    # no core reads them at rank 0, but a misshapen one is refused at every rank
+    for A in (np.zeros((3, 4)), A55):
+        with pytest.raises(mi.ShapeMismatch, match=f"^{name} must be"):
+            call(A, **{name: np.ones((2, 2))})
+
+
+@pytest.mark.parametrize("shape", ZERO_SHAPES)
+def test_rank_0_members_are_their_parameters(shape):
+    # rank(A~A) = rank(A) = 0 holds: the base members are 0, and X = 0 + (I - 0 A) Y = Y
+    A = np.zeros(shape)
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    Y, Z = cgauss(rng, *shape[::-1]), cgauss(rng, *shape[::-1])
+    assert not np.any(mi.one_three_m(A)) and not np.any(mi.one_four_m(A))
+    assert np.array_equal(mi.one_three_m(A, Y), Y)
+    assert np.array_equal(mi.one_four_m(A, Z), Z)
+
+
+@pytest.mark.parametrize("shape", ZERO_SHAPES)
+def test_rank_0_factorizations_and_block_still_refuse(shape):
+    A = np.zeros(shape)
+    with pytest.raises(mi.ZeroMatrix):
+        mi.full_rank_factorization(A)
+    if shape[0] == shape[1]:
+        with pytest.raises(mi.ZeroMatrix):
+            mi.hs_decomposition(A)
+    with pytest.raises(mi.RankMismatch, match="r must be within"):
+        mi.mink_inverse_block(A, 0)
+    with pytest.raises(mi.RankMismatch, match="does not match the requested r=1"):
+        mi.mink_inverse_block(A, 1)
 
 
 def test_projector_adjoint_swap(rng):

@@ -131,6 +131,11 @@ def test_xayb_singular_param(rng):
         mi.solve_xay_b(A, B, np.zeros((2, 2)))
 
 
+def test_xayb_rank_0():
+    with pytest.raises(mi.ZeroMatrix, match="needs rank >= 1"):
+        mi.solve_xay_b(np.zeros((3, 4)), np.zeros((2, 2)), np.eye(1))
+
+
 # ---------------------------------------------------------------------------
 # bordered rank equation
 # ---------------------------------------------------------------------------
@@ -146,7 +151,11 @@ def test_rank_equation_infeasible(rng):
     A = cgauss(rng, 4, 2) @ cgauss(rng, 2, 4)
     B = cgauss(rng, 4, 4)      # generic: R(B) not inside R(A)
     C = cgauss(rng, 4, 4) @ A  # rowspace(C) inside rowspace(A), feasible side
-    with pytest.raises(mi.Infeasible):
+    with pytest.raises(mi.Infeasible, match="R\\(B\\) is not contained"):
+        mi.rank_equation_solve(mi.RankEquationInstance(A=A, B=B, C=C))
+    B = A @ cgauss(rng, 4, 4)  # R(B) inside R(A), feasible side
+    C = cgauss(rng, 4, 4)      # generic: R(C*) not inside R(A*)
+    with pytest.raises(mi.Infeasible, match="R\\(C\\*\\) is not contained"):
         mi.rank_equation_solve(mi.RankEquationInstance(A=A, B=B, C=C))
 
 
@@ -255,6 +264,12 @@ def test_characterization_perturbation_raises_rank(rng):
 def test_characterization_requires_existence():
     with pytest.raises(mi.NotExistent):
         mi.mink_rank_characterization(fixtures.nonexistent_5x4())
+
+
+def test_characterization_refuses_near_the_light_cone():
+    # the gate says A^m exists, but it is beyond double precision: the rank check refuses it
+    with pytest.raises(mi.MinkinvError, match=r"rank\(X\) != expected"):
+        mi.mink_rank_characterization(mi.mink_adjoint(light_cone(1e-9)))
 
 
 def test_solvers_gate_on_one_factorization(monkeypatch):

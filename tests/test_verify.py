@@ -37,6 +37,8 @@ def test_genspec_validation():
         mi.GenSpec(rows=1, cols=3, rank=1, kind=mi.GenKind.ISOTROPIC, seed=0)
     with pytest.raises(ValueError):
         mi.GenSpec(rows=3, cols=3, rank=1, kind=mi.GenKind.EXISTENT, seed=0, scale=0.0)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        mi.GenSpec(rows=3, cols=3, rank=1, kind=mi.GenKind.EXISTENT, seed=2 ** 64)
 
 
 def test_existent_generator_sound():
@@ -78,6 +80,8 @@ def test_generator_retry_exhausted(monkeypatch):
     monkeypatch.setattr(verify, "_MAX_DRAWS", 0)
     with pytest.raises(mi.RetryExhausted):
         mi.generate(mi.GenSpec(rows=5, cols=4, rank=2, kind=mi.GenKind.EXISTENT, seed=1))
+    with pytest.raises(mi.RetryExhausted, match="no well-margined block-existent draw"):
+        mi.generate(mi.GenSpec(rows=5, cols=4, rank=2, kind=mi.GenKind.BLOCK_EXISTENT, seed=1))
 
 
 def test_arbitrary_generator():
@@ -248,6 +252,22 @@ def test_cross_check_generated():
 def test_cross_check_zero_matrix():
     rep = mi.cross_check(np.zeros((3, 3)))
     assert rep.exists and rep.verdict
+
+
+_ZEROS = [np.zeros(shape) for shape in [(1, 1), (3, 4), (4, 3), (4, 4)]]
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("A", _ZEROS, ids=lambda A: "x".join(map(str, A.shape)))
+def test_cross_check_runs_every_route_at_rank_0(A, force):
+    rep = mi.cross_check(A, force=force)
+    names = ["frf", "hs", "zlobec", "zlobec2", "group", "resolvent", "compose13m14m"]
+    if A.shape[0] != A.shape[1]:
+        names.remove("hs")
+    assert [o.name for o in rep.outcomes] == names
+    assert all(o.status == "ok" and o.check.verdict and not np.any(o.result)
+               for o in rep.outcomes)
+    assert rep.exists and rep.verdict and rep.max_gap == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +453,7 @@ def _public_result(name, A, force):
     (existent(8, 8, 5, seed=7, scale=1e100), False),
     (isotropic(5, 4, seed=3), False),
     (isotropic(6, 6, seed=4), True),
+    *((A, force) for A in _ZEROS for force in (False, True)),
 ])
 def test_cross_check_outcomes_match_public_calls(A, force):
     rep = mi.cross_check(A, force=force)

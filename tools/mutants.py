@@ -47,6 +47,7 @@ KEPT = MEMO + "test_complements_are_kept_where_the_gate_passes_and_the_svd_holds
 CLI = "tests/test_cli.py::"
 MATIO_TESTS = "tests/test_matio.py::"
 VERIFY = "tests/test_verify.py::"
+MINKOWSKI = "tests/test_minkowski.py::"
 CONTRACT = "tests/test_scale_contract.py::test_parameterized_right_or_raise_at_every_scale"
 
 MUTANTS = [
@@ -166,6 +167,18 @@ MUTANTS = [
            "blk[r:, :r] = hs.L.conj().T @ core_inv", "blk[r:, :r] = hs.K.conj().T @ core_inv",
            ("tests/test_minkowski.py::test_hs_agrees_with_frf",
             "tests/test_minkowski.py::test_hs_regression")),
+    # rank 0, whose inverse is 0
+    Mutant("rank-0 rule dropped from _route", MINK,
+           "X = algo.core(f, force, **params) if f.r else np.zeros((n, m), dtype=np.complex128)",
+           "X = algo.core(f, force, **params)",
+           (MINKOWSKI + "test_rank_0_inverse_is_zero_on_every_route",
+            VERIFY + "test_cross_check_runs_every_route_at_rank_0")),
+    Mutant("{1,3m} member refuses rank 0 again", MINK,
+           "    if f.rank_BsB != f.r:", "    if f.r == 0 or f.rank_BsB != f.r:",
+           (MINKOWSKI + "test_rank_0_members_are_their_parameters",)),
+    Mutant("{1,4m} member refuses rank 0 again", MINK,
+           "    if f.rank_CCs != f.r:", "    if f.r == 0 or f.rank_CCs != f.r:",
+           (MINKOWSKI + "test_rank_0_members_are_their_parameters",)),
 ]
 
 

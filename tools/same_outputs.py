@@ -6,20 +6,21 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts; NEW_SRC
 defaults to this repository's.  The corpus is drawn once, with the
 generators of NEW_SRC, and handed to both trees: existent, isotropic, block
 and arbitrary draws of eight shapes at scales 1, 1e+-8 and 1e+-100,
-``light_cone(eps)`` for eps = 1e-1 .. 1e-13 with their adjoints, and two
-zero matrices, 428 inputs in all.  Each tree runs in its own Python
-subprocess, with PYTHONPATH set to it, and makes 28 calls on every input:
-``cross_check`` plain and forced, ``mink_inverse``, the seven route entry
-points (block at the rank of A), Zlobec at k=1, l=2 and the split form at
-k=2, l=1, ``compose_13m_14m`` on the base members, ``diagnose_existence``,
-``one_three_m``, ``one_four_m``, the three witness constructions,
+``light_cone(eps)`` for eps = 1e-1 .. 1e-13 with their adjoints, and the
+zero matrices of shapes 1x1, 1x4, 4x1, 3x4 and 4x4, 431 inputs in all.
+Each tree runs in its own Python subprocess, with PYTHONPATH set to it,
+and makes 28 calls on every input: ``cross_check`` plain and forced,
+``mink_inverse``, the seven route entry points (block at the rank of A),
+Zlobec at k=1, l=2 and the split form at k=2, l=1, ``compose_13m_14m``
+on the base members, ``diagnose_existence``, ``one_three_m``,
+``one_four_m``, the three witness constructions,
 ``check_candidate`` and ``moore_style_check`` on ``np.linalg.pinv(A)`` and
 on the forced FRF result, ``full_rank_factorization``, ``hs_decomposition``,
 ``mink_rank_characterization``, ``bc_parameterization``, and
 ``rank_equation_solve`` on the border pair of ``bc_parameterization``.
 Every call runs twice: cold, after the remembered factorization is dropped,
-and warm, right after the calls before it on the same input: 23,968
-outcomes with 258,064 fields.
+and warm, right after the calls before it on the same input: 24,136
+outcomes with 260,600 fields.
 
 Every field of every output is compared by its bytes: arrays, floats, ints,
 bools and strings, and the type and message of a raised exception.  Each
@@ -75,7 +76,8 @@ def corpus(mi) -> list[tuple[str, np.ndarray]]:
     for j in range(1, 14):
         A = light_cone(10.0 ** -j)
         inputs += [(f"light_cone(1e-{j})", A), (f"adjoint of light_cone(1e-{j})", mi.mink_adjoint(A))]
-    inputs += [("zeros 3x4", np.zeros((3, 4))), ("zeros 4x4", np.zeros((4, 4)))]
+    for m, n in ((1, 1), (1, 4), (4, 1), (3, 4), (4, 4)):
+        inputs.append((f"zeros {m}x{n}", np.zeros((m, n))))
     return inputs
 
 
